@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-scale bench-scale-smoke bench-quotes bench-quotes-smoke lint lint-canary obs-demo trace-smoke
+.PHONY: test bench-smoke bench-e2e-smoke bench bench-scale bench-scale-smoke bench-quotes bench-quotes-smoke lint lint-canary obs-demo trace-smoke
 
 ## Tier-1 test suite (also runs the benchmark script's smoke mode, see
 ## tests/experiments/test_parallel_harness.py).
@@ -20,6 +20,12 @@ bench-smoke:
 	$(PYTHON) scripts/bench_coverage.py --smoke --output /tmp/BENCH_coverage_smoke.json
 	$(PYTHON) scripts/bench_solvers.py --smoke --output /tmp/BENCH_solvers_smoke.json \
 		--assert-parallel-speedup 1.2
+
+## The end-to-end benchmark's self-test at toy sizes (perfbench/, declared
+## by BENCHMARK.json): every workload runs untraced and traced, checks its
+## plans, and prints every declared metric.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest perfbench -q
 
 ## Full benchmarks; append a run to BENCH_coverage.json / BENCH_solvers.json
 ## at the root and fail when any timing regresses >15% against the best

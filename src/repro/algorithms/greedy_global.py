@@ -15,20 +15,14 @@ starting plan ``S^in``.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms._marginal import best_marginal_billboard
+from repro.algorithms._marginal import (
+    StaleGains,
+    best_marginal_billboard,
+    sorted_unassigned,
+)
 from repro.algorithms.base import Solver
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
-
-
-def _sorted_unassigned(allocation: Allocation) -> np.ndarray:
-    candidates = np.fromiter(
-        allocation.unassigned, dtype=np.int64, count=len(allocation.unassigned)
-    )
-    candidates.sort()
-    return candidates
 
 
 def synchronous_greedy(
@@ -46,14 +40,15 @@ def synchronous_greedy(
         Advertiser ids eligible for assignment; defaults to all.  Mutated in
         place as advertisers are released.
     stats:
-        Optional output dict receiving ``assignments`` / ``releases`` counts.
+        Optional output dict receiving ``assignments`` / ``releases`` counts
+        and ``marginal_gain_evals``, the coverage-kernel rows priced.
     """
     instance = allocation.instance
     if active is None:
         active = set(range(instance.num_advertisers))
     assignments = 0
     releases = 0
-    marginal_evals = 0
+    stale = StaleGains(instance.coverage.individual_influences)
 
     while True:
         unsatisfied = [i for i in sorted(active) if not allocation.is_satisfied(i)]
@@ -62,11 +57,10 @@ def synchronous_greedy(
 
         progress = False
         for advertiser_id in unsatisfied:
-            if allocation.is_satisfied(advertiser_id) or not allocation.unassigned:
+            if allocation.is_satisfied(advertiser_id):
                 continue
-            candidates = _sorted_unassigned(allocation)
-            marginal_evals += len(candidates)
-            pick = best_marginal_billboard(allocation, advertiser_id, candidates)
+            candidates = sorted_unassigned(allocation)
+            pick = best_marginal_billboard(allocation, advertiser_id, candidates, stale)
             if pick is None:
                 continue
             allocation.assign(pick, advertiser_id)
@@ -96,7 +90,7 @@ def synchronous_greedy(
         stats["assignments"] = stats.get("assignments", 0) + assignments
         stats["releases"] = stats.get("releases", 0) + releases
         stats["marginal_gain_evals"] = (
-            stats.get("marginal_gain_evals", 0) + marginal_evals
+            stats.get("marginal_gain_evals", 0) + stale.priced
         )
 
 

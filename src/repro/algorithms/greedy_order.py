@@ -9,9 +9,11 @@ markets the tail advertisers go badly unsatisfied.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms._marginal import best_marginal_billboard
+from repro.algorithms._marginal import (
+    StaleGains,
+    best_marginal_billboard,
+    sorted_unassigned,
+)
 from repro.algorithms.base import Solver
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -29,22 +31,18 @@ class BudgetEffectiveGreedy(Solver):
             key=lambda i: (-instance.advertisers[i].budget_effectiveness, i),
         )
         assignments = 0
-        marginal_evals = 0
+        stale = StaleGains(instance.coverage.individual_influences)
         for advertiser_id in order:
             demand = instance.advertisers[advertiser_id].demand
-            while allocation.unassigned and allocation.influence(advertiser_id) < demand:
-                candidates = np.fromiter(
-                    allocation.unassigned, dtype=np.int64, count=len(allocation.unassigned)
-                )
-                candidates.sort()
-                marginal_evals += len(candidates)
-                pick = best_marginal_billboard(allocation, advertiser_id, candidates)
+            while allocation.influence(advertiser_id) < demand:
+                candidates = sorted_unassigned(allocation)
+                pick = best_marginal_billboard(allocation, advertiser_id, candidates, stale)
                 if pick is None:
-                    # Only zero-influence billboards remain; they can never
-                    # close the gap, so move on to the next advertiser.
+                    # The pool is empty or holds only zero-influence
+                    # billboards, which can never close the gap.
                     break
                 allocation.assign(pick, advertiser_id)
                 assignments += 1
         stats["assignments"] = assignments
-        stats["marginal_gain_evals"] = marginal_evals
+        stats["marginal_gain_evals"] = stale.priced
         return allocation

@@ -62,6 +62,7 @@ BLS_PHASE_EXCHANGE = "bls.phase.exchange"
 BLS_PHASE_RELEASE = "bls.phase.release"
 BLS_PHASE_TOPUP = "bls.phase.topup"
 BLS_PHASE_VERIFY = "bls.phase.verify"
+GREEDY_REPRICED = "greedy.repriced"
 
 # ---------------------------------------------------------------- spans
 
