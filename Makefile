@@ -9,10 +9,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## Seconds-fast benchmark pass on a tiny city — CI wiring for the full bench.
-## bench_solvers asserts all three sweep engines (full / dirty-full-scan /
-## dirty) land on identical regret and move counts, that parallel restarts
-## equal serial, and — via the flag — that batched warm-pool parallel
-## restarts actually beat serial.  The speedup gate assumes a multi-core
+## bench_solvers asserts every BLS repeat lands on identical regret and move
+## counts, that parallel restarts equal serial, and — via the flag — that
+## batched warm-pool parallel restarts actually beat serial.  The speedup gate assumes a multi-core
 ## runner (GitHub Actions); on a single-CPU box the bench skips the gate
 ## with a stderr note instead of asserting a speedup the hardware cannot
 ## produce.
@@ -35,8 +34,7 @@ bench:
 	$(PYTHON) scripts/bench_solvers.py --output BENCH_solvers.json --gate-regression
 
 ## Paper-scale sweep (10^4 -> 2*10^6 streamed trajectories): storage tiers,
-## popcount kernels, bit-identity, and one greedy+BLS cell under a 512 MB
-## bitmap budget.  Appends to BENCH_scale.json; takes minutes at full scale.
+## bit-identity, and one greedy+BLS cell under a 512 MB bitmap budget.  Appends to BENCH_scale.json; takes minutes at full scale.
 bench-scale:
 	$(PYTHON) scripts/bench_scale.py --output BENCH_scale.json
 

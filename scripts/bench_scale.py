@@ -7,10 +7,9 @@ NYC dataset is ~1.7 M trips) and, at each size:
   :meth:`CoverageIndex.from_trajectory_chunks` in 100k-trip chunks — the
   corpus never exists in memory at once;
 * times the **query workload** (union popcounts + full and
-  candidate-restricted batch passes) on every available storage-tier /
-  kernel variant — id-array, in-RAM bitmap, memmap-shard bitmap, and the
-  numba-compiled popcount path when numba is importable — and asserts every
-  variant is **bit-identical** to the id-array reference;
+  candidate-restricted batch passes) on every storage-tier variant —
+  id-array, in-RAM bitmap, memmap-shard bitmap — and asserts every variant
+  is **bit-identical** to the id-array reference;
 * records which variant **wins** at that size plus the
   ``influence.tier.*`` / ``influence.kernel.*`` dispatch counters.
 
@@ -29,7 +28,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -47,7 +45,7 @@ from bench_coverage import git_commit
 from repro import env, obs
 from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
-from repro.billboard import bitmap_store, popcount_jit
+from repro.billboard import bitmap_store
 from repro.billboard.influence import CoverageIndex
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -64,10 +62,6 @@ BLS_SIZE = 1_000_000  # largest available size solves a cell too
 
 #: Advertiser market for the end-to-end solve: alpha/p_avg -> 5 advertisers.
 BLS_ALPHA, BLS_P_AVG, BLS_GAMMA = 0.25, 0.05, 0.5
-
-
-def numba_available() -> bool:
-    return importlib.util.find_spec("numba") is not None
 
 
 def build_streaming(stream, n: int, lambda_m: float) -> tuple[CoverageIndex, float]:
@@ -88,7 +82,7 @@ def make_variant(
     """One query-workload configuration rebuilt from the shared CSR."""
     if name == "idarray":
         return CoverageIndex.from_flat_arrays(flat, offsets, n, bitmap_budget_mb=0.0)
-    storage = "memmap" if name.startswith("memmap") else "ram"
+    storage = name
     index = CoverageIndex.from_flat_arrays(
         flat, offsets, n, bitmap_budget_mb=BITMAP_BUDGET_MB, bitmap_storage=storage
     )
@@ -189,31 +183,18 @@ def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
     }
 
 
-def variant_names() -> list[str]:
-    names = ["idarray", "ram", "memmap"]
-    if numba_available():
-        names += ["ram+numba", "memmap+numba"]
-    return names
+VARIANTS = ("idarray", "ram", "memmap")
 
 
 def run_variant(
     name: str, flat: np.ndarray, offsets: np.ndarray, n: int, seed: int
 ) -> tuple[dict, dict]:
     """Build the variant, run the workload, and report timings + results."""
-    use_numba = name.endswith("+numba")
-    with env.temporary(popcount_jit.NUMBA_ENV, "1" if use_numba else "0"):
-        popcount_jit.reset()
-        try:
-            index = make_variant(flat, offsets, n, name)
-            if use_numba:  # compile outside the timed region
-                assert popcount_jit.enabled(), "numba requested but kernels missing"
-                query_workload(index, min(n, 1_000), seed)
-            timings, results = query_workload(index, n, seed)
-            timings["tier"] = index.bitmap_tier or "idarray"
-            timings["obs"] = dispatch_counters(index, n, seed)
-            return timings, results
-        finally:
-            popcount_jit.reset()
+    index = make_variant(flat, offsets, n, name)
+    timings, results = query_workload(index, n, seed)
+    timings["tier"] = index.bitmap_tier or "idarray"
+    timings["obs"] = dispatch_counters(index, n, seed)
+    return timings, results
 
 
 def bench_size(stream, n: int, lambda_m: float, seed: int) -> dict:
@@ -232,7 +213,7 @@ def bench_size(stream, n: int, lambda_m: float, seed: int) -> dict:
     del index  # free the build's bitmap before the variants allocate theirs
 
     reference = None
-    for name in variant_names():
+    for name in VARIANTS:
         timings, results = run_variant(name, flat, offsets, n, seed)
         if name == "idarray":
             reference = results
@@ -332,7 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "numba": numba_available(),
         },
         "sizes": size_entries,
         "bls_cell": bls,

@@ -1,18 +1,14 @@
-"""Solver benchmark: sweep engines (full / dirty-full-scan / dirty) and
-serial vs persistent-pool parallel restarts.
+"""Solver benchmark: the BLS sweep loop and serial vs persistent-pool
+parallel restarts.
 
 Times, on the PR-1 ``bls_cell`` scenario (NYC scale, seed 7):
 
-* **the BLS local-search loop** under all three engines — ``"full"``
-  (rescan every billboard every sweep), ``"dirty-full-scan"`` (PR-3:
-  version-counter certificates choose *which* billboards to scan, but each
-  surviving scan still popcounts every row), and ``"dirty"`` (this PR:
-  surviving scans are restricted to the screened candidate ids, so the
-  kernel popcounts ``|candidates| × words`` instead of ``n × words``).  All
-  three must report identical total regret and accepted-move counts — the
-  benchmark *fails* otherwise.  ``restricted_speedup`` is the
-  dirty-full-scan → dirty ratio, i.e. the gain attributable purely to
-  row restriction;
+* **the BLS local-search loop** (the dirty-set sweep: version-counter
+  certificates choose *which* billboards to scan, and surviving scans are
+  restricted to the screened candidate ids).  Every repeat must report the
+  identical total regret and accepted-move counts — the benchmark *fails*
+  otherwise.  Equivalence with the literal rescan loop of Algorithm 5 is
+  the test suite's job (``tests/oracles.py``);
 * **random restarts** — ``RandomizedLocalSearch(restarts=N)`` run serially
   vs fanned out over a *persistent* shared-memory worker pool
   (:mod:`repro.parallel.pool`).  An untimed warm-up spawns the pool (and
@@ -55,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
 
 from repro import env, obs
-from repro.algorithms.bls import SWEEP_ENGINES, billboard_driven_local_search
+from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.core.allocation import Allocation
@@ -90,27 +86,24 @@ def git_commit() -> str:
 
 
 def bench_sweep_engines(instance: MROAMInstance, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` timings of the BLS loop under all three engines.
+    """Best-of-``repeats`` timing of the BLS sweep loop.
 
-    The greedy start is rebuilt (not cloned) per run so no engine benefits
+    The greedy start is rebuilt (not cloned) per run so no repeat benefits
     from warm allocation state; only the local-search loop is timed.
-    Hard-fails unless every engine lands on the identical regret and
+    Hard-fails unless every repeat lands on the identical regret and
     accepted-move counts.
     """
-    # Interleave the repeats across engines (like the parallel-restart
-    # section) so background-load drift hits every engine equally; best-of
-    # per engine.
-    timings: dict = {engine: float("inf") for engine in SWEEP_ENGINES}
-    outcomes: dict = {}
+    best_s = float("inf")
+    outcomes: list[dict] = []
     for _ in range(repeats):
-        for engine in SWEEP_ENGINES:
-            allocation = Allocation(instance)
-            synchronous_greedy(allocation)
-            stats: dict = {}
-            started = time.perf_counter()
-            billboard_driven_local_search(allocation, stats=stats, engine=engine)
-            timings[engine] = min(timings[engine], time.perf_counter() - started)
-            outcomes[engine] = {
+        allocation = Allocation(instance)
+        synchronous_greedy(allocation)
+        stats: dict = {}
+        started = time.perf_counter()
+        billboard_driven_local_search(allocation, stats=stats)
+        best_s = min(best_s, time.perf_counter() - started)
+        outcomes.append(
+            {
                 "total_regret": allocation.total_regret(),
                 "bls_exchanges": stats.get("bls_exchanges", 0),
                 "bls_releases": stats.get("bls_releases", 0),
@@ -119,31 +112,15 @@ def bench_sweep_engines(instance: MROAMInstance, repeats: int = 3) -> dict:
                 "bls_dirty_scanned": stats.get("bls_dirty_scanned"),
                 "bls_dirty_skipped": stats.get("bls_dirty_skipped"),
             }
-
-    for engine in SWEEP_ENGINES:
-        assert (
-            outcomes[engine]["total_regret"] == outcomes["full"]["total_regret"]
-        ), (
-            f"{engine} engine diverged from full-scan regret: "
-            f"{outcomes[engine]['total_regret']} != {outcomes['full']['total_regret']}"
         )
-        for key in ("bls_exchanges", "bls_releases", "bls_topups"):
-            assert outcomes[engine][key] == outcomes["full"][key], (
-                f"{engine} engine accepted a different move sequence ({key}: "
-                f"{outcomes[engine][key]} != {outcomes['full'][key]})"
-            )
+    for repeat, outcome in enumerate(outcomes[1:], start=1):
+        assert outcome == outcomes[0], (
+            f"BLS repeat {repeat} diverged from repeat 0: {outcome} != {outcomes[0]}"
+        )
     return {
-        "full_engine_s": timings["full"],
-        "dirty_full_scan_engine_s": timings["dirty-full-scan"],
-        "dirty_engine_s": timings["dirty"],
-        "speedup": timings["full"] / timings["dirty"]
-        if timings["dirty"] > 0
-        else float("inf"),
-        "restricted_speedup": timings["dirty-full-scan"] / timings["dirty"]
-        if timings["dirty"] > 0
-        else float("inf"),
-        "total_regret": outcomes["dirty"]["total_regret"],
-        **{engine: outcomes[engine] for engine in SWEEP_ENGINES},
+        "dirty_engine_s": best_s,
+        "total_regret": outcomes[0]["total_regret"],
+        "dirty": outcomes[0],
     }
 
 
@@ -164,7 +141,7 @@ def collect_restricted_rows(instance: MROAMInstance) -> tuple[dict, dict]:
     try:
         allocation = Allocation(instance)
         synchronous_greedy(allocation)
-        billboard_driven_local_search(allocation, engine="dirty")
+        billboard_driven_local_search(allocation)
         histogram = obs.get_registry().histogram("influence.popcount.rows")
         empty = histogram.count == 0
         rows = {
@@ -313,26 +290,25 @@ def bench_parallel_restarts(
 
 
 def traced_engine_passes(instance: MROAMInstance) -> None:
-    """One fully-instrumented BLS pass per engine, for the trace artifact.
+    """One fully-instrumented BLS pass, for the trace artifact.
 
-    Runs with collection *and* tracing on (outside the timed sections): each
-    pass contributes per-sweep ``bls.sweep`` phase events, and the kernel
-    dispatch counter deltas of the pass are stamped as a ``kernel.dispatch``
-    instant event so the report can attribute kernel choice per engine.
+    Runs with collection *and* tracing on (outside the timed sections): the
+    pass contributes per-sweep ``bls.sweep`` phase events, and its kernel
+    dispatch counter deltas are stamped as a ``kernel.dispatch`` instant
+    event so the report can attribute kernel choice to the pass.
     """
     attributed = ("influence.dispatch.", "influence.kernel.", "influence.tier.")
-    for engine in SWEEP_ENGINES:
-        before = dict(obs.get_registry().counters)
-        allocation = Allocation(instance)
-        synchronous_greedy(allocation)
-        billboard_driven_local_search(allocation, engine=engine)
-        after = obs.get_registry().counters
-        delta = {
-            name: after[name] - before.get(name, 0)
-            for name in after
-            if name.startswith(attributed) and after[name] != before.get(name, 0)
-        }
-        obs.emit_instant("kernel.dispatch", {"engine": engine, **delta})
+    before = dict(obs.get_registry().counters)
+    allocation = Allocation(instance)
+    synchronous_greedy(allocation)
+    billboard_driven_local_search(allocation)
+    after = obs.get_registry().counters
+    delta = {
+        name: after[name] - before.get(name, 0)
+        for name in after
+        if name.startswith(attributed) and after[name] != before.get(name, 0)
+    }
+    obs.emit_instant("kernel.dispatch", {"engine": "dirty", **delta})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,13 +340,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="fail unless warm-pool parallel restarts reach X× over serial",
-    )
-    parser.add_argument(
-        "--assert-restricted-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless the dirty engine reaches X× over dirty-full-scan",
     )
     parser.add_argument(
         "--gate-regression",
@@ -436,24 +405,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nappended run {len(history['runs'])} to {path}")
 
     if ledger.enabled():
-        timing_keys = {
-            "full": "full_engine_s",
-            "dirty-full-scan": "dirty_full_scan_engine_s",
-            "dirty": "dirty_engine_s",
-        }
-        for engine in SWEEP_ENGINES:
-            ledger.record_run(
-                "bench.sweep",
-                instance=instance,
-                engine=engine,
-                wall_s=float(sweep_engines[timing_keys[engine]]),
-                regret=float(sweep_engines["total_regret"]),
-                smoke=bool(args.smoke),
-            )
+        ledger.record_run(
+            "bench.sweep",
+            instance=instance,
+            method="bls",
+            wall_s=float(sweep_engines["dirty_engine_s"]),
+            regret=float(sweep_engines["total_regret"]),
+            smoke=bool(args.smoke),
+        )
         ledger.record_run(
             "bench.restarts",
             instance=instance,
-            engine="dirty",
+            method="bls",
             workers=int(parallel["workers"]),
             restarts=int(parallel["restarts"]),
             serial_s=float(parallel["serial_s"]),
@@ -466,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"appended ledger records to {ledger.ledger_path()}")
 
     if obs.trace_enabled():
-        # Per-engine instrumented passes for the trace artifact, then retire
+        # One instrumented BLS pass for the trace artifact, then retire
         # the pools so every worker's teardown spill is on disk before the
         # trace is assembled.
         obs.enable()
@@ -509,11 +472,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"warm-pool parallel speedup {parallel['speedup']:.3f} below "
                 f"the required {args.assert_parallel_speedup}"
             )
-    if args.assert_restricted_speedup is not None:
-        assert sweep_engines["restricted_speedup"] >= args.assert_restricted_speedup, (
-            f"restricted-kernel speedup {sweep_engines['restricted_speedup']:.3f} "
-            f"below the required {args.assert_restricted_speedup}"
-        )
     return 0
 
 

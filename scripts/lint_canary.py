@@ -80,7 +80,7 @@ def knob():
 """,
     ),
     "kernel-contract": (
-        "src/repro/billboard/popcount_jit.py",
+        "src/repro/billboard/bitmap_store.py",
         '''\
 def canary_kernel(words):
     """Claims to be bit-identical to the numpy path; no test references it."""

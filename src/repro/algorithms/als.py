@@ -7,11 +7,11 @@ making this the cheap-but-coarse member of the framework: it can rescue a
 plan where one advertiser hogs a large set, but cannot rebalance individual
 billboards.
 
-The default ``engine="dirty"`` skips pairs where neither advertiser's set
-changed since the pair was last priced non-improving (the delta depends only
-on the two influence scalars, so it is provably unchanged), and finishes with
-one unrestricted sweep; ``engine="full"`` is the reference loop.  Both accept
-the identical exchange sequence.
+The sweep skips pairs where neither advertiser's set changed since the pair
+was last priced non-improving (the delta depends only on the two influence
+scalars, so it is provably unchanged), and finishes with one unrestricted
+sweep.  It accepts the identical exchange sequence as the literal
+rescan-every-pair loop, which ``tests/oracles.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.algorithms.sweep import PairSweepState
 from repro.core.allocation import Allocation
 from repro.core.moves import delta_exchange_sets
 
-SWEEP_ENGINES = ("dirty", "full")
-
 
 def _emit_stats(stats: dict, sweeps: int, exchanges: int, evaluated: int) -> None:
     stats["als_sweeps"] = stats.get("als_sweeps", 0) + sweeps
@@ -30,31 +28,7 @@ def _emit_stats(stats: dict, sweeps: int, exchanges: int, evaluated: int) -> Non
     stats["als_moves_evaluated"] = stats.get("als_moves_evaluated", 0) + evaluated
 
 
-def _full_engine(
-    allocation: Allocation, min_improvement: float, stats: dict | None
-) -> Allocation:
-    num_advertisers = allocation.instance.num_advertisers
-    sweeps = 0
-    exchanges = 0
-    evaluated = 0
-    improved = True
-    while improved:
-        improved = False
-        sweeps += 1
-        for advertiser_a in range(num_advertisers):
-            for advertiser_b in range(advertiser_a + 1, num_advertisers):
-                delta = delta_exchange_sets(allocation, advertiser_a, advertiser_b)
-                evaluated += 1
-                if delta < -min_improvement:
-                    allocation.exchange_sets(advertiser_a, advertiser_b)
-                    exchanges += 1
-                    improved = True
-    if stats is not None:
-        _emit_stats(stats, sweeps, exchanges, evaluated)
-    return allocation
-
-
-def _dirty_engine(
+def _search(
     allocation: Allocation, min_improvement: float, stats: dict | None
 ) -> Allocation:
     num_advertisers = allocation.instance.num_advertisers
@@ -67,11 +41,11 @@ def _dirty_engine(
         improved = False
         sweeps += 1
         for advertiser_a in range(num_advertisers):
-            # One vectorized row filter replaces the per-pair pair_clean
-            # calls.  An accepted exchange dirties every later pair in the
-            # row (it bumps advertiser_a's version), so the remaining suffix
-            # is re-queried after each acceptance — cleanliness is thereby
-            # evaluated at visit time, exactly like the per-pair loop.
+            # One vectorized row filter picks the dirty pairs.  An accepted
+            # exchange dirties every later pair in the row (it bumps
+            # advertiser_a's version), so the remaining suffix is re-queried
+            # after each acceptance — cleanliness is thereby evaluated at
+            # visit time, exactly like a per-pair check.
             start = advertiser_a + 1
             while start < num_advertisers:
                 if verifying:
@@ -106,19 +80,12 @@ def advertiser_driven_local_search(
     allocation: Allocation,
     min_improvement: float = 1e-9,
     stats: dict | None = None,
-    engine: str = "dirty",
 ) -> Allocation:
     """Run Algorithm 4 in place; returns the same (improved) allocation.
 
     Sweeps all ordered advertiser pairs, applying any set exchange that
     strictly reduces total regret, until a full sweep finds no improving
     exchange.  ``min_improvement`` guards against float-noise cycling.
-    ``engine`` selects the sweep bookkeeping (see module docstring); the
-    resulting allocation is identical either way.
     """
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {SWEEP_ENGINES}")
-    with obs.span("als.search", engine=engine):
-        if engine == "full":
-            return _full_engine(allocation, min_improvement, stats)
-        return _dirty_engine(allocation, min_improvement, stats)
+    with obs.span("als.search"):
+        return _search(allocation, min_improvement, stats)

@@ -21,22 +21,17 @@ evaluated in descending bound order; once bounds fall below the improvement
 threshold, no improving exchange can exist among the rest.  Termination at a
 genuine local minimum is therefore preserved.
 
-Two sweep engines drive the move families:
-
-* ``engine="full"`` — the reference loop: every sweep rescans every assigned
-  billboard.
-* ``engine="dirty"`` (default) — the dirty-set engine: version counters
-  (:mod:`repro.algorithms.sweep`) certify which scans provably cannot find a
-  move since nothing near them changed, and an interval screen discards
-  candidates whose optimistic bound already falls below the acceptance
-  threshold.  Skipped work is *proof-backed*, so both engines accept the
-  identical move sequence and reach the identical allocation; the dirty
-  engine still finishes with one unrestricted sweep before declaring local
-  optimality (DESIGN.md §9).  Scans that survive the screen run *restricted*
-  to the changed candidates via the row-restricted coverage kernels
-  (DESIGN.md §10); ``engine="dirty-full-scan"`` disables only that
-  restriction, for benchmarking the kernels against their full-pass
-  ancestor.
+The sweep loop is the dirty-set engine: version counters
+(:mod:`repro.algorithms.sweep`) certify which scans provably cannot find a
+move since nothing near them changed, and an interval screen
+(:mod:`repro.algorithms.screen`) discards candidates whose optimistic bound
+already falls below the acceptance threshold.  Skipped work is
+*proof-backed*, so the loop accepts the identical move sequence as the
+literal rescan-everything loop of Algorithm 5 (kept as the test oracle in
+``tests/oracles.py``), and it still finishes with one unrestricted sweep
+before declaring local optimality (DESIGN.md §9).  Scans that survive the
+screen run *restricted* to the screened candidates via the row-restricted
+coverage kernels (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -57,8 +52,6 @@ from repro.algorithms.screen import ScreenRoundPlanner, _optimistic_regret  # no
 from repro.algorithms.sweep import BillboardSweepState
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_release
-
-SWEEP_ENGINES = ("dirty", "dirty-full-scan", "full")
 
 
 def _partner_swap_delta(
@@ -201,79 +194,31 @@ def _find_improving_exchange(
     allocation: Allocation,
     advertiser_id: int,
     billboard_id: int,
+    candidate_ids: np.ndarray,
     min_improvement: float,
     counters: dict | None = None,
 ) -> int | None:
     """Best-bound-first search for an improving exchange partner of
-    ``billboard_id`` (owned by ``advertiser_id``), or ``None``.
+    ``billboard_id`` (owned by ``advertiser_id``) among ``candidate_ids``,
+    or ``None``.
 
-    The scan temporarily releases ``billboard_id`` so one batch coverage pass
-    yields the *exact* own-side regret delta for every candidate partner:
-    free-candidate exchanges are then fully priced with no per-candidate
-    work, and only the partner advertiser's side of owner↔owner exchanges
-    retains an optimistic interval bound that exact evaluation must confirm.
+    One batch coverage pass yields the *exact* own-side regret delta for
+    every candidate: the released state ``S_i − o_m`` is priced analytically
+    by :meth:`CoverageIndex.batch_add_gains_without` against the
+    *unmodified* counter row, so the allocation (and its cached packed
+    masks) is never touched.  Free-candidate exchanges are then fully
+    priced with no per-candidate work, and only the partner advertiser's
+    side of owner↔owner exchanges retains an optimistic interval bound that
+    exact evaluation must confirm (:func:`_select_partner`).
+
+    ``candidate_ids`` (ascending, excluding ``billboard_id`` and the
+    advertiser's own billboards) restricts the scan and its kernel pass.
+    The sweep passes the screened changed-candidate set, whose certificates
+    prove every excluded partner non-improving, so the answer equals that of
+    a scan over every legal partner (DESIGN.md §10).
     """
     instance = allocation.instance
     coverage = instance.coverage
-    own_influence = float(allocation.influence(advertiser_id))
-    own_regret = instance.regret_of(advertiser_id, own_influence)
-
-    # Temporarily release o_m: the batch gains over the resulting counters
-    # price "S_i - o_m + o_n" exactly for every o_n.  Restored before return.
-    allocation.release(billboard_id)
-    try:
-        released_influence = float(allocation.influence(advertiser_id))
-        candidates = _all_exchange_candidates(
-            allocation.owners, advertiser_id, billboard_id
-        )
-        masks = allocation.packed_masks(advertiser_id)
-        gains = coverage.batch_add_gains(
-            allocation.counts_row(advertiser_id),
-            free_bits=masks[0] if masks is not None else None,
-        )
-        return _select_partner(
-            allocation,
-            advertiser_id,
-            billboard_id,
-            own_regret,
-            released_influence,
-            candidates,
-            gains[candidates],
-            min_improvement,
-            counters,
-        )
-    finally:
-        allocation.assign(billboard_id, advertiser_id)
-
-
-def _find_improving_exchange_frozen(
-    allocation: Allocation,
-    advertiser_id: int,
-    billboard_id: int,
-    min_improvement: float,
-    counters: dict | None = None,
-    candidate_ids: np.ndarray | None = None,
-) -> int | None:
-    """:func:`_find_improving_exchange` without the release/assign round trip.
-
-    Prices the released state analytically — the own-side gains come from
-    :meth:`CoverageIndex.batch_add_gains_without` against the *unmodified*
-    counter row, so the allocation (and its cached packed masks) is never
-    touched.  Returns the identical partner: the candidate mask is unchanged
-    (``billboard_id`` is excluded either way), the gain integers are equal by
-    construction, and the shared :func:`_select_partner` does the rest.
-
-    ``candidate_ids`` restricts the scan (and the coverage kernel pass) to
-    those partners; the dirty engine passes the changed-candidate set, whose
-    certificates prove every excluded partner is non-improving, so the
-    restricted scan's answer equals the full scan's.
-    """
-    instance = allocation.instance
-    coverage = instance.coverage
-    if candidate_ids is None:
-        candidate_ids = _all_exchange_candidates(
-            allocation.owners, advertiser_id, billboard_id
-        )
     own_influence = float(allocation.influence(advertiser_id))
     own_regret = instance.regret_of(advertiser_id, own_influence)
     released_influence = own_influence - float(
@@ -298,142 +243,6 @@ def _find_improving_exchange_frozen(
         min_improvement,
         counters,
     )
-
-
-def _exchange_screen(
-    allocation: Allocation,
-    advertiser_id: int,
-    billboard_id: int,
-    candidate_ids: np.ndarray,
-    min_improvement: float,
-) -> bool:
-    """Optimistic gate over a candidate set: ``False`` proves that exchanging
-    ``billboard_id`` with *any* of ``candidate_ids`` improves total regret by
-    at most ``min_improvement`` — the exact scan would return ``None``.
-
-    Uses the same interval bounds the exact scan prunes with: the own side
-    lands in ``[v_i − I(o_m), v_i + I(o_n)]`` and an assigned partner in
-    ``[v_j − I(o_n), v_j + I(o_m)]``, so the summed best-case regret drop
-    upper-bounds the true improvement.  Costs a handful of vectorized passes,
-    no coverage queries.
-    """
-    if len(candidate_ids) == 0:
-        return False
-    instance = allocation.instance
-    individual = instance.coverage.individual_influences_f64
-    advertiser = instance.advertisers[advertiser_id]
-    own_influence = float(allocation.influence(advertiser_id))
-    own_regret = instance.regret_of(advertiser_id, own_influence)
-
-    own_best = _optimistic_regret(
-        advertiser.payment,
-        float(advertiser.demand),
-        instance.gamma,
-        own_influence - float(individual[billboard_id]),
-        own_influence + individual[candidate_ids],
-    )
-    potential = own_regret - own_best
-
-    candidate_owners = allocation.owners[candidate_ids]
-    assigned = candidate_owners != UNASSIGNED
-    if assigned.any():
-        partner_ids = candidate_owners[assigned]
-        all_influences = allocation.influences.astype(np.float64)
-        partner_influence = all_influences[partner_ids]
-        partner_payments = instance.payments[partner_ids]
-        partner_demands = instance.demands[partner_ids]
-        partner_regret = _regret_values_unchecked(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence,
-        )
-        partner_best = _optimistic_regret(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence - individual[candidate_ids[assigned]],
-            partner_influence + float(individual[billboard_id]),
-        )
-        potential[assigned] += partner_regret - partner_best
-    return bool(np.any(potential > min_improvement))
-
-
-def _exchange_screen_batch(
-    allocation: Allocation,
-    advertiser_id: int,
-    billboard_ids: list[int],
-    candidate_sets: list[np.ndarray],
-    min_improvement: float,
-) -> np.ndarray:
-    """:func:`_exchange_screen` for many outgoing billboards in one pass.
-
-    ``verdicts[k] is False`` carries the same proof as the scalar screen:
-    exchanging ``billboard_ids[k]`` with any of ``candidate_sets[k]`` improves
-    total regret by at most ``min_improvement``.  The bound arithmetic is
-    elementwise, so concatenating the per-billboard candidate vectors and
-    running it once yields bit-identical verdicts while paying the numpy call
-    overhead once per advertiser pass instead of once per owned billboard.
-
-    Valid only while the allocation is unchanged since the call — the dirty
-    engine recomputes the batch after every accepted move.
-    """
-    verdicts = np.zeros(len(billboard_ids), dtype=bool)
-    lengths = np.fromiter(
-        (len(ids) for ids in candidate_sets),
-        dtype=np.int64,
-        count=len(candidate_sets),
-    )
-    keep = np.nonzero(lengths > 0)[0]
-    if len(keep) == 0:
-        return verdicts
-    instance = allocation.instance
-    individual = instance.coverage.individual_influences_f64
-    advertiser = instance.advertisers[advertiser_id]
-    own_influence = float(allocation.influence(advertiser_id))
-    own_regret = instance.regret_of(advertiser_id, own_influence)
-
-    flat = np.concatenate([candidate_sets[k] for k in keep])
-    seg_lengths = lengths[keep]
-    outgoing = np.repeat(
-        np.asarray(billboard_ids, dtype=np.int64)[keep], seg_lengths
-    )
-    starts = np.zeros(len(keep), dtype=np.int64)
-    np.cumsum(seg_lengths[:-1], out=starts[1:])
-
-    own_best = _optimistic_regret(
-        advertiser.payment,
-        float(advertiser.demand),
-        instance.gamma,
-        own_influence - individual[outgoing],
-        own_influence + individual[flat],
-    )
-    potential = own_regret - own_best
-
-    candidate_owners = allocation.owners[flat]
-    assigned = candidate_owners != UNASSIGNED
-    if assigned.any():
-        partner_ids = candidate_owners[assigned]
-        all_influences = allocation.influences.astype(np.float64)
-        partner_influence = all_influences[partner_ids]
-        partner_payments = instance.payments[partner_ids]
-        partner_demands = instance.demands[partner_ids]
-        partner_regret = _regret_values_unchecked(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence,
-        )
-        partner_best = _optimistic_regret(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence - individual[flat[assigned]],
-            partner_influence + individual[outgoing[assigned]],
-        )
-        potential[assigned] += partner_regret - partner_best
-    verdicts[keep] = np.logical_or.reduceat(potential > min_improvement, starts)
-    return verdicts
 
 
 def _release_pass_improves(
@@ -470,17 +279,7 @@ def _release_pass_improves(
     return bool(np.any(deltas < -min_improvement))
 
 
-def _all_exchange_candidates(
-    owners: np.ndarray, advertiser_id: int, billboard_id: int
-) -> np.ndarray:
-    """Every legal exchange partner of ``billboard_id`` (the full scan's mask)."""
-    mask = owners != advertiser_id
-    mask[billboard_id] = False
-    return np.nonzero(mask)[0]
-
-
 def _emit_sweep_phases(
-    engine: str,
     started: float,
     screen_s: float,
     exchange_s: float,
@@ -490,9 +289,11 @@ def _emit_sweep_phases(
 ) -> None:
     """Record one sweep's phase split (histograms + a ``bls.sweep`` trace event).
 
-    Only called when collection or tracing is on — the engines sample the
+    Only called when collection or tracing is on — the loop samples the
     clock per phase boundary, not per move, so the instrumented sweep costs a
-    handful of ``perf_counter`` reads.
+    handful of ``perf_counter`` reads.  The event's ``engine`` field is
+    always ``"dirty"``; ``repro obs report`` groups sweep phases by it, so
+    older traces that recorded other engines still read.
     """
     duration_s = time.perf_counter() - started  # repro-lint: ignore[determinism] telemetry-only clock
     obs.histogram_observe("bls.phase.screen", screen_s)
@@ -507,7 +308,7 @@ def _emit_sweep_phases(
         duration_s,
         cat="bls",
         args={
-            "engine": engine,
+            "engine": "dirty",
             "screen_s": screen_s,
             "exchange_s": exchange_s,
             "release_s": release_s,
@@ -533,117 +334,68 @@ def _emit_stats(stats: dict, sweeps, exchanges, releases, topups, counters) -> N
     ) + counters.get("partner_exact", 0)
 
 
-def _full_engine(
+def billboard_driven_local_search(
     allocation: Allocation,
-    min_improvement: float,
-    max_sweeps: int | None,
-    stats: dict | None,
-) -> Allocation:
-    """The reference sweep loop: rescan everything, every sweep."""
-    instance = allocation.instance
-    sweeps = 0
-    exchanges = 0
-    releases = 0
-    topups = 0
-    counters: dict = {}
-
-    while True:
-        sweeps += 1
-        improved = False
-        track = obs.enabled() or obs.trace_enabled()
-        sweep_start = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-
-        # Move families 1 & 2: pairwise and assigned↔free exchanges.
-        for advertiser_id in range(instance.num_advertisers):
-            for billboard_id in sorted(allocation.billboards_of(advertiser_id)):
-                if allocation.owner_of(billboard_id) != advertiser_id:
-                    continue  # already moved earlier in this sweep
-                partner = _find_improving_exchange(
-                    allocation, advertiser_id, billboard_id, min_improvement, counters
-                )
-                if partner is not None:
-                    allocation.exchange_billboards(billboard_id, partner)
-                    exchanges += 1
-                    improved = True
-        exchange_end = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-
-        # Move family 3: releases.
-        for advertiser_id in range(instance.num_advertisers):
-            for billboard_id in sorted(allocation.billboards_of(advertiser_id)):
-                counters["release_evaluated"] = (
-                    counters.get("release_evaluated", 0) + 1
-                )
-                if delta_release(allocation, billboard_id) < -min_improvement:
-                    allocation.release(billboard_id)
-                    releases += 1
-                    improved = True
-        release_end = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-
-        # Move family 4: greedy top-up of the unassigned pool (line 5.11),
-        # adopted only if it strictly improves (lines 5.12-5.13).
-        if allocation.unassigned:
-            candidate = allocation.clone()
-            synchronous_greedy(candidate)
-            if candidate.total_regret() < allocation.total_regret() - min_improvement:
-                allocation = candidate
-                topups += 1
-                improved = True
-
-        if track:
-            _emit_sweep_phases(
-                "full",
-                sweep_start,
-                0.0,
-                exchange_end - sweep_start,
-                release_end - exchange_end,
-                time.perf_counter() - release_end,  # repro-lint: ignore[determinism] telemetry-only clock
-                verify=False,
-            )
-        if not improved or (max_sweeps is not None and sweeps >= max_sweeps):
-            break
-
-    if stats is not None:
-        _emit_stats(stats, sweeps, exchanges, releases, topups, counters)
-    return allocation
-
-
-def _dirty_engine(
-    allocation: Allocation,
-    min_improvement: float,
-    max_sweeps: int | None,
-    stats: dict | None,
-    restrict_scans: bool = True,
-    screen_workers: int | None = None,
+    min_improvement: float = 1e-9,
+    max_sweeps: int | None = None,
+    stats: dict | None = None,
     state: BillboardSweepState | None = None,
     final_verify: bool = True,
 ) -> Allocation:
-    """The dirty-set sweep loop (see module docstring and DESIGN.md §9–10).
+    """Run Algorithm 5; returns the improved allocation (may be a new object).
 
-    Accepts exactly the moves the full engine accepts: every skipped scan is
-    backed by a version certificate or an interval-screen proof that the full
-    scan would have returned ``None`` there, and termination requires one
-    final sweep with the certificates disabled.
+    Accepts exactly the moves the literal rescan loop accepts: every skipped
+    scan is backed by a version certificate or an interval-screen proof that
+    the unrestricted scan would have returned ``None`` there, and
+    termination requires one final sweep with the certificates disabled
+    (see the module docstring and DESIGN.md §9–10).
 
-    With ``restrict_scans`` (the default), a scan that survives the screen
-    runs restricted to the changed-candidate set instead of the whole
-    inventory — sound for the same reason the screen is: every certified
-    candidate is provably non-improving, so the restricted scan's partner
-    choice equals the full scan's (DESIGN.md §10).  ``restrict_scans=False``
-    is the ``"dirty-full-scan"`` engine, kept for benchmarking the restricted
-    kernels against their full-pass ancestor.
-
-    ``screen_workers`` lets the restricted engine fan each screen *round*
-    across the instance's persistent worker pool (DESIGN.md §13) — verdicts
-    only; surviving exchanges are still replayed serially here, so the
-    accepted move sequence is unchanged.
-
-    ``state`` lets a caller carry version certificates across invocations
-    (the incremental quoting engine, DESIGN.md §15).  Sound only when the
-    allocation is byte-identical to where the certificates were earned —
-    which the journal's rollback guarantees; a cold run on the same
-    allocation takes the identical move sequence because every warm skip is
-    backed by a proof that the cold scan would return ``None`` there.
+    Parameters
+    ----------
+    allocation:
+        Starting plan; mutated in place for move families 1–3.
+    min_improvement:
+        Minimum absolute regret reduction for a move to be accepted.  This is
+        the ``r``-style improvement threshold of Definition 6.1 (expressed
+        absolutely rather than relatively) and also guards against
+        float-noise cycling.
+    max_sweeps:
+        Optional hard cap on full sweeps (None = run to local optimality).
+    stats:
+        Optional output dict receiving move counters.
+    state:
+        Optional :class:`BillboardSweepState` carried across invocations
+        (warm certificates for the incremental quoting engine, DESIGN.md
+        §15).  Sound only when the allocation is byte-identical to where the
+        certificates were earned — which the journal's rollback guarantees;
+        a cold run on the same allocation takes the identical move sequence
+        because every warm skip is backed by a proof that the cold scan
+        would return ``None`` there.
+    final_verify:
+        When ``True`` (default) a sweep that finds nothing is followed by
+        one sweep with the certificates disabled before declaring a local
+        optimum — the mirror of the rescan loop's terminating no-op sweep.
+        ``False`` trusts the certificates and stops at the first empty
+        sweep: sound because a certificate only ever skips a scan proven to
+        return ``None``, so the verify sweep cannot accept a move the
+        restricted sweep missed.  The incremental quoting engine passes
+        ``False`` — its carried, settled state would otherwise pay one
+        full-inventory screen pass per quote for a sweep that provably does
+        nothing (DESIGN.md §15).
     """
+    with obs.span("bls.search"):
+        return _search(allocation, min_improvement, max_sweeps, stats, state, final_verify)
+
+
+def _search(
+    allocation: Allocation,
+    min_improvement: float,
+    max_sweeps: int | None,
+    stats: dict | None,
+    state: BillboardSweepState | None,
+    final_verify: bool,
+) -> Allocation:
+    """The dirty-set sweep loop behind :func:`billboard_driven_local_search`."""
     instance = allocation.instance
     if state is None:
         state = BillboardSweepState(instance.num_advertisers, instance.num_billboards)
@@ -656,7 +408,6 @@ def _dirty_engine(
     skipped = 0
     counters: dict = {}
     verifying = False
-    engine_name = "dirty" if restrict_scans else "dirty-full-scan"
 
     while True:
         sweeps += 1
@@ -664,33 +415,24 @@ def _dirty_engine(
         verify_sweep = verifying
         track = obs.enabled() or obs.trace_enabled()
         sweep_start = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-        screen_s = 0.0
 
-        # Move families 1 & 2: pairwise and assigned↔free exchanges.  The
-        # restricted engine screens at *round* granularity — one fused bound
-        # computation over every billboard the phase has yet to visit,
-        # optionally fanned across the worker pool (ScreenRoundPlanner,
-        # bit-identical verdicts) and recomputed after every accepted move;
-        # the dirty-full-scan engine keeps the per-billboard screen — it *is*
-        # the PR-3 loop, preserved as the benchmark baseline.
-        planner = (
-            ScreenRoundPlanner(
-                allocation,
-                state,
-                min_improvement,
-                verifying,
-                screen_workers,
-                track,
-                # Warm quote repairs (trusted termination on a settled state)
-                # expect few or no moves per sweep: screen the whole frontier
-                # in one eager round instead of doubling up from one row.
-                # Cold solves keep the adaptive doubling — their early sweeps
-                # are move-heavy and eager rounds would screen rows a move is
-                # about to invalidate.
-                eager_rounds=not final_verify and not verifying,
-            )
-            if restrict_scans
-            else None
+        # Move families 1 & 2: pairwise and assigned↔free exchanges.  Screens
+        # run at *round* granularity — one fused bound computation over the
+        # billboards the phase has yet to visit (ScreenRoundPlanner),
+        # recomputed after every accepted move.
+        planner = ScreenRoundPlanner(
+            allocation,
+            state,
+            min_improvement,
+            verifying,
+            track,
+            # Warm quote repairs (trusted termination on a settled state)
+            # expect few or no moves per sweep: screen the whole frontier in
+            # one eager round instead of doubling up from one row.  Cold
+            # solves keep the adaptive doubling — their early sweeps are
+            # move-heavy and eager rounds would screen rows a move is about
+            # to invalidate.
+            eager_rounds=not final_verify and not verifying,
         )
         for advertiser_id in range(instance.num_advertisers):
             billboard_list = sorted(allocation.billboards_of(advertiser_id))
@@ -700,45 +442,23 @@ def _dirty_engine(
                 if allocation.owner_of(billboard_id) != advertiser_id:
                     position += 1
                     continue  # already moved earlier in this sweep
-                owners = allocation.owners
-                if restrict_scans:
-                    survived, screen_ids = planner.lookup(
+                survived, screen_ids = planner.lookup(
+                    advertiser_id, position, billboard_list
+                )
+                if not survived:
+                    # The cached round covers the advertiser's remaining
+                    # screened-clear run (eager rounds cover whole warm
+                    # sweeps): certify it with one vectorized stamp instead
+                    # of one loop iteration per row.
+                    consumed, cleared = planner.clear_run(
                         advertiser_id, position, billboard_list
                     )
-                    if not survived:
-                        # The cached round covers the advertiser's remaining
-                        # screened-clear run (eager rounds cover whole warm
-                        # sweeps): certify it with one vectorized stamp
-                        # instead of one loop iteration per row.
-                        consumed, cleared = planner.clear_run(
-                            advertiser_id, position, billboard_list
-                        )
-                        if consumed:
-                            if cleared:
-                                state.certify_scans(cleared)
-                                skipped += len(cleared)
-                            position += consumed
-                            continue
-                else:
-                    screen_begin = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-                    if verifying or state.own_side_stale(advertiser_id, billboard_id):
-                        screen_ids = _all_exchange_candidates(
-                            owners, advertiser_id, billboard_id
-                        )
-                    else:
-                        screen_ids = state.changed_candidates(
-                            billboard_id, owners, advertiser_id
-                        )
-                    survived = _exchange_screen(
-                        allocation,
-                        advertiser_id,
-                        billboard_id,
-                        screen_ids,
-                        min_improvement,
-                    )
-                    if track:
-                        screen_s += time.perf_counter() - screen_begin  # repro-lint: ignore[determinism] telemetry-only clock
-                if not survived:
+                    if consumed:
+                        if cleared:
+                            state.certify_scans(cleared)
+                            skipped += len(cleared)
+                        position += consumed
+                        continue
                     skipped += 1
                     state.certify_scan(billboard_id)
                     position += 1
@@ -746,14 +466,14 @@ def _dirty_engine(
                 scanned += 1
                 # The screened set already carries the certificate proof that
                 # every other candidate is non-improving, so the exact scan
-                # (and its coverage pass) can run restricted to it.
-                partner = _find_improving_exchange_frozen(
+                # (and its coverage pass) runs restricted to it.
+                partner = _find_improving_exchange(
                     allocation,
                     advertiser_id,
                     billboard_id,
+                    screen_ids,
                     min_improvement,
                     counters,
-                    candidate_ids=screen_ids if restrict_scans else None,
                 )
                 if partner is None:
                     state.certify_scan(billboard_id)
@@ -770,11 +490,9 @@ def _dirty_engine(
                     state.mark_move(advertisers=(advertiser_id, partner_owner))
                 exchanges += 1
                 improved = True
-                if planner is not None:
-                    planner.invalidate()  # the move invalidates the round
+                planner.invalidate()  # the move invalidates the round
                 position += 1
-        if planner is not None and track:
-            screen_s = planner.screen_seconds
+        screen_s = planner.screen_seconds
         exchange_end = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
 
         # Move family 3: releases.  An advertiser's pass depends only on its
@@ -783,19 +501,18 @@ def _dirty_engine(
             if not verifying and state.release_pass_clean(advertiser_id):
                 continue
             owned = sorted(allocation.billboards_of(advertiser_id))
-            if restrict_scans and owned:
-                # One restricted batch pass prices every owned billboard's
-                # release against the current state; when none improves, the
-                # whole per-billboard loop is provably a no-op and the pass
-                # certifies immediately.
-                if not _release_pass_improves(
-                    allocation, advertiser_id, owned, min_improvement
-                ):
-                    counters["release_evaluated"] = counters.get(
-                        "release_evaluated", 0
-                    ) + len(owned)
-                    state.certify_release_pass(advertiser_id)
-                    continue
+            # One restricted batch pass prices every owned billboard's
+            # release against the current state; when none improves, the
+            # whole per-billboard loop is provably a no-op and the pass
+            # certifies immediately.
+            if not owned or not _release_pass_improves(
+                allocation, advertiser_id, owned, min_improvement
+            ):
+                counters["release_evaluated"] = counters.get(
+                    "release_evaluated", 0
+                ) + len(owned)
+                state.certify_release_pass(advertiser_id)
+                continue
             accepted_any = False
             for billboard_id in owned:
                 counters["release_evaluated"] = (
@@ -813,10 +530,9 @@ def _dirty_engine(
                 state.certify_release_pass(advertiser_id)
         release_end = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
 
-        # Move family 4: greedy top-up.  The greedy is deterministic in the
-        # allocation, so it is re-run whenever the pool is non-empty (exactly
-        # like the full engine) and its adoptions mark every advertiser whose
-        # set it extended.
+        # Move family 4: greedy top-up (line 5.11), adopted only if it
+        # strictly improves (lines 5.12-5.13).  Its adoptions mark every
+        # advertiser whose set it extended.
         if allocation.unassigned and (verify_sweep or not state.topup_clean()):
             # The certificate skip above is provably a rejection replay:
             # greedy is deterministic in the allocation, so an unchanged
@@ -859,7 +575,6 @@ def _dirty_engine(
 
         if track:
             _emit_sweep_phases(
-                engine_name,
                 sweep_start,
                 screen_s,
                 exchange_end - sweep_start - screen_s,
@@ -885,79 +600,3 @@ def _dirty_engine(
         stats["bls_dirty_scanned"] = stats.get("bls_dirty_scanned", 0) + scanned
         stats["bls_dirty_skipped"] = stats.get("bls_dirty_skipped", 0) + skipped
     return allocation
-
-
-def billboard_driven_local_search(
-    allocation: Allocation,
-    min_improvement: float = 1e-9,
-    max_sweeps: int | None = None,
-    stats: dict | None = None,
-    engine: str = "dirty",
-    screen_workers: int | None = None,
-    state: BillboardSweepState | None = None,
-    final_verify: bool = True,
-) -> Allocation:
-    """Run Algorithm 5; returns the improved allocation (may be a new object).
-
-    Parameters
-    ----------
-    allocation:
-        Starting plan; mutated in place for move families 1–3.
-    min_improvement:
-        Minimum absolute regret reduction for a move to be accepted.  This is
-        the ``r``-style improvement threshold of Definition 6.1 (expressed
-        absolutely rather than relatively) and also guards against
-        float-noise cycling.
-    max_sweeps:
-        Optional hard cap on full sweeps (None = run to local optimality).
-    stats:
-        Optional output dict receiving move counters.
-    engine:
-        ``"dirty"`` (default) skips scans proven unchanged since their last
-        empty result and restricts surviving scans to the changed candidates;
-        ``"dirty-full-scan"`` keeps the certificates but runs surviving scans
-        over the whole inventory (the pre-restriction behaviour, kept for
-        benchmarking); ``"full"`` rescans everything each sweep.  All three
-        reach the identical allocation via the identical move sequence.
-    screen_workers:
-        With ``engine="dirty"`` and a value ≥ 2, screen rounds above the
-        measured-size threshold (``REPRO_SCREEN_MIN_CELLS``) are fanned
-        across the instance's persistent worker pool; verdicts — and
-        therefore the accepted moves — are bit-identical to the serial
-        screen (DESIGN.md §13).  ``None`` (default) keeps every round
-        in-process.
-    state:
-        Optional :class:`BillboardSweepState` carried across invocations
-        (warm certificates for the incremental quoting engine, DESIGN.md
-        §15).  Only meaningful for the dirty engines; the caller must
-        guarantee the allocation matches the state the certificates were
-        earned against.
-    final_verify:
-        When ``True`` (default) a sweep that finds nothing is followed by
-        one sweep with the certificates disabled before declaring a local
-        optimum — the dirty engine's belt-and-braces mirror of the full
-        engine's terminating no-op sweep.  ``False`` trusts the
-        certificates and stops at the first empty sweep: sound because a
-        certificate only ever skips a scan proven to return ``None``, so
-        the verify sweep cannot accept a move the restricted sweep missed.
-        The incremental quoting engine passes ``False`` — its carried,
-        settled state would otherwise pay one full-inventory screen pass
-        per quote for a sweep that provably does nothing (DESIGN.md §15).
-    """
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {SWEEP_ENGINES}")
-    if state is not None and engine == "full":
-        raise ValueError("a carried sweep state requires a dirty engine")
-    with obs.span("bls.search", engine=engine):
-        if engine == "full":
-            return _full_engine(allocation, min_improvement, max_sweeps, stats)
-        return _dirty_engine(
-            allocation,
-            min_improvement,
-            max_sweeps,
-            stats,
-            restrict_scans=(engine == "dirty"),
-            screen_workers=screen_workers,
-            state=state,
-            final_verify=final_verify,
-        )

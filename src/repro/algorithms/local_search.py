@@ -36,7 +36,6 @@ from repro.algorithms.base import Solver
 from repro.utils.rng import as_generator
 
 NEIGHBORHOODS = ("als", "bls")
-ENGINES = ("dirty", "dirty-full-scan", "full")
 
 
 class RandomizedLocalSearch(Solver):
@@ -55,10 +54,6 @@ class RandomizedLocalSearch(Solver):
         Acceptance threshold forwarded to the neighbourhood search.
     max_sweeps:
         Optional sweep cap forwarded to the BLS neighbourhood.
-    engine:
-        Sweep engine for the neighbourhood search: ``"dirty"`` (default)
-        skips provably unchanged scans, ``"full"`` rescans everything.  Both
-        reach the identical allocation (see DESIGN.md §9).
     restart_workers:
         Fan the random restarts out over this many worker processes attached
         to a shared-memory coverage index; ``None``/``1`` runs them serially.
@@ -71,11 +66,6 @@ class RandomizedLocalSearch(Solver):
         size; ``None``/``1`` restores one-task-per-restart.  The reduction
         is strict ``<`` in restart order in-task and across tasks, so every
         batching choice returns the serial run's exact best allocation.
-    screen_workers:
-        Forwarded to the BLS neighbourhood: fan each dirty-engine screen
-        round over the instance's worker pool when the round exceeds the
-        measured-size threshold.  Verdicts (hence moves) are bit-identical
-        to the serial screen.
     """
 
     def __init__(
@@ -85,10 +75,8 @@ class RandomizedLocalSearch(Solver):
         seed=None,
         min_improvement: float = 1e-9,
         max_sweeps: int | None = None,
-        engine: str = "dirty",
         restart_workers: int | None = None,
         restart_batch_size="auto",
-        screen_workers: int | None = None,
     ) -> None:
         if neighborhood not in NEIGHBORHOODS:
             raise ValueError(
@@ -96,8 +84,6 @@ class RandomizedLocalSearch(Solver):
             )
         if restarts < 0:
             raise ValueError(f"restarts must be non-negative, got {restarts}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if restart_workers is not None and restart_workers < 1:
             raise ValueError(
                 f"restart_workers must be >= 1, got {restart_workers}"
@@ -109,34 +95,22 @@ class RandomizedLocalSearch(Solver):
                 "restart_batch_size must be None, 'auto', or an int >= 1, "
                 f"got {restart_batch_size!r}"
             )
-        if screen_workers is not None and screen_workers < 1:
-            raise ValueError(f"screen_workers must be >= 1, got {screen_workers}")
         self.neighborhood = neighborhood
         self.restarts = restarts
         self.seed = seed
         self.min_improvement = min_improvement
         self.max_sweeps = max_sweeps
-        self.engine = engine
         self.restart_workers = restart_workers
         self.restart_batch_size = restart_batch_size
-        self.screen_workers = screen_workers
         self.name = neighborhood.upper()
 
     def _local_search(self) -> Callable[[Allocation, dict], Allocation]:
         if self.neighborhood == "als":
-            # ALS has no coverage scans to restrict, so the BLS-only
-            # "dirty-full-scan" benchmarking engine maps to plain "dirty".
-            als_engine = "full" if self.engine == "full" else "dirty"
             return lambda allocation, stats: advertiser_driven_local_search(
-                allocation, self.min_improvement, stats, engine=als_engine
+                allocation, self.min_improvement, stats
             )
         return lambda allocation, stats: billboard_driven_local_search(
-            allocation,
-            self.min_improvement,
-            self.max_sweeps,
-            stats,
-            engine=self.engine,
-            screen_workers=self.screen_workers,
+            allocation, self.min_improvement, self.max_sweeps, stats
         )
 
     def _random_seed_ids(
@@ -223,7 +197,6 @@ class RandomizedLocalSearch(Solver):
             neighborhood=self.neighborhood,
             min_improvement=self.min_improvement,
             max_sweeps=self.max_sweeps,
-            engine=self.engine,
             workers=self.restart_workers,
             restart_batch_size=self.restart_batch_size,
             estimate_seconds=estimate_seconds,

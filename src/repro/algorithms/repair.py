@@ -12,7 +12,7 @@ which is the bit-identity contract of DESIGN.md §15.
 from __future__ import annotations
 
 from repro.algorithms.bls import (
-    _find_improving_exchange_frozen,
+    _find_improving_exchange,
     _release_pass_improves,
     billboard_driven_local_search,
 )
@@ -29,7 +29,6 @@ def bounded_repair(
     state: BillboardSweepState | None = None,
     min_improvement: float = 1e-9,
     stats: dict | None = None,
-    screen_workers: int | None = None,
 ) -> Allocation:
     """Greedy-fill one newcomer, then run ``sweeps`` bounded BLS sweeps.
 
@@ -44,7 +43,7 @@ def bounded_repair(
     drained the free pool it was earned against).
 
     Returns the repaired allocation — the same object that was passed in
-    whenever it journals (the dirty engine's top-up then works in place).
+    whenever it journals (the sweep's top-up then works in place).
     """
     synchronous_greedy(allocation, active={newcomer_id}, stats=stats)
     if state is not None:
@@ -61,7 +60,6 @@ def bounded_repair(
             max_sweeps=sweeps,
             stats=stats,
             state=state,
-            screen_workers=screen_workers,
             final_verify=state is None,
         )
     return allocation
@@ -81,13 +79,13 @@ def settle_certificates(
     This pass runs the exchange screen (and, for rows the screen cannot
     clear, the exact restricted scan) plus the batched release screen over
     the standing plan **read-only**: rows priced non-improving are certified
-    at the current version — exactly the proof the dirty engine records
+    at the current version — exactly the proof the BLS sweep records
     after a failed screen or a ``None`` scan.  A row whose scan *does* find
     an improving exchange is left uncertified: the move is not applied (the
     plan must stay byte-identical to what the accept sequence produced), so
     its certificate would be a lie.
 
-    Soundness is the dirty engine's own invariant (DESIGN.md §10): a
+    Soundness is the BLS sweep's own invariant (DESIGN.md §10): a
     certificate only ever claims "the full scan at this version returns
     ``None``", which the screen/scan pair proves.  Settling therefore
     changes what later warm sweeps *skip*, never the moves they accept.
@@ -97,7 +95,6 @@ def settle_certificates(
         state,
         min_improvement,
         verifying=False,
-        screen_workers=None,
         track=False,
         # Read-only: no move is ever applied, so nothing invalidates the
         # round — one eager screen covers the whole book.
@@ -112,13 +109,9 @@ def settle_certificates(
             if survived:
                 # The screen's survivors carry the certificate proof that
                 # every excluded partner is non-improving, so the exact scan
-                # runs restricted — same soundness as the dirty engine's.
-                partner = _find_improving_exchange_frozen(
-                    allocation,
-                    advertiser_id,
-                    billboard_id,
-                    min_improvement,
-                    candidate_ids=screen_ids,
+                # runs restricted — same soundness as the BLS sweep's.
+                partner = _find_improving_exchange(
+                    allocation, advertiser_id, billboard_id, screen_ids, min_improvement
                 )
                 if partner is not None:
                     continue  # a real improving move: cannot certify

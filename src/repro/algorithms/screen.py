@@ -1,87 +1,52 @@
-"""Round-fused exchange screens for the dirty BLS engine (DESIGN.md §13).
+"""Round-fused exchange screens for the BLS sweep loop (DESIGN.md §13).
 
-The dirty engine's optimistic exchange screen is a pure function of the
-current allocation: given an outgoing billboard and its candidate set, the
-interval arithmetic proves (or fails to prove) that no improving exchange
-exists among the candidates.  PR 4 batched the screen per advertiser; the
-trace attribution of PR 6 showed that even so, the screen dominates dirty-BLS
-sweep wall (~60%) — mostly numpy call overhead and per-billboard candidate
+The sweep's optimistic exchange screen is a pure function of the current
+allocation: given an outgoing billboard and its candidate set, the interval
+arithmetic proves (or fails to prove) that no improving exchange exists
+among the candidates.  Per billboard, the screen dominated sweep wall
+(~60% in the trace attribution) — mostly numpy call overhead and candidate
 set construction, not arithmetic volume.
 
 This module collapses the screen to *round* granularity:
 
-* :func:`round_candidates` builds every remaining billboard's candidate set
-  in one broadcasted pass over the version counters (bit-identical per row to
-  :meth:`~repro.algorithms.sweep.BillboardSweepState.changed_candidates` /
-  the full-scan mask);
+* :func:`~repro.algorithms.sweep.round_candidates` builds every remaining
+  billboard's candidate set in one broadcasted pass over the version
+  counters (bit-identical per row to the scalar changed-candidate /
+  full-scan masks the tests keep as oracles);
 * :func:`round_flags` prices every (billboard, candidate) pair of the round
   in one fused vectorized pass — elementwise identical arithmetic to the
-  per-advertiser ``_exchange_screen_batch``, so the verdict vectors are
-  bit-identical;
-* :class:`ScreenRoundPlanner` caches one round's verdicts for the engine and
+  scalar per-billboard screen, so the verdict vectors are bit-identical;
+* :class:`ScreenRoundPlanner` caches one round's verdicts for the sweep and
   drops them after every accepted move, so each verdict is consumed at
-  exactly the allocation state the serial per-advertiser screen would have
-  computed it at — the accepted move sequence cannot drift.  Rows are
-  screened in geometrically growing chunks (1, 2, 4, …) from the visit
-  frontier: move-heavy stretches, where the next accepted move would throw
-  eager work away, cost one row per miss exactly like the per-billboard
-  screen, while quiescent stretches — the verification sweep and the late
-  sweeps where the screen wall actually concentrates — fuse the whole
-  remaining round within a logarithmic number of dispatches;
-* with ``screen_workers > 1`` the round's rows fan out across the instance's
-  persistent shared-memory pool (:func:`repro.parallel.pool.instance_pool`):
-  workers rebuild candidate sets from the shipped version counters against
-  their attached coverage, return flag vectors (plus candidate sets for the
-  few surviving rows), and the parent replays surviving exchanges serially —
-  move order, and with it Theorem 2's verification sweep, is untouched.
-
-Rounds below :func:`parallel_min_cells` (``rows × inventory`` cells) stay
-serial: a pool round trip costs ~1 ms, which only pays for itself once the
-fused screen itself costs more than that.
+  exactly the allocation state the per-billboard screen would have computed
+  it at — the accepted move sequence cannot drift.  Rows are screened in
+  geometrically growing chunks (1, 2, 4, …) from the visit frontier, capped
+  at :data:`SERIAL_CHUNK_CELLS`: move-heavy stretches, where the next
+  accepted move would throw eager work away, cost one row per miss exactly
+  like the per-billboard screen, while quiescent stretches — the
+  verification sweep and the late sweeps where the screen wall actually
+  concentrates — fuse the whole remaining round within a logarithmic
+  number of dispatches.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
-from repro import env, obs
+from repro import obs
 from repro.algorithms._marginal import _regret_values_unchecked
 from repro.algorithms.sweep import round_candidates
 from repro.core.allocation import UNASSIGNED
 
-#: Environment override for the serial-fallback threshold (round cells =
-#: screened rows × billboard inventory).  Benchmarks and tests lower it to
-#: force the parallel path on small instances.
-PARALLEL_MIN_CELLS_ENV = env.SCREEN_MIN_CELLS.name
-
-#: Below this many round cells the pool round trip (~1 ms) exceeds the fused
-#: screen itself; the planner stays serial.
-DEFAULT_PARALLEL_MIN_CELLS = 1 << 17
-
-#: Serial chunk growth stops at this many cells (rows × inventory).  The
+#: Chunk growth stops at this many cells (rows × candidates per row).  The
 #: fused pass materializes several float64 temporaries proportional to the
 #: chunk's candidate volume; past this size they fall out of cache and the
 #: screen turns memory-bound (measured at bench scale: unbounded chunks
 #: cost ~25% more wall than capped ones), while chunks this size still
-#: amortize the numpy call overhead dozens of rows at a time.  Only
-#: enforced while the parallel path is unavailable: pool workers split
-#: oversized chunks, so growth past the cap is exactly what makes fan-out
-#: worthwhile.
+#: amortize the numpy call overhead dozens of rows at a time.
 SERIAL_CHUNK_CELLS = 1 << 16
-
-
-def parallel_min_cells() -> int:
-    """The measured-size threshold gating parallel screen rounds."""
-    raw = env.SCREEN_MIN_CELLS.raw()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_PARALLEL_MIN_CELLS
 
 
 def _optimistic_regret(
@@ -121,11 +86,14 @@ def round_flags(
 ) -> np.ndarray:
     """Screen verdicts for every row of a round in one fused pass.
 
-    ``flags[k] is False`` carries the per-advertiser batch screen's proof:
-    exchanging ``billboard_ids[k]`` with any of its candidates improves total
-    regret by at most ``min_improvement``.  The arithmetic is elementwise
-    with per-row scalars broadcast via ``repeat``, so each row's verdict is
-    bit-identical to ``_exchange_screen_batch`` on the same candidate set.
+    ``flags[k] is False`` proves that exchanging ``billboard_ids[k]`` with
+    any of its candidates improves total regret by at most
+    ``min_improvement``: the own side lands in ``[v_i − I(o_m), v_i +
+    I(o_n)]`` and an assigned partner in ``[v_j − I(o_n), v_j + I(o_m)]``,
+    so the summed best-case regret drop upper-bounds the true improvement.
+    The arithmetic is elementwise with per-row scalars broadcast via
+    ``repeat``, so each row's verdict is bit-identical to the scalar
+    per-billboard screen on the same candidate set.
     """
     verdicts = np.zeros(len(billboard_ids), dtype=bool)
     keep = np.nonzero(lengths > 0)[0]
@@ -181,55 +149,14 @@ def round_flags(
     return verdicts
 
 
-def _screen_chunk(instance, payload: tuple) -> dict:
-    """One worker's share of a screen round (runs inside the pool).
-
-    The payload carries the allocation snapshot (owners, influences) and the
-    sweep-state vectors; candidate sets are rebuilt here against the attached
-    coverage — far cheaper to recompute than to ship — and returned only for
-    the rows that survive, which are the only ones the parent's exact scans
-    will consume.
-    """
-    (
-        owners,
-        influences,
-        advertiser_version,
-        freed_version,
-        certified,
-        advertiser_ids,
-        billboard_ids,
-        min_improvement,
-    ) = payload
-    flat, lengths = round_candidates(
-        owners, advertiser_ids, billboard_ids, certified, advertiser_version, freed_version
-    )
-    flags = round_flags(
-        instance,
-        owners,
-        influences,
-        advertiser_ids,
-        billboard_ids,
-        flat,
-        lengths,
-        min_improvement,
-    )
-    offsets = np.zeros(len(billboard_ids), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    survivors = {
-        int(billboard_ids[k]): flat[offsets[k] : offsets[k] + lengths[k]]
-        for k in np.nonzero(flags)[0]
-    }
-    return {"flags": flags, "survivors": survivors}
-
-
 class ScreenRoundPlanner:
-    """Round-level verdict cache for the dirty engine's exchange phase.
+    """Round-level verdict cache for the BLS sweep's exchange phase.
 
     One *round* covers every billboard the phase has yet to visit: the
     current advertiser's remaining list plus all later advertisers' sets.
     Verdicts stay valid while the allocation is unchanged; every accepted
     move calls :meth:`invalidate`, so a verdict is always consumed at the
-    allocation state the serial per-advertiser screen would have computed it
+    allocation state the per-billboard screen would have computed it
     at.  A ``certify_scan`` between misses never invalidates: it stamps only
     the screened billboard's own certificate, which no other row's candidate
     set reads.
@@ -237,14 +164,14 @@ class ScreenRoundPlanner:
     The round is screened lazily in chunks that double per miss (1, 2, 4,
     …), resetting after every invalidation.  This keeps the planner no worse
     than the per-billboard screen when moves land constantly (each chunk is
-    then a single frontier row) and lets it fuse — and with
-    ``screen_workers`` fan out — the whole remaining inventory once moves
-    dry up, which is where the screen wall concentrates.
+    then a single frontier row) and lets it fuse the whole remaining
+    inventory once moves dry up, which is where the screen wall
+    concentrates.
 
-    Moves themselves are never computed here — the parent replays surviving
-    exchanges serially through the exact restricted scan, which is what
-    keeps the move sequence (and the final verification sweep's guarantee)
-    identical across serial and parallel screen runs.
+    Moves themselves are never computed here — the sweep replays surviving
+    exchanges through the exact restricted scan, which is what keeps the
+    move sequence (and the final verification sweep's guarantee) identical
+    to the per-billboard screen's.
     """
 
     def __init__(
@@ -253,7 +180,6 @@ class ScreenRoundPlanner:
         state,
         min_improvement: float,
         verifying: bool,
-        screen_workers: int | None,
         track: bool,
         eager_rounds: bool = False,
     ) -> None:
@@ -261,15 +187,12 @@ class ScreenRoundPlanner:
         self.state = state
         self.min_improvement = min_improvement
         self.verifying = verifying
-        self.screen_workers = screen_workers
         self.track = track
         self.screen_seconds = 0.0
-        self.rounds = 0
-        self.parallel_rounds = 0
         self._valid = False
         self._chunk_rows = 1
         # Eager rounds: the first screen of the round covers the whole
-        # remaining frontier (still bounded by the serial cell cap) instead
+        # remaining frontier (still bounded by the chunk cell cap) instead
         # of doubling up from one row.  Callers that expect few or no moves —
         # warm quote repairs on a settled state, the read-only settle pass —
         # opt in: nine doubling dispatches collapse into one or two, and the
@@ -314,7 +237,7 @@ class ScreenRoundPlanner:
         """The advertiser's screened-clear run starting at ``position``.
 
         Returns ``(rows_consumed, billboards_to_certify)``: the longest
-        prefix of ``billboard_list[position:]`` the serial loop would walk
+        prefix of ``billboard_list[position:]`` the sweep loop would walk
         without scanning — rows no longer owned (skipped without a
         certificate) and rows whose cached verdict is ``False`` (skipped
         *with* one).  Stops at the first row whose verdict is missing or
@@ -345,7 +268,7 @@ class ScreenRoundPlanner:
         self, advertiser_id: int, position: int, billboard_list: list[int], limit: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The next ``limit`` unscreened rows from the visit frontier, in the
-        exact order the serial engine visits them: the current advertiser's
+        exact order the sweep visits them: the current advertiser's
         remaining (still-owned) list, then each later advertiser's sorted
         set."""
         allocation = self.allocation
@@ -370,8 +293,8 @@ class ScreenRoundPlanner:
             np.asarray(billboards, dtype=np.int64),
         )
 
-    def _serial_row_width(self) -> int:
-        """Estimated candidates per row, for the cache-bound serial chunk cap.
+    def _row_width(self) -> int:
+        """Estimated candidates per row, for the cache-bound chunk cap.
 
         A cold (or verifying) state screens full-inventory rows, so the cap
         divides by the inventory as before.  A settled warm state screens
@@ -412,16 +335,14 @@ class ScreenRoundPlanner:
         self, advertiser_id: int, position: int, billboard_list: list[int]
     ) -> None:
         started = time.perf_counter() if self.track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
-        limit = self._chunk_rows
-        if not self.screen_workers or self.screen_workers < 2:
-            limit = min(
-                limit, max(1, SERIAL_CHUNK_CELLS // max(self._serial_row_width(), 1))
-            )
+        limit = min(
+            self._chunk_rows,
+            max(1, SERIAL_CHUNK_CELLS // max(self._row_width(), 1)),
+        )
         advertiser_ids, billboard_ids = self._round_rows(
             advertiser_id, position, billboard_list, limit
         )
         self._chunk_rows = limit * 2
-        self.rounds += 1
         obs.counter_add("bls.screen.rounds")
         if len(billboard_ids) == 0:
             if self.track:
@@ -433,15 +354,9 @@ class ScreenRoundPlanner:
         certified = state.round_certificates(
             advertiser_ids, billboard_ids, self.verifying
         )
-        flags, survivors = None, None
-        if self._use_pool(len(billboard_ids)):
-            flags, survivors = self._compute_parallel(
-                owners, advertiser_ids, billboard_ids, certified
-            )
-        if flags is None:
-            flags, survivors = self._serial_round(
-                owners, advertiser_ids, billboard_ids, certified
-            )
+        flags, survivors = self._screen_round(
+            owners, advertiser_ids, billboard_ids, certified
+        )
         self._verdicts.update(
             zip((int(b) for b in billboard_ids), flags.tolist())
         )
@@ -449,7 +364,7 @@ class ScreenRoundPlanner:
         if self.track:
             self.screen_seconds += time.perf_counter() - started  # repro-lint: ignore[determinism] telemetry-only clock
 
-    def _serial_round(
+    def _screen_round(
         self,
         owners: np.ndarray,
         advertiser_ids: np.ndarray,
@@ -482,51 +397,4 @@ class ScreenRoundPlanner:
             int(billboard_ids[k]): flat[offsets[k] : offsets[k] + lengths[k]]
             for k in np.nonzero(flags)[0]
         }
-        return flags, survivors
-
-    def _use_pool(self, rows: int) -> bool:
-        if not self.screen_workers or self.screen_workers < 2 or rows < 2:
-            return False
-        cells = rows * self.allocation.instance.num_billboards
-        return cells >= parallel_min_cells()
-
-    def _compute_parallel(
-        self,
-        owners: np.ndarray,
-        advertiser_ids: np.ndarray,
-        billboard_ids: np.ndarray,
-        certified: np.ndarray,
-    ) -> tuple[np.ndarray, dict] | tuple[None, None]:
-        from repro.parallel.pool import instance_pool
-
-        allocation = self.allocation
-        state = self.state
-        pool = instance_pool(allocation.instance, self.screen_workers)
-        chunks = min(pool.workers, len(billboard_ids))
-        if chunks < 2:
-            # The affinity cap collapsed the pool to one worker — the round
-            # trip buys nothing; the caller falls back to the fused serial
-            # screen in-process.
-            return None, None
-        influences = np.asarray(allocation.influences)
-        shared = (
-            np.asarray(owners),
-            influences,
-            state.advertiser_version,
-            state.freed_version,
-        )
-        payloads = []
-        for adv_chunk, bb_chunk, cert_chunk in zip(
-            np.array_split(advertiser_ids, chunks),
-            np.array_split(billboard_ids, chunks),
-            np.array_split(certified, chunks),
-        ):
-            payloads.append((*shared, cert_chunk, adv_chunk, bb_chunk, self.min_improvement))
-        self.parallel_rounds += 1
-        obs.counter_add("bls.screen.parallel")
-        results = pool.run(_screen_chunk, payloads)
-        flags = np.concatenate([result["flags"] for result in results])
-        survivors: dict[int, np.ndarray] = {}
-        for result in results:
-            survivors.update(result["survivors"])
         return flags, survivors

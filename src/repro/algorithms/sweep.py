@@ -1,4 +1,4 @@
-"""Dirty-set bookkeeping for the local-search sweep engines.
+"""Dirty-set bookkeeping for the local-search sweeps.
 
 Classic local-search engineering (don't-look bits / dirty-candidate lists):
 after an accepted move, only billboards owned by the affected advertisers —
@@ -14,7 +14,7 @@ scans are provably still valid via monotone version counters:
   is newer than the certificate, because every unchanged candidate was
   already proven non-improving at certification time.
 
-The engines built on top (``bls.py``, ``als.py``) still run one final
+The sweeps built on top (``bls.py``, ``als.py``) still run one final
 unrestricted sweep before declaring local optimality, so Theorem 2's
 ``(1+r)``-local-maximum guarantee never rests on this bookkeeping — the
 certificates only let the intermediate sweeps skip provably dead work.
@@ -29,7 +29,7 @@ from repro.core.allocation import UNASSIGNED
 
 
 class BillboardSweepState:
-    """Version counters for the billboard-driven (BLS) sweep engine.
+    """Version counters for the billboard-driven (BLS) sweep.
 
     ``advertiser_version[a]`` — version of the last accepted move that changed
     advertiser ``a``'s set (so any exchange involving one of its billboards,
@@ -66,33 +66,6 @@ class BillboardSweepState:
         for billboard_id in freed:
             self.freed_version[billboard_id] = self.version
 
-    def own_side_stale(self, advertiser_id: int, billboard_id: int) -> bool:
-        """True when ``billboard_id``'s own advertiser changed since its last
-        certified scan (or it was never certified) — the whole candidate set
-        must then be rescanned, not just the changed candidates."""
-        certified = self.scan_version[billboard_id]
-        return bool(certified == 0 or self.advertiser_version[advertiser_id] > certified)
-
-    def changed_candidates(
-        self, billboard_id: int, owners: np.ndarray, advertiser_id: int
-    ) -> np.ndarray:
-        """Exchange partners whose pairing with ``billboard_id`` may price
-        differently than at its last certified scan.
-
-        Assigned candidates are stale when their owner moved since the
-        certificate; free candidates when they were freed since.  The
-        billboard itself and its own advertiser's billboards are excluded,
-        mirroring the full scan's candidate mask.
-        """
-        certified = self.scan_version[billboard_id]
-        assigned = owners != UNASSIGNED
-        changed = np.empty(len(owners), dtype=bool)
-        changed[assigned] = self.advertiser_version[owners[assigned]] > certified
-        changed[~assigned] = self.freed_version[~assigned] > certified
-        changed[billboard_id] = False
-        changed[owners == advertiser_id] = False
-        return np.nonzero(changed)[0]
-
     def certify_scan(self, billboard_id: int) -> None:
         self.scan_version[billboard_id] = self.version
 
@@ -100,8 +73,8 @@ class BillboardSweepState:
         """Vectorized :meth:`certify_scan` for a screened-clear run of rows.
 
         Sound whenever no move landed between the rows' screen verdicts and
-        this call — every row then certifies at the same version the serial
-        per-row loop would have stamped.
+        this call — every row then certifies at the same version a per-row
+        loop would have stamped.
         """
         self.scan_version[np.asarray(billboard_ids, dtype=np.int64)] = self.version
 
@@ -114,10 +87,11 @@ class BillboardSweepState:
         """Effective scan certificates for a whole screen round at once.
 
         ``-1`` marks rows that must take the full candidate mask — verify
-        sweeps and rows failing :meth:`own_side_stale`; other rows carry
-        their billboard's certified scan version, exactly the value
-        :meth:`changed_candidates` compares stamps against.  Feed the result
-        to :func:`round_candidates`.
+        sweeps, never-certified rows, and rows whose own advertiser moved
+        since the certificate (the whole candidate set must then be
+        rescanned); other rows carry their billboard's certified scan
+        version, the value candidate stamps are compared against.  Feed the
+        result to :func:`round_candidates`.
         """
         if verifying:
             return np.full(len(billboard_ids), -1, dtype=np.int64)
@@ -214,17 +188,19 @@ def round_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row's exchange-candidate ids, concatenated, plus per-row lengths.
 
-    One broadcasted ``(rows × billboards)`` comparison replacing per-billboard
-    :meth:`BillboardSweepState.changed_candidates` calls; each row's slice is
-    bit-identical to the scalar helper because the stamp vector, the
+    A row's candidates are the exchange partners whose pairing with its
+    billboard may price differently than at the row's certified scan:
+    assigned candidates whose owner moved since the certificate, free
+    candidates freed since.  The billboard itself and its own advertiser's
+    billboards are excluded, mirroring the full scan's candidate mask.
+
+    One broadcasted ``(rows × billboards)`` comparison covers the whole
+    round; each row's slice is bit-identical to the scalar per-billboard
+    helper the tests keep as the oracle, because the stamp vector, the
     exclusion masks, and row-major ``nonzero`` ordering reproduce the same
     ascending candidate ids.  A ``certified`` entry of ``-1`` (see
     :meth:`BillboardSweepState.round_certificates`) turns its row into the
     full-scan mask — every stamp is ``>= 1``, so only the exclusions bite.
-
-    A module function rather than a method because the parallel screen
-    workers call it against *shipped* version vectors, not a live state
-    object (DESIGN.md §13).
     """
     assigned = owners != UNASSIGNED
     stamp = np.where(
@@ -320,7 +296,7 @@ def _group_candidates(
 
 
 class PairSweepState:
-    """Version counters for the advertiser-pair (ALS) sweep engine.
+    """Version counters for the advertiser-pair (ALS) sweep.
 
     ``delta_exchange_sets(a, b)`` depends only on the two advertisers'
     influence scalars, so a pair is clean exactly when neither advertiser
@@ -337,17 +313,10 @@ class PairSweepState:
         self.advertiser_version[advertiser_a] = self.version
         self.advertiser_version[advertiser_b] = self.version
 
-    def pair_clean(self, advertiser_a: int, advertiser_b: int) -> bool:
-        certified = self.pair_version[advertiser_a, advertiser_b]
-        return bool(
-            self.advertiser_version[advertiser_a] <= certified
-            and self.advertiser_version[advertiser_b] <= certified
-        )
-
     def dirty_partners(self, advertiser_a: int, start: int) -> np.ndarray:
         """Partners ``b ≥ start`` whose pair ``(a, b)`` is *not* certified
-        clean, as one vectorized row filter — the per-pair
-        :meth:`pair_clean` loop collapsed into a single comparison pass.
+        clean (either advertiser moved since the pair was last priced
+        non-improving), as one vectorized row filter.
         Cleanliness is evaluated at call time, so callers must re-query the
         remaining suffix after accepting an exchange in the row.
         """

@@ -21,8 +21,7 @@ three tiers:
 Every tier serves the same four access patterns the kernels need — single
 row, restricted row gather, full-matrix masked popcount, union popcount —
 and all tiers are bit-identical by construction (the shards hold the same
-words).  The masked/union popcounts dispatch to the optional compiled
-kernels in :mod:`repro.billboard.popcount_jit` when ``REPRO_NUMBA=1``.
+words).  Popcounts run on numpy's ``bitwise_count`` (:mod:`repro.utils.bitset`).
 
 The store mode is picked by ``resolve_storage`` from the ``bitmap_storage``
 argument or the ``REPRO_BITMAP_STORAGE`` environment variable:
@@ -46,7 +45,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import env
-from repro.billboard import popcount_jit
 from repro.utils import bitset
 
 #: Environment variable selecting the bitmap storage mode.
@@ -285,20 +283,15 @@ class BitmapStore:
         """``popcount(row & mask)`` for every row — the full-matrix batch pass.
 
         Streams one shard at a time, so peak extra memory is one shard's
-        ``& mask`` temporary (numpy path) or nothing (compiled path).
+        ``& mask`` temporary.
         """
-        kernels = popcount_jit.get_kernels()
         out = np.empty(self.num_rows, dtype=np.int64)
         for start, shard in self.blocks():
             stop = min(start + len(shard), self.num_rows)
-            block = np.asarray(shard[: stop - start])
-            if kernels is not None:
-                out[start:stop] = kernels.masked_rows(block, mask)
-            else:
-                masked = block & mask
-                out[start:stop] = (
-                    bitset.popcount_inplace(masked).sum(axis=1).astype(np.int64)
-                )
+            masked = np.asarray(shard[: stop - start]) & mask
+            out[start:stop] = (
+                bitset.popcount_inplace(masked).sum(axis=1).astype(np.int64)
+            )
         return out
 
     def union_popcount(self, row_ids: np.ndarray, block_rows: int = 256) -> int:
@@ -309,42 +302,27 @@ class BitmapStore:
         """
         if len(row_ids) == 0:
             return 0
-        kernels = popcount_jit.get_kernels()
         union = np.zeros(self.words, dtype=bitset.WORD_DTYPE)
         scratch = np.empty(
             (min(len(row_ids), block_rows), self.words), dtype=bitset.WORD_DTYPE
         )
-        total = 0
         for start in range(0, len(row_ids), block_rows):
             ids = row_ids[start : start + block_rows]
             block = self.gather(ids, scratch[: len(ids)])
-            if kernels is not None:
-                total = int(kernels.union_popcount(block, union))
-            else:
-                np.bitwise_or(np.bitwise_or.reduce(block, axis=0), union, out=union)
-        if kernels is None:
-            total = bitset.popcount_total(union)
-        return total
+            np.bitwise_or(np.bitwise_or.reduce(block, axis=0), union, out=union)
+        return bitset.popcount_total(union)
 
 
 def block_masked_popcounts(block: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``popcount(block[i] & mask)`` per row of an already-gathered block.
 
-    The restricted batch passes call this on their scratch block.  The numpy
-    path clobbers ``block`` (AND + in-place popcount, zero extra allocation);
-    the compiled path reads it untouched.  Callers must treat ``block`` as
-    clobbered either way.
+    The restricted batch passes call this on their scratch block, which it
+    clobbers (AND + in-place popcount, zero extra allocation).
     """
-    kernels = popcount_jit.get_kernels()
-    if kernels is not None:
-        return kernels.masked_rows(np.asarray(block), mask)
     np.bitwise_and(block, mask, out=block)
     return bitset.popcount_inplace(block).sum(axis=1).astype(np.int64)
 
 
 def masked_total(row: np.ndarray, mask: np.ndarray) -> int:
     """``popcount(row & mask)`` for one row (the swap-delta terms)."""
-    kernels = popcount_jit.get_kernels()
-    if kernels is not None:
-        return int(kernels.masked_total(np.asarray(row), np.asarray(mask)))
     return bitset.popcount_total(row & mask)

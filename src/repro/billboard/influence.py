@@ -51,13 +51,11 @@ bit-identical to the in-RAM numpy path:
 * **tiered bitmap storage** — the packed bitmap lives in a
   :class:`~repro.billboard.bitmap_store.BitmapStore` (in-RAM, shared-memory,
   or ``numpy.memmap`` row shards, see that module) so the bitmap kernel
-  keeps working past the RAM budget instead of degrading to id arrays, with
-  an optional numba-compiled popcount path
-  (:mod:`repro.billboard.popcount_jit`, ``REPRO_NUMBA=1``).
+  keeps working past the RAM budget instead of degrading to id arrays.
 
 Every bitmap dispatch records its storage tier (``influence.tier.ram`` /
 ``.shm`` / ``.memmap``; id-array dispatches count ``influence.tier.idarray``)
-and its popcount kernel (``influence.kernel.numpy`` / ``.numba``).
+and its popcount kernel (``influence.kernel.numpy``).
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro import env, obs
-from repro.billboard import bitmap_store, popcount_jit
+from repro.billboard import bitmap_store
 from repro.billboard.bitmap_store import BitmapStore
 from repro.billboard.model import BillboardDB
 from repro.spatial.geometry import min_distance_to_polyline
@@ -753,11 +751,7 @@ class CoverageIndex:
         obs.counter_add("influence.dispatch.bitmap")
         store = self._store
         obs.counter_add(f"influence.tier.{store.tier if store else 'ram'}")
-        obs.counter_add(
-            "influence.kernel.numba"
-            if popcount_jit.enabled()
-            else "influence.kernel.numpy"
-        )
+        obs.counter_add("influence.kernel.numpy")
 
     @staticmethod
     def _dispatch_idarray() -> None:

@@ -79,13 +79,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "(auto targets >=0.5s of compute per task; same result either way)",
     )
     parser.add_argument(
-        "--screen-workers",
-        type=int,
-        default=None,
-        help="worker processes for BLS dirty-engine screen rounds above the "
-        "size threshold (bit-identical moves; ignored with --workers > 1)",
-    )
-    parser.add_argument(
         "--obs-out",
         default=None,
         metavar="PATH",
@@ -220,7 +213,6 @@ def _cmd_cell(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
         restart_workers=args.restart_workers,
-        screen_workers=args.screen_workers,
         restart_batch_size=_restart_batch_size(args),
     )
     print(f"cell: {scenario}")
@@ -249,7 +241,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
         restart_workers=args.restart_workers,
-        screen_workers=args.screen_workers,
         restart_batch_size=_restart_batch_size(args),
     )
     fmt = _SWEEP_FORMATS[args.parameter]

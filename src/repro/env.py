@@ -175,32 +175,9 @@ BITMAP_SPILL_DIR = _declare(
     )
 )
 
-NUMBA = _declare(
-    EnvKnob(
-        name="REPRO_NUMBA",
-        default=False,
-        parser=parse_bool,
-        doc="Opt in to numba-compiled popcount kernels (~2-4x on large "
-        "matrices, bit-identical); warns once and falls back to numpy when "
-        "numba is not importable.",
-    )
-)
-
 
 # --------------------------------------------------------------- solvers
 
-
-SCREEN_MIN_CELLS = _declare(
-    EnvKnob(
-        name="REPRO_SCREEN_MIN_CELLS",
-        default=1 << 17,
-        parser=int,
-        doc="Round-cell threshold (screened rows × inventory) above which "
-        "BLS dirty-engine screen rounds fan out to the persistent pool; "
-        "smaller rounds stay serial.",
-        cli="screen_workers=",
-    )
-)
 
 POOL_OVERSUBSCRIBE = _declare(
     EnvKnob(

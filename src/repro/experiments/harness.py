@@ -57,15 +57,12 @@ def _solver_kwargs(
     method: str,
     restarts: int,
     restart_workers: int | None = None,
-    screen_workers: int | None = None,
     restart_batch_size=None,
 ) -> dict:
     if method in ("als", "bls"):
         kwargs: dict = {"restarts": restarts}
         if restart_workers is not None:
             kwargs["restart_workers"] = restart_workers
-        if screen_workers is not None and method == "bls":
-            kwargs["screen_workers"] = screen_workers
         if restart_batch_size is not None:
             kwargs["restart_batch_size"] = restart_batch_size
         return kwargs
@@ -80,7 +77,6 @@ def _run_method(
     runtime_repeats: int,
     span_attrs: dict | None = None,
     restart_workers: int | None = None,
-    screen_workers: int | None = None,
     restart_batch_size=None,
 ) -> CellMetrics:
     """One (instance, method) execution — the unit of parallel work."""
@@ -97,9 +93,7 @@ def _run_method(
         solver = make_solver(
             method,
             seed=solver_seed,
-            **_solver_kwargs(
-                method, restarts, restart_workers, screen_workers, restart_batch_size
-            ),
+            **_solver_kwargs(method, restarts, restart_workers, restart_batch_size),
         )
         first = solver.solve(instance)
         metrics = CellMetrics.from_result(method, first)
@@ -110,11 +104,7 @@ def _run_method(
                     method,
                     seed=solver_seed,
                     **_solver_kwargs(
-                        method,
-                        restarts,
-                        restart_workers,
-                        screen_workers,
-                        restart_batch_size,
+                        method, restarts, restart_workers, restart_batch_size
                     ),
                 )
                 runtimes.append(repeat_solver.solve(instance).runtime_s)
@@ -126,7 +116,6 @@ def _run_method(
             method=method,
             restarts=int(restarts),
             restart_workers=restart_workers,
-            screen_workers=screen_workers,
             regret=float(metrics.total_regret),
             wall_s=float(metrics.runtime_s),
             **(span_attrs or {}),
@@ -281,7 +270,6 @@ def run_cell(
     runtime_repeats: int = 1,
     workers: int | None = None,
     restart_workers: int | None = None,
-    screen_workers: int | None = None,
     restart_batch_size=None,
     _span_attrs: dict | None = None,
 ) -> dict[str, CellMetrics]:
@@ -293,10 +281,8 @@ def run_cell(
     out across processes (regret metrics identical to the serial path); a
     pre-built ``instance`` pins the cell to the serial path since workers
     rebuild the instance from the scenario.  ``restart_workers`` fans the
-    ALS/BLS random restarts out inside each serial method run, and
-    ``screen_workers`` fans the BLS dirty engine's screen rounds over the
-    instance pool (both ignored on the ``workers > 1`` path — no nested
-    pools).
+    ALS/BLS random restarts out inside each serial method run (ignored on
+    the ``workers > 1`` path — no nested pools).
     """
     if runtime_repeats < 1:
         raise ValueError(f"runtime_repeats must be >= 1, got {runtime_repeats}")
@@ -319,7 +305,6 @@ def run_cell(
             runtime_repeats,
             _span_attrs,
             restart_workers=restart_workers,
-            screen_workers=screen_workers,
             restart_batch_size=restart_batch_size,
         )
         for method in methods
@@ -337,7 +322,6 @@ def sweep(
     runtime_repeats: int = 1,
     workers: int | None = None,
     restart_workers: int | None = None,
-    screen_workers: int | None = None,
     restart_batch_size=None,
 ) -> ExperimentResult:
     """Vary one scenario field across ``values``; other fields stay fixed.
@@ -385,7 +369,6 @@ def sweep(
             solver_seed=solver_seed,
             runtime_repeats=runtime_repeats,
             restart_workers=restart_workers,
-            screen_workers=screen_workers,
             restart_batch_size=restart_batch_size,
             _span_attrs={"parameter": parameter, "value": value},
         )

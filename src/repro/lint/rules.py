@@ -360,7 +360,6 @@ def env_registry(context: LintContext, source: SourceFile) -> Iterator:
 _KERNEL_MODULES = (
     "src/repro/billboard/influence.py",
     "src/repro/billboard/bitmap_store.py",
-    "src/repro/billboard/popcount_jit.py",
 )
 
 _BIT_IDENTICAL_TAG = "bit-identical"

@@ -22,13 +22,11 @@ COVERAGE_CACHE_CORRUPT = "coverage_cache.corrupt"
 COVERAGE_CACHE_WRITE_FAILURE = "coverage_cache.write_failure"
 COVERAGE_BUILDS = "coverage.builds"
 COVERAGE_CHUNKS = "coverage.chunks"
-INFLUENCE_NUMBA_UNAVAILABLE = "influence.numba.unavailable"
 INFLUENCE_BITMAP_SPILLED = "influence.bitmap.spilled"
 INFLUENCE_BITMAP_SKIPPED = "influence.bitmap.skipped"
 INFLUENCE_BITMAP_BUILDS = "influence.bitmap.builds"
 INFLUENCE_DISPATCH_BITMAP = "influence.dispatch.bitmap"
 INFLUENCE_DISPATCH_IDARRAY = "influence.dispatch.idarray"
-INFLUENCE_KERNEL_NUMBA = "influence.kernel.numba"
 INFLUENCE_KERNEL_NUMPY = "influence.kernel.numpy"
 INFLUENCE_TIER_IDARRAY = "influence.tier.idarray"
 SHM_CREATE = "shm.create"
@@ -40,7 +38,6 @@ GRID_JOIN_MATCHED_PAIRS = "grid.join.matched_pairs"
 SOLVER_SOLVES = "solver.solves"
 SOLVER_ITERATIONS = "solver.iterations"
 BLS_SCREEN_ROUNDS = "bls.screen.rounds"
-BLS_SCREEN_PARALLEL = "bls.screen.parallel"
 BLS_DIRTY_SCANNED = "bls.dirty.scanned"
 BLS_DIRTY_SKIPPED = "bls.dirty.skipped"
 SWEEP_MOVES = "sweep.moves"

@@ -179,25 +179,14 @@ def _local_search_restart(instance: MROAMInstance, payload: tuple) -> dict:
         for advertiser_id, billboard_id in enumerate(seed_ids):
             plan.assign(int(billboard_id), int(advertiser_id))
         synchronous_greedy(plan, stats=stats)
-    with obs.span(
-        "restart.local_search",
-        neighborhood=params["neighborhood"],
-        engine=params["engine"],
-    ):
+    with obs.span("restart.local_search", neighborhood=params["neighborhood"]):
         if params["neighborhood"] == "als":
-            # ALS has no coverage scans to restrict; "dirty-full-scan" maps to
-            # "dirty" exactly as in RandomizedLocalSearch._local_search.
-            als_engine = "full" if params["engine"] == "full" else "dirty"
             plan = advertiser_driven_local_search(
-                plan, params["min_improvement"], stats, engine=als_engine
+                plan, params["min_improvement"], stats
             )
         else:
             plan = billboard_driven_local_search(
-                plan,
-                params["min_improvement"],
-                params["max_sweeps"],
-                stats,
-                engine=params["engine"],
+                plan, params["min_improvement"], params["max_sweeps"], stats
             )
     return {
         "owners": np.asarray(plan.owners).copy(),
@@ -245,7 +234,6 @@ def run_local_search_restarts(
     neighborhood: str,
     min_improvement: float,
     max_sweeps: int | None,
-    engine: str,
     workers: int,
     restart_batch_size=1,
     estimate_seconds: float | None = None,
@@ -263,7 +251,6 @@ def run_local_search_restarts(
         "neighborhood": neighborhood,
         "min_improvement": min_improvement,
         "max_sweeps": max_sweeps,
-        "engine": engine,
     }
     if estimate_seconds is None and restart_batch_size == "auto":
         estimate_seconds = estimated_restart_seconds("local_search", instance)

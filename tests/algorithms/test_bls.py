@@ -3,13 +3,11 @@
 import pytest
 
 from repro.algorithms.bls import (
-    _all_exchange_candidates,
-    _exchange_screen,
-    _exchange_screen_batch,
     _find_improving_exchange,
     _optimistic_regret,
     billboard_driven_local_search,
 )
+from repro.algorithms.screen import round_flags
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import UNASSIGNED, Allocation
@@ -17,6 +15,7 @@ from repro.core.moves import delta_exchange_billboards, delta_release
 from repro.core.problem import MROAMInstance
 from repro.core.validation import validate_allocation
 from tests.conftest import make_random_instance, random_allocation
+from tests.oracles import all_exchange_candidates, exchange_screen
 
 import numpy as np
 
@@ -87,6 +86,14 @@ class TestExampleFromPaper:
         assert result.total_regret() == pytest.approx(0.0)
 
 
+def _scan(allocation, advertiser_id, billboard, min_improvement=1e-9):
+    """The exact exchange scan over every legal partner of ``billboard``."""
+    candidates = all_exchange_candidates(allocation.owners, advertiser_id, billboard)
+    return _find_improving_exchange(
+        allocation, advertiser_id, billboard, candidates, min_improvement
+    )
+
+
 class TestFindImprovingExchange:
     def test_returns_none_at_local_optimum(self, tiny_instance):
         allocation = Allocation(tiny_instance)
@@ -95,10 +102,7 @@ class TestFindImprovingExchange:
         allocation.assign(2, 1)  # influence 3 == demand: zero regret for a1
         for advertiser_id in (0, 1):
             for billboard in allocation.billboards_of(advertiser_id):
-                assert (
-                    _find_improving_exchange(allocation, advertiser_id, billboard, 1e-9)
-                    is None
-                )
+                assert _scan(allocation, advertiser_id, billboard) is None
 
     def test_found_partner_really_improves(self):
         for seed in range(8):
@@ -106,9 +110,7 @@ class TestFindImprovingExchange:
             allocation = random_allocation(instance, seed + 100)
             for advertiser_id in range(instance.num_advertisers):
                 for billboard in sorted(allocation.billboards_of(advertiser_id)):
-                    partner = _find_improving_exchange(
-                        allocation, advertiser_id, billboard, 1e-9
-                    )
+                    partner = _scan(allocation, advertiser_id, billboard)
                     if partner is not None:
                         delta = delta_exchange_billboards(allocation, billboard, partner)
                         assert delta < 0
@@ -120,9 +122,7 @@ class TestFindImprovingExchange:
             allocation = random_allocation(instance, seed + 200)
             for advertiser_id in range(instance.num_advertisers):
                 for billboard in sorted(allocation.billboards_of(advertiser_id)):
-                    partner = _find_improving_exchange(
-                        allocation, advertiser_id, billboard, 1e-9
-                    )
+                    partner = _scan(allocation, advertiser_id, billboard)
                     if partner is None:
                         for other in range(instance.num_billboards):
                             if other == billboard:
@@ -139,16 +139,36 @@ class TestFindImprovingExchange:
         allocation.assign(0, 0)
         allocation.assign(2, 1)
         snapshot = allocation.assignment_map()
-        _find_improving_exchange(allocation, 0, 0, 1e-9)
+        _scan(allocation, 0, 0)
         assert allocation.assignment_map() == snapshot
         validate_allocation(allocation)
 
 
+def _round_verdicts(allocation, advertiser_id, owned, candidate_sets):
+    """One fused ``round_flags`` pass over an advertiser's rows."""
+    lengths = np.array([len(ids) for ids in candidate_sets], dtype=np.int64)
+    flat = (
+        np.concatenate(candidate_sets)
+        if candidate_sets
+        else np.empty(0, dtype=np.int64)
+    ).astype(np.int64)
+    return round_flags(
+        allocation.instance,
+        allocation.owners,
+        allocation.influences,
+        np.full(len(owned), advertiser_id, dtype=np.int64),
+        np.asarray(owned, dtype=np.int64),
+        flat,
+        lengths,
+        1e-9,
+    )
+
+
 class TestExchangeScreenBatch:
     def test_batch_verdicts_match_scalar_screen(self):
-        """One batched pass over an advertiser's billboards must return the
-        scalar screen's verdict for every one of them (the dirty engine's
-        skip proofs rest on this)."""
+        """One fused pass over an advertiser's billboards must return the
+        scalar screen's verdict for every one of them (the sweep's skip
+        proofs rest on this)."""
         for seed in range(6):
             instance = make_random_instance(seed, num_billboards=14, num_advertisers=4)
             allocation = random_allocation(instance, seed + 300)
@@ -159,7 +179,7 @@ class TestExchangeScreenBatch:
                     continue
                 candidate_sets = []
                 for billboard in owned:
-                    full = _all_exchange_candidates(
+                    full = all_exchange_candidates(
                         allocation.owners, advertiser_id, billboard
                     )
                     # Mix of full, random-subset, and empty candidate sets.
@@ -170,11 +190,11 @@ class TestExchangeScreenBatch:
                     elif choice == 2:
                         full = full[:0]
                     candidate_sets.append(full)
-                verdicts = _exchange_screen_batch(
-                    allocation, advertiser_id, owned, candidate_sets, 1e-9
+                verdicts = _round_verdicts(
+                    allocation, advertiser_id, owned, candidate_sets
                 )
                 for billboard, ids, verdict in zip(owned, candidate_sets, verdicts):
-                    assert verdict == _exchange_screen(
+                    assert verdict == exchange_screen(
                         allocation, advertiser_id, billboard, ids, 1e-9
                     )
 
@@ -182,7 +202,7 @@ class TestExchangeScreenBatch:
         allocation = Allocation(tiny_instance)
         allocation.assign(0, 0)
         empty = np.empty(0, dtype=np.int64)
-        verdicts = _exchange_screen_batch(allocation, 0, [0], [empty], 1e-9)
+        verdicts = _round_verdicts(allocation, 0, [0], [empty])
         assert not verdicts.any()
 
 

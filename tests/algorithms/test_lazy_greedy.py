@@ -4,9 +4,9 @@
 bound can still win (DESIGN.md §16).  Its contract is that every pick equals
 the pick of pricing *every* candidate, tie-breaks included.  The oracles:
 
-* :func:`eager_best_marginal_billboard` — the full-pass pricing the lazy
-  path replaced, kept here as the reference;
-* :func:`literal_pick` — Eq. 1 recomputed per candidate from
+* ``eager_best_marginal_billboard`` — the full-pass pricing the lazy path
+  replaced, kept in ``tests/oracles.py`` as the reference;
+* ``literal_pick`` — Eq. 1 recomputed per candidate from
   ``influence_delta_add`` with scalar floats, no batch kernel at all.
 
 The pick-by-pick tests wrap the greedies' ``best_marginal_billboard`` with a
@@ -42,55 +42,9 @@ from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
 from repro.market.online import OnlineHost
 from repro.market.scenario import Scenario
+from tests.oracles import eager_best_marginal_billboard, literal_pick
 
 GREEDY_MODULES = (greedy_global, greedy_order)
-
-
-def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, stale=None):
-    """The full pass: price every usable candidate, take the first maximum."""
-    if len(candidate_ids) == 0:
-        return None
-    instance = allocation.instance
-    advertiser = instance.advertisers[advertiser_id]
-    coverage = instance.coverage
-    individual = coverage.individual_influences[candidate_ids]
-    usable = individual > 0
-    if not usable.any():
-        return None
-    candidate_ids = candidate_ids[usable]
-    individual = individual[usable]
-    influence = allocation.influence(advertiser_id)
-    if influence == 0:
-        gains = individual
-    else:
-        masks = allocation.packed_masks(advertiser_id)
-        gains = coverage.batch_add_gains(
-            allocation.counts_row(advertiser_id),
-            free_bits=masks[0] if masks is not None else None,
-            candidate_ids=candidate_ids,
-        )
-    regret = instance.regret_of(advertiser_id, influence)
-    new_regrets = _regret_values_unchecked(
-        advertiser.payment, advertiser.demand, instance.gamma, influence + gains
-    )
-    return int(candidate_ids[np.argmax((regret - new_regrets) / individual)])
-
-
-def literal_pick(allocation, advertiser_id, candidate_ids):
-    """Brute force with scalar Eq. 1: the smallest id among the best ratios."""
-    instance = allocation.instance
-    influence = allocation.influence(advertiser_id)
-    before = instance.regret_of(advertiser_id, influence)
-    best = None
-    for billboard_id in (int(b) for b in candidate_ids):
-        size = instance.coverage.influence_of(billboard_id)
-        if size == 0:
-            continue
-        gain = allocation.influence_delta_add(advertiser_id, billboard_id)
-        ratio = (before - instance.regret_of(advertiser_id, influence + gain)) / size
-        if best is None or ratio > best[0]:
-            best = (ratio, billboard_id)
-    return None if best is None else best[1]
 
 
 @contextlib.contextmanager

@@ -96,17 +96,6 @@ def test_warm_repairs_match_cold_repairs(seed, sweeps):
         )
 
 
-def test_carried_state_requires_dirty_engine():
-    from repro.algorithms.bls import billboard_driven_local_search
-
-    coverage, advertisers, _ = build_world(3)
-    instance = MROAMInstance(coverage, advertisers)
-    allocation = Allocation(instance)
-    state = BillboardSweepState(len(advertisers), coverage.num_billboards)
-    with pytest.raises(ValueError, match="dirty"):
-        billboard_driven_local_search(allocation, engine="full", state=state)
-
-
 def test_snapshot_restore_round_trips_after_mutation():
     state = BillboardSweepState(3, 5)
     snap = state.snapshot()

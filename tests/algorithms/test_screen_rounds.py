@@ -1,12 +1,11 @@
 """Round-fused exchange screens must equal the per-billboard screens.
 
-The dirty engine consumes screen verdicts through
+The BLS sweep consumes screen verdicts through
 :class:`~repro.algorithms.screen.ScreenRoundPlanner`; these tests pin the
 bit-identity claims of DESIGN.md §13 at every layer: candidate-set
-construction (:func:`round_candidates` vs the scalar sweep-state helpers),
-verdict arithmetic (:func:`round_flags` vs ``_exchange_screen`` /
-``_exchange_screen_batch``), and the engine end to end with the screen
-rounds fanned across the worker pool.
+construction (:func:`round_candidates` vs the scalar helpers in
+``tests/oracles.py``) and verdict arithmetic (:func:`round_flags` vs the
+scalar ``exchange_screen`` oracle, whole rounds vs per-advertiser rounds).
 """
 
 from __future__ import annotations
@@ -14,26 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.algorithms.annealing import SimulatedAnnealingSolver
-from repro.algorithms.bls import (
-    _all_exchange_candidates,
-    _exchange_screen,
-    _exchange_screen_batch,
-    billboard_driven_local_search,
-)
 from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.local_search import RandomizedLocalSearch
-from repro.algorithms.screen import (
-    DEFAULT_PARALLEL_MIN_CELLS,
-    PARALLEL_MIN_CELLS_ENV,
-    parallel_min_cells,
-    round_flags,
-)
+from repro.algorithms.screen import round_flags
 from repro.algorithms.sweep import BillboardSweepState, round_candidates
 from repro.core.allocation import UNASSIGNED, Allocation
-from repro.parallel.pool import OVERSUBSCRIBE_ENV, close_all_pools
 from tests.conftest import make_random_instance
+from tests.oracles import (
+    all_exchange_candidates,
+    changed_candidates,
+    exchange_screen,
+    own_side_stale,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +86,10 @@ class TestRoundCandidates:
         for k in range(len(billboard_ids)):
             advertiser_id = int(advertiser_ids[k])
             billboard_id = int(billboard_ids[k])
-            if state.own_side_stale(advertiser_id, billboard_id):
-                expected = _all_exchange_candidates(owners, advertiser_id, billboard_id)
+            if own_side_stale(state, advertiser_id, billboard_id):
+                expected = all_exchange_candidates(owners, advertiser_id, billboard_id)
             else:
-                expected = state.changed_candidates(billboard_id, owners, advertiser_id)
+                expected = changed_candidates(state, billboard_id, owners, advertiser_id)
             got = flat[offset : offset + lengths[k]]
             assert np.array_equal(got, expected), (advertiser_id, billboard_id)
             offset += lengths[k]
@@ -119,7 +111,7 @@ class TestRoundCandidates:
         )
         offset = 0
         for k in range(len(billboard_ids)):
-            expected = _all_exchange_candidates(
+            expected = all_exchange_candidates(
                 allocation.owners, int(advertiser_ids[k]), int(billboard_ids[k])
             )
             assert np.array_equal(flat[offset : offset + lengths[k]], expected)
@@ -160,7 +152,7 @@ class TestRoundFlags:
         ]
         # Scalar screen, row by row.
         for k in range(len(billboard_ids)):
-            expected = _exchange_screen(
+            expected = exchange_screen(
                 allocation,
                 int(advertiser_ids[k]),
                 int(billboard_ids[k]),
@@ -168,16 +160,20 @@ class TestRoundFlags:
                 min_improvement,
             )
             assert bool(flags[k]) == expected, int(billboard_ids[k])
-        # Per-advertiser batch screen (the PR-4 shape the round pass fuses).
+        # Per-advertiser rounds: verdicts must not depend on how rows are
+        # grouped into a round.
         for advertiser_id in range(instance.num_advertisers):
             rows = np.nonzero(advertiser_ids == advertiser_id)[0]
             if len(rows) == 0:
                 continue
-            batch = _exchange_screen_batch(
-                allocation,
-                advertiser_id,
-                [int(billboard_ids[k]) for k in rows],
-                [candidate_sets[k] for k in rows],
+            batch = round_flags(
+                instance,
+                owners,
+                allocation.influences,
+                advertiser_ids[rows],
+                billboard_ids[rows],
+                np.concatenate([candidate_sets[k] for k in rows]),
+                lengths[rows],
                 min_improvement,
             )
             assert np.array_equal(flags[rows], batch)
@@ -200,52 +196,7 @@ class TestRoundFlags:
         assert not flags.any()
 
 
-class TestParallelScreenEngine:
-    def test_parallel_rounds_match_serial_engine(self, instance, monkeypatch):
-        """End to end: screen_workers=2 with the pool threshold forced low
-        must reproduce the serial dirty engine bit for bit, and must actually
-        exercise the parallel path."""
-        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
-        monkeypatch.setenv(PARALLEL_MIN_CELLS_ENV, "64")
-
-        def run(**kwargs):
-            allocation = _greedy_allocation(instance)
-            stats: dict = {}
-            allocation = billboard_driven_local_search(
-                allocation, stats=stats, engine="dirty", **kwargs
-            )
-            return allocation, stats
-
-        close_all_pools()
-        obs.enable()
-        try:
-            obs.reset()
-            parallel, parallel_stats = run(screen_workers=2)
-            parallel_rounds = obs.counter_value("bls.screen.parallel")
-        finally:
-            obs.disable()
-            obs.reset()
-            close_all_pools()
-        serial, serial_stats = run()
-        assert np.array_equal(parallel.owners, serial.owners)
-        assert parallel.total_regret() == serial.total_regret()
-        assert parallel_stats == serial_stats
-        assert parallel_rounds > 0
-
-    def test_min_cells_env_override(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MIN_CELLS_ENV, "1234")
-        assert parallel_min_cells() == 1234
-        monkeypatch.setenv(PARALLEL_MIN_CELLS_ENV, "not-a-number")
-        assert parallel_min_cells() == DEFAULT_PARALLEL_MIN_CELLS
-        monkeypatch.delenv(PARALLEL_MIN_CELLS_ENV)
-        assert parallel_min_cells() == DEFAULT_PARALLEL_MIN_CELLS
-
-
 class TestSolverParameterValidation:
-    def test_screen_workers_validated(self):
-        with pytest.raises(ValueError, match="screen_workers"):
-            RandomizedLocalSearch("bls", screen_workers=0)
-
     @pytest.mark.parametrize("bad", [0, -1, "bogus", 1.5])
     def test_restart_batch_size_validated(self, bad):
         with pytest.raises(ValueError, match="restart_batch_size"):

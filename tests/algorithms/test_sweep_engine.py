@@ -1,10 +1,11 @@
-"""Dirty-set sweep engine equivalence: ``engine="dirty"`` == ``engine="full"``.
+"""Dirty-set sweep equivalence: the production BLS/ALS loops == the rescan oracles.
 
-The dirty engine skips provably-dead scans via version-counter certificates
-but runs one final unrestricted verification sweep before declaring local
-optimality, so both engines must land on bit-identical allocations — same
-owners, same total regret, same accepted-move counts — on every instance,
-under both coverage kernels (packed bitmap and id-list).
+The production sweeps skip provably-dead scans via version-counter
+certificates but run one final unrestricted verification sweep before
+declaring local optimality, so they must land on bit-identical allocations
+to the literal rescan loops of ``tests/oracles.py`` — same owners, same
+total regret, same accepted-move counts — on every instance, under both
+coverage kernels (packed bitmap and id-list).
 """
 
 from __future__ import annotations
@@ -18,21 +19,30 @@ from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.sweep import BillboardSweepState, PairSweepState
 from repro.billboard.influence import BITMAP_BUDGET_ENV
 from repro.core.allocation import UNASSIGNED
+from tests.oracles import (
+    changed_candidates,
+    own_side_stale,
+    pair_clean,
+    rescan_als,
+    rescan_bls,
+)
 
 SEEDS = (0, 1, 7, 23, 99)
+BLS = {"dirty": billboard_driven_local_search, "full": rescan_bls}
+ALS = {"dirty": advertiser_driven_local_search, "full": rescan_als}
 
 
 def _run_bls(instance, start_seed: int, engine: str):
     allocation = random_allocation(instance, seed=start_seed)
     stats: dict = {}
-    billboard_driven_local_search(allocation, stats=stats, engine=engine)
+    allocation = BLS[engine](allocation, stats=stats)
     return allocation, stats
 
 
 def _run_als(instance, start_seed: int, engine: str):
     allocation = random_allocation(instance, seed=start_seed)
     stats: dict = {}
-    advertiser_driven_local_search(allocation, stats=stats, engine=engine)
+    ALS[engine](allocation, stats=stats)
     return allocation, stats
 
 
@@ -75,8 +85,9 @@ class TestDirtyMatchesFull:
 
     def test_dirty_skips_work_on_the_bench_shape(self):
         """The certificates must actually prune: from a greedy start (the
-        benchmark's shape) the dirty engine evaluates strictly fewer exchange
-        candidates while landing on the same allocation."""
+        benchmark's shape) the dirty sweep evaluates strictly fewer exchange
+        candidates than the rescan oracle while landing on the same
+        allocation."""
         from repro.algorithms.greedy_global import synchronous_greedy
         from repro.core.allocation import Allocation
 
@@ -88,7 +99,7 @@ class TestDirtyMatchesFull:
             allocation = Allocation(instance)
             synchronous_greedy(allocation)
             stats: dict = {}
-            billboard_driven_local_search(allocation, stats=stats, engine=engine)
+            allocation = BLS[engine](allocation, stats=stats)
             results[engine] = (allocation, stats)
         dirty, dirty_stats = results["dirty"]
         full, full_stats = results["full"]
@@ -100,7 +111,7 @@ class TestDirtyMatchesFull:
 class TestStatsKeys:
     def test_split_evaluated_counters(self):
         """Satellite: the old conflated ``moves_evaluated`` is split into
-        exchange vs release tallies (dirty and full engines alike)."""
+        exchange vs release tallies (dirty sweep and rescan oracle alike)."""
         instance = make_random_instance(2)
         for engine in ("dirty", "full"):
             _, stats = _run_bls(instance, start_seed=4, engine=engine)
@@ -116,35 +127,27 @@ class TestStatsKeys:
         _, full_stats = _run_bls(instance, start_seed=4, engine="full")
         assert "bls_dirty_scanned" not in full_stats
 
-    def test_unknown_engine_rejected(self):
-        instance = make_random_instance(2)
-        allocation = random_allocation(instance, seed=4)
-        with pytest.raises(ValueError, match="engine"):
-            billboard_driven_local_search(allocation, engine="eager")
-        with pytest.raises(ValueError, match="engine"):
-            advertiser_driven_local_search(allocation, engine="eager")
-
 
 class TestBillboardSweepState:
     def test_never_certified_is_stale(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
-        assert state.own_side_stale(0, 0)
+        assert own_side_stale(state, 0, 0)
         state.certify_scan(0)
-        assert not state.own_side_stale(0, 0)
+        assert not own_side_stale(state, 0, 0)
 
     def test_mark_move_staleness_propagates(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
         state.certify_scan(0)
         state.mark_move(advertisers=(0,))
-        assert state.own_side_stale(0, 0)
-        assert not state.own_side_stale(1, 0)  # advertiser 1 untouched
+        assert own_side_stale(state, 0, 0)
+        assert not own_side_stale(state, 1, 0)  # advertiser 1 untouched
 
     def test_changed_candidates_restricts_to_touched(self):
         state = BillboardSweepState(num_advertisers=3, num_billboards=5)
         owners = np.array([0, 1, 2, UNASSIGNED, UNASSIGNED], dtype=np.int64)
         state.certify_scan(0)
         state.mark_move(advertisers=(1,), freed=(3,))
-        changed = state.changed_candidates(0, owners, advertiser_id=0)
+        changed = changed_candidates(state, 0, owners, advertiser_id=0)
         # Billboard 1 (owner moved) and billboard 3 (freshly freed) only:
         # billboard 2's owner and free billboard 4 predate the certificate.
         assert changed.tolist() == [1, 3]
@@ -152,7 +155,7 @@ class TestBillboardSweepState:
     def test_changed_candidates_excludes_self_and_own_set(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
         owners = np.array([0, 0, 1, UNASSIGNED], dtype=np.int64)
-        changed = state.changed_candidates(0, owners, advertiser_id=0)
+        changed = changed_candidates(state, 0, owners, advertiser_id=0)
         assert 0 not in changed.tolist()
         assert 1 not in changed.tolist()  # same advertiser
 
@@ -168,10 +171,10 @@ class TestBillboardSweepState:
 class TestPairSweepState:
     def test_pair_lifecycle(self):
         state = PairSweepState(num_advertisers=3)
-        assert not state.pair_clean(0, 1)
+        assert not pair_clean(state, 0, 1)
         state.certify_pair(0, 1)
-        assert state.pair_clean(0, 1)
-        assert not state.pair_clean(1, 0)  # direction-specific certificate
+        assert pair_clean(state, 0, 1)
+        assert not pair_clean(state, 1, 0)  # direction-specific certificate
         state.mark_exchange(1, 2)
-        assert not state.pair_clean(0, 1)
-        assert state.pair_clean(0, 1) is False
+        assert not pair_clean(state, 0, 1)
+        assert pair_clean(state, 0, 1) is False

@@ -129,8 +129,8 @@ class TestBenchSmoke:
 
     def test_bench_solvers_smoke(self, tmp_path):
         """The solver benchmark's smoke mode runs end-to-end; it exits
-        non-zero if the dirty sweep engine diverges from the full-scan
-        regret or parallel restarts diverge from serial."""
+        non-zero if BLS repeats diverge from each other or parallel restarts
+        diverge from serial."""
         output = tmp_path / "bench_solvers.json"
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         subprocess.run(
@@ -151,9 +151,9 @@ class TestBenchSmoke:
         assert history["schema"] == "bench-history-v1"
         report = history["runs"][-1]
         assert report["smoke"] is True
-        engines = report["bls_local_search"]
-        assert engines["dirty"]["total_regret"] == engines["full"]["total_regret"]
-        assert engines["speedup"] > 0.0
+        sweep = report["bls_local_search"]
+        assert sweep["dirty"]["total_regret"] == sweep["total_regret"]
+        assert sweep["dirty_engine_s"] > 0.0
         restarts = report["parallel_restarts"]
         assert restarts["shm_attach"] >= 1
         assert restarts["serial_s"] > 0.0 and restarts["parallel_s"] > 0.0

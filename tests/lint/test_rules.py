@@ -254,7 +254,7 @@ class TestEnvRegistry:
 
 
             def f():
-                return os.environ.get("REPRO_NUMBA")
+                return os.environ.get("REPRO_BITMAP_STORAGE")
             """,
             rules=["env-registry"],
         )
@@ -284,7 +284,7 @@ class TestEnvRegistry:
             """\
             import os
 
-            SOME_ENV = "REPRO_NUMBA"
+            SOME_ENV = "REPRO_BITMAP_STORAGE"
 
 
             def f():
@@ -309,8 +309,8 @@ class TestEnvRegistry:
 
 
                 def f():
-                    os.environ["REPRO_NUMBA"] = "1"
-                    os.environ.pop("REPRO_NUMBA", None)
+                    os.environ["REPRO_BITMAP_STORAGE"] = "1"
+                    os.environ.pop("REPRO_BITMAP_STORAGE", None)
                     return os.environ.get("HOME")
                 """,
                 rules=["env-registry"],
@@ -334,7 +334,7 @@ class TestKernelContract:
     def test_untested_bit_identity_claim_fires(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
-            "src/repro/billboard/popcount_jit.py",
+            "src/repro/billboard/bitmap_store.py",
             self.KERNEL,
             rules=["kernel-contract"],
         )
@@ -345,13 +345,13 @@ class TestKernelContract:
         test_dir = tmp_path / "tests"
         test_dir.mkdir()
         (test_dir / "test_kernels.py").write_text(
-            "from repro.billboard.popcount_jit import fused_popcount\n",
+            "from repro.billboard.bitmap_store import fused_popcount\n",
             encoding="utf-8",
         )
         assert (
             lint_snippet(
                 tmp_path,
-                "src/repro/billboard/popcount_jit.py",
+                "src/repro/billboard/bitmap_store.py",
                 self.KERNEL,
                 rules=["kernel-contract"],
             )

@@ -53,42 +53,45 @@ class TestKnobAccessors:
             env.COVERAGE_CHUNK_SIZE.get()
 
     def test_bool_knob(self, monkeypatch):
-        monkeypatch.setenv(env.NUMBA.name, "yes")
-        assert env.NUMBA.get() is True
-        monkeypatch.setenv(env.NUMBA.name, "0")
-        assert env.NUMBA.get() is False
+        knob = env.EnvKnob(
+            name="REPRO_TEST_BOOL", default=False, parser=env.parse_bool, doc="t"
+        )
+        monkeypatch.setenv(knob.name, "yes")
+        assert knob.get() is True
+        monkeypatch.setenv(knob.name, "0")
+        assert knob.get() is False
 
 
 class TestTemporary:
     def test_set_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
-        with env.temporary("REPRO_NUMBA", "1"):
-            assert os.environ["REPRO_NUMBA"] == "1"
-        assert os.environ["REPRO_NUMBA"] == "0"
+        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "ram")
+        with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
+            assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
+        assert os.environ["REPRO_BITMAP_STORAGE"] == "ram"
 
     def test_unset_for_scope_then_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        with env.temporary("REPRO_NUMBA", None):
-            assert "REPRO_NUMBA" not in os.environ
-        assert os.environ["REPRO_NUMBA"] == "1"
+        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "memmap")
+        with env.temporary("REPRO_BITMAP_STORAGE", None):
+            assert "REPRO_BITMAP_STORAGE" not in os.environ
+        assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
 
     def test_restores_absence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBA", raising=False)
-        with env.temporary("REPRO_NUMBA", "1"):
-            assert os.environ["REPRO_NUMBA"] == "1"
-        assert "REPRO_NUMBA" not in os.environ
+        monkeypatch.delenv("REPRO_BITMAP_STORAGE", raising=False)
+        with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
+            assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
+        assert "REPRO_BITMAP_STORAGE" not in os.environ
 
     def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
+        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "ram")
         with pytest.raises(RuntimeError):
-            with env.temporary("REPRO_NUMBA", "1"):
+            with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
                 raise RuntimeError("boom")
-        assert os.environ["REPRO_NUMBA"] == "0"
+        assert os.environ["REPRO_BITMAP_STORAGE"] == "ram"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCREEN_MIN_CELLS", raising=False)
-        with env.temporary("REPRO_SCREEN_MIN_CELLS", 4096):
-            assert os.environ["REPRO_SCREEN_MIN_CELLS"] == "4096"
+        monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
+        with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", 4096):
+            assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "4096"
 
 
 class TestRegistryHygiene:
@@ -99,21 +102,20 @@ class TestRegistryHygiene:
             assert knob.doc.strip(), f"{name} has no doc"
 
     def test_lookup_by_name(self):
-        assert env.knob("REPRO_NUMBA") is env.NUMBA
+        assert env.knob("REPRO_BITMAP_STORAGE") is env.BITMAP_STORAGE
         with pytest.raises(KeyError):
             env.knob("REPRO_NOT_DECLARED")
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            env._declare(env.NUMBA)
+            env._declare(env.BITMAP_STORAGE)
 
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
         # bound to the registry's names.
-        from repro.billboard import bitmap_store, coverage_cache, influence, popcount_jit
+        from repro.billboard import bitmap_store, coverage_cache, influence
         from repro.parallel import pool
 
-        assert popcount_jit.NUMBA_ENV == env.NUMBA.name
         assert bitmap_store.STORAGE_ENV == env.BITMAP_STORAGE.name
         assert bitmap_store.SPILL_DIR_ENV == env.BITMAP_SPILL_DIR.name
         assert coverage_cache.CACHE_ENV == env.COVERAGE_CACHE.name
