@@ -8,8 +8,9 @@ lies within ``λ`` metres of billboard ``o``.  The influence of a billboard set
     I(S) = |{t : some o ∈ S meets t}|
 
 so influence is a set-coverage count.  :class:`CoverageIndex` materializes the
-per-billboard covered-trajectory id arrays once (a grid-accelerated bulk
-radius join) and answers all influence queries from them.
+per-billboard covered-trajectory id arrays once (a radius join that streams
+the trajectory points through a billboard cell table, emitting one CSR per
+build) and answers all influence queries from them.
 
 Two kernels answer the queries:
 
@@ -45,7 +46,7 @@ Paper-scale corpora (10⁶⁺ trajectories) add two more layers, both
 bit-identical to the in-RAM numpy path:
 
 * **streaming ingestion** — ``chunk_size=`` (or ``REPRO_COVERAGE_CHUNK_SIZE``)
-  feeds the grid radius join bounded chunks of trajectories, and
+  feeds the radius join bounded chunks of trajectories, and
   :meth:`CoverageIndex.from_trajectory_chunks` builds coverage from a chunk
   *generator* so the full corpus never has to exist in memory at once;
 * **tiered bitmap storage** — the packed bitmap lives in a
@@ -70,7 +71,7 @@ from repro.billboard import bitmap_store
 from repro.billboard.bitmap_store import BitmapStore
 from repro.billboard.model import BillboardDB
 from repro.spatial.geometry import min_distance_to_polyline
-from repro.spatial.grid import GridIndex
+from repro.spatial.grid import CellTable
 from repro.trajectory.model import TrajectoryDB
 from repro.utils import bitset
 
@@ -125,25 +126,23 @@ def _resolve_chunk_size(chunk_size: int | None) -> int | None:
     return from_env
 
 
-def _max_sample_gap(points: np.ndarray, point_counts: np.ndarray) -> float:
+def _max_sample_gap(points: np.ndarray, owners: np.ndarray) -> float:
     """Largest distance between consecutive samples of any trajectory.
 
     One vectorized pass over the flat point store: consecutive-point
-    distances are computed for the whole corpus at once and the diffs that
-    straddle a trajectory boundary are masked out.
+    distances are computed for the whole corpus at once and kept only where
+    both points have the same owning trajectory (``owners``, one per point),
+    so empty trajectories anywhere in the corpus cannot shift the mask.
     """
     if len(points) < 2:
         return 0.0
     gaps = np.sqrt(np.sum(np.diff(points, axis=0) ** 2, axis=1))
-    boundaries = np.cumsum(point_counts)[:-1] - 1
-    within = np.ones(len(gaps), dtype=bool)
-    within[boundaries] = False
-    gaps = gaps[within]
+    gaps = gaps[owners[1:] == owners[:-1]]
     return float(gaps.max()) if gaps.size else 0.0
 
 
 class _CorpusChunk:
-    """Adapter giving any trajectory chunk the three members the join needs.
+    """Adapter giving any trajectory chunk the members the join needs.
 
     Accepts a :class:`~repro.trajectory.model.TrajectoryDB` (or anything
     exposing ``all_points`` / ``point_counts`` / ``points_of``), or a plain
@@ -155,10 +154,17 @@ class _CorpusChunk:
     def __init__(self, points: np.ndarray, point_counts: np.ndarray) -> None:
         self.points = np.asarray(points, dtype=np.float64)
         self.point_counts = np.asarray(point_counts, dtype=np.int64)
+        counts = self.point_counts
+        if (counts < 0).any() or counts.sum() != len(self.points):
+            raise ValueError(f"point_counts must be >= 0 and sum to {len(self.points)}")
         self._offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.point_counts)
+
+    def owners(self) -> np.ndarray:
+        """Chunk-local trajectory id of every point."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.point_counts)
 
     def points_of(self, local_id: int) -> np.ndarray:
         if self._offsets is None:
@@ -176,86 +182,71 @@ def _as_corpus_chunk(chunk) -> _CorpusChunk:
 
 
 def _join_chunk(
-    locations: np.ndarray,
-    chunk: _CorpusChunk,
-    num_billboards: int,
-    lambda_m: float,
-    exact_segments: bool,
-) -> list[np.ndarray]:
-    """Per-billboard sorted covered ids (chunk-local) for one chunk.
+    table: CellTable, chunk: _CorpusChunk, lambda_m: float, exact_segments: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covered ``(billboard, chunk-local trajectory)`` pairs of one chunk.
 
-    This is the single radius-join step both the single-shot and the
-    streaming builds run: identical distance predicates per (billboard,
-    point) pair, so chunked builds are bit-identical to one-shot builds no
-    matter where the chunk boundaries fall.
+    Two arrays, deduplicated and sorted by billboard, then trajectory.  This
+    is the single radius-join step every build runs against its billboard
+    ``table``: identical distance predicates per (billboard, point) pair,
+    so chunked builds are bit-identical to one-shot builds no matter where
+    the chunk boundaries fall.
     """
-    num_local = len(chunk)
-    margin = (
-        _max_sample_gap(chunk.points, chunk.point_counts) / 2.0
-        if exact_segments
-        else 0.0
-    )
-    grid = GridIndex(chunk.points, cell_size=lambda_m)
-    point_owner = np.repeat(
-        np.arange(num_local, dtype=np.int64), chunk.point_counts
-    )
-    billboard_ids, point_ids = grid.join_radius(locations, lambda_m + margin)
-    # Deduplicate (billboard, trajectory) pairs in one pass: the sorted
-    # unique composite keys split into per-billboard sorted id arrays.
-    keys = np.unique(billboard_ids * num_local + point_owner[point_ids])
-    owners = keys // num_local
-    covered_ids = keys % num_local
-    split_at = np.searchsorted(owners, np.arange(1, num_billboards))
-    covered = [np.ascontiguousarray(ids) for ids in np.split(covered_ids, split_at)]
+    owners = chunk.owners()
+    radius = lambda_m
     if exact_segments:
-        for billboard_id, candidates in enumerate(covered):
-            if not len(candidates):
-                continue
-            location = locations[billboard_id]
-            covered[billboard_id] = np.array(
-                [
-                    t
-                    for t in candidates
-                    if min_distance_to_polyline(location, chunk.points_of(int(t)))
-                    <= lambda_m
-                ],
-                dtype=np.int64,
-            )
-    return covered
+        radius += _max_sample_gap(chunk.points, owners) / 2.0
+    point_ids, billboard_ids = table.join(chunk.points, radius)
+    num_local = len(chunk)
+    keys = np.sort(billboard_ids * num_local + owners[point_ids])
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are non-negative
+    billboard_ids, local_ids = np.divmod(keys, num_local)
+    if exact_segments:
+        keep = np.fromiter(
+            (
+                min_distance_to_polyline(table.sites[b], chunk.points_of(t)) <= lambda_m
+                for b, t in zip(billboard_ids.tolist(), local_ids.tolist())
+            ),
+            dtype=bool,
+            count=len(keys),
+        )
+        billboard_ids, local_ids = billboard_ids[keep], local_ids[keep]
+    return billboard_ids, local_ids
 
 
-def _streamed_coverage(
+def _join_chunks(
     locations: np.ndarray,
     chunks: Iterable,
-    num_billboards: int,
     lambda_m: float,
     exact_segments: bool,
-) -> tuple[list[np.ndarray], int]:
-    """Accumulate per-billboard covered ids over a chunk stream.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stream a chunk sequence through the join into one CSR coverage.
 
-    Chunks carry consecutive trajectory-id ranges in order, so appending
-    each chunk's (sorted, base-offset) ids keeps every billboard's array
-    sorted without a final re-sort.  Returns the coverage lists and the
-    total trajectory count.
+    Returns ``(flat_ids, offsets, num_trajectories)`` (see
+    :meth:`CoverageIndex.to_arrays`).  Chunks carry consecutive
+    trajectory-id ranges in order and each chunk's pairs come sorted by
+    billboard, so one stable sort by billboard over all chunks' pairs (a
+    merge of sorted runs) leaves every billboard's ids ascending: the CSR is
+    assembled once per build.
     """
-    parts: list[list[np.ndarray]] = [[] for _ in range(num_billboards)]
+    table = CellTable(locations, lambda_m)
+    billboard_parts = [np.empty(0, dtype=np.int64)]
+    id_parts = [np.empty(0, dtype=np.int64)]
     base = 0
     for raw_chunk in chunks:
         chunk = _as_corpus_chunk(raw_chunk)
         if len(chunk) == 0:
             continue
-        covered_local = _join_chunk(
-            locations, chunk, num_billboards, lambda_m, exact_segments
-        )
-        for billboard_id, ids in enumerate(covered_local):
-            if len(ids):
-                parts[billboard_id].append(ids + base)
+        billboard_ids, local_ids = _join_chunk(table, chunk, lambda_m, exact_segments)
+        billboard_parts.append(billboard_ids)
+        id_parts.append(local_ids + base)
         base += len(chunk)
         obs.counter_add("coverage.chunks")
-    covered = [
-        np.concatenate(p) if p else np.empty(0, dtype=np.int64) for p in parts
-    ]
-    return covered, base
+    billboard_ids = np.concatenate(billboard_parts)
+    flat = np.concatenate(id_parts)[np.argsort(billboard_ids, kind="stable")]
+    offsets = np.zeros(len(locations) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(billboard_ids, minlength=len(locations)), out=offsets[1:])
+    return flat, offsets, base
 
 
 def _iter_db_chunks(
@@ -320,14 +311,14 @@ class CoverageIndex:
         self.num_trajectories = len(trajectories)
         self._init_caches(bitmap_budget_mb, bitmap_storage)
 
-        # Billboard-centric radius join: index the trajectory points (all at
-        # once, or chunk by chunk), then one batched cell-bucket join per
-        # chunk for the whole inventory (no per-billboard Python loop — see
-        # GridIndex.join_radius and _join_chunk).
+        # Point-streaming radius join: the billboards go into a cell table
+        # once per build, then every trajectory point (all at once, or chunk
+        # by chunk) is priced against it in fixed-size blocks — see
+        # CellTable.join and _join_chunks.
         #
         # ``exact_segments`` upgrades the meet test from the paper's sampled
         # p(o, t) (some recorded point within λ) to the trajectory's actual
-        # polyline coming within λ — the grid query is widened by half the
+        # polyline coming within λ — the join radius is widened by half the
         # largest sample gap so no segment-only meet can be missed, then the
         # candidates are confirmed against the exact segment distance.
         chunk = _resolve_chunk_size(chunk_size)
@@ -338,24 +329,15 @@ class CoverageIndex:
             lambda_m=self.lambda_m,
             exact_segments=exact_segments,
         ):
-            if chunk is None:
-                covered = _join_chunk(
-                    billboards.locations,
-                    _as_corpus_chunk(trajectories),
-                    self.num_billboards,
-                    self.lambda_m,
-                    exact_segments,
-                )
-            else:
-                covered, _ = _streamed_coverage(
-                    billboards.locations,
-                    _iter_db_chunks(trajectories, chunk),
-                    self.num_billboards,
-                    self.lambda_m,
-                    exact_segments,
-                )
-            self._covered = covered
-            self._individual = np.array([len(ids) for ids in covered], dtype=np.int64)
+            flat, offsets, _ = _join_chunks(
+                billboards.locations,
+                [_as_corpus_chunk(trajectories)]
+                if chunk is None
+                else _iter_db_chunks(trajectories, chunk),
+                self.lambda_m,
+                exact_segments,
+            )
+            self._adopt_csr(flat, offsets)
             obs.counter_add("coverage.builds")
 
     def _init_caches(
@@ -366,7 +348,6 @@ class CoverageIndex:
         self._store: BitmapStore | None = None
         self._bitmap_decided = False
         self._batch_prefers_bitmap: bool | None = None
-        self._flat_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._individual_f64: np.ndarray | None = None
         # Reusable (rows, words) uint64 block for the restricted bitmap
         # passes, grown geometrically and never shrunk; one per index (the
@@ -410,12 +391,8 @@ class CoverageIndex:
             exact_segments=exact_segments,
             streaming=True,
         ):
-            covered, total = _streamed_coverage(
-                billboards.locations,
-                chunks,
-                index.num_billboards,
-                index.lambda_m,
-                exact_segments,
+            flat, offsets, total = _join_chunks(
+                billboards.locations, chunks, index.lambda_m, exact_segments
             )
             if num_trajectories is None:
                 num_trajectories = total
@@ -425,10 +402,7 @@ class CoverageIndex:
                     f"{num_trajectories}"
                 )
             index.num_trajectories = int(num_trajectories)
-            index._covered = covered
-            index._individual = np.array(
-                [len(ids) for ids in covered], dtype=np.int64
-            )
+            index._adopt_csr(flat, offsets)
             obs.counter_add("coverage.builds")
         return index
 
@@ -461,8 +435,10 @@ class CoverageIndex:
                     f"[0, {num_trajectories})"
                 )
             arrays.append(array)
-        index._covered = arrays
-        index._individual = np.array([len(a) for a in arrays], dtype=np.int64)
+        index._adopt_csr(
+            np.concatenate([np.empty(0, dtype=np.int64), *arrays]),
+            np.concatenate([[0], np.cumsum([len(a) for a in arrays], dtype=np.int64)]),
+        )
         return index
 
     @classmethod
@@ -487,10 +463,15 @@ class CoverageIndex:
         index.num_billboards = len(offsets) - 1
         index.num_trajectories = int(num_trajectories)
         index._init_caches(bitmap_budget_mb, bitmap_storage)
-        index._covered = list(np.split(flat_ids, offsets[1:-1]))
-        index._individual = np.diff(offsets)
-        index._flat_cache = (flat_ids, offsets)
+        index._adopt_csr(flat_ids, offsets)
         return index
+
+    def _adopt_csr(self, flat_ids: np.ndarray, offsets: np.ndarray) -> None:
+        """Serve coverage from CSR arrays: per-billboard views, no copies."""
+        bounds = offsets.tolist()
+        self._covered = [flat_ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self._individual = np.diff(offsets)
+        self._flat_cache = (flat_ids, offsets)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(flat_ids, offsets)`` CSR serialization of the coverage."""
@@ -557,24 +538,14 @@ class CoverageIndex:
         return self._covered[billboard_id]
 
     def _flat_coverage(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR layout of all coverage arrays, built lazily.
+        """CSR layout of all coverage arrays, set by every constructor.
 
         Returns ``(flat_ids, offsets)`` where billboard ``b``'s covered ids
         are ``flat_ids[offsets[b]:offsets[b + 1]]``.  Powers the batch gain
         computation the greedy solvers use to price every candidate billboard
         in one vectorized pass.
         """
-        cached = self._flat_cache
-        if cached is None:
-            counts = np.array([len(a) for a in self._covered], dtype=np.int64)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            if offsets[-1]:
-                flat = np.concatenate(self._covered)
-            else:
-                flat = np.empty(0, dtype=np.int64)
-            cached = (flat, offsets)
-            self._flat_cache = cached
-        return cached
+        return self._flat_cache
 
     # ------------------------------------------------------------ bitmap kernel
 

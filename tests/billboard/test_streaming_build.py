@@ -19,6 +19,7 @@ from repro.billboard.influence import (
 )
 from repro.datasets import generate_city
 from repro.datasets.stream import concat_chunks, nyc_stream
+from repro.spatial.grid import CellTable
 
 
 @pytest.fixture(scope="module")
@@ -152,35 +153,38 @@ class TestNycStream:
 class TestJoinChunkBitIdentity:
     """Direct contract test for the shared radius-join step.
 
-    ``_join_chunk`` is the single primitive both the one-shot and streaming
-    builds call; its docstring claims chunk boundaries cannot change any
-    (billboard, trajectory) coverage decision.  Joining the corpus as one
-    chunk must therefore equal the concatenation of per-chunk joins with
-    local ids shifted back to global ids — for every split point.
+    ``_join_chunk`` is the single primitive every build calls; its docstring
+    claims chunk boundaries cannot change any (billboard, trajectory)
+    coverage decision.  Joining the corpus as one chunk must therefore equal
+    the per-chunk joins with local ids shifted back to global ids, merged by
+    billboard — for every split point.
     """
 
     @pytest.mark.parametrize("exact_segments", [False, True])
     @pytest.mark.parametrize("split", [1, 13, 39])
     def test_split_join_matches_single_join(self, city, split, exact_segments):
         locations = city.billboards.locations
-        n = len(locations)
         trajectories = city.trajectories
         whole = _CorpusChunk(trajectories.all_points, trajectories.point_counts)
-        single = _join_chunk(locations, whole, n, 100.0, exact_segments)
+        single = _join_chunk(
+            CellTable(locations, 100.0), whole, 100.0, exact_segments
+        )
 
         counts = trajectories.point_counts
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        parts = []
+        billboard_parts, id_parts = [], []
         for start, stop in ((0, split), (split, len(trajectories))):
             chunk = _CorpusChunk(
                 trajectories.all_points[bounds[start] : bounds[stop]],
                 counts[start:stop],
             )
-            covered = _join_chunk(locations, chunk, n, 100.0, exact_segments)
-            parts.append([ids + start for ids in covered])
+            billboard_ids, local_ids = _join_chunk(
+                CellTable(locations, 100.0), chunk, 100.0, exact_segments
+            )
+            billboard_parts.append(billboard_ids)
+            id_parts.append(local_ids + start)
 
-        for billboard_id in range(n):
-            merged = np.concatenate(
-                [part[billboard_id] for part in parts]
-            ).astype(np.int64)
-            assert np.array_equal(single[billboard_id], merged)
+        billboard_ids = np.concatenate(billboard_parts)
+        order = np.lexsort((np.concatenate(id_parts), billboard_ids))
+        assert np.array_equal(single[0], billboard_ids[order])
+        assert np.array_equal(single[1], np.concatenate(id_parts)[order])

@@ -7,6 +7,8 @@ their own allocations from these shared instances.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,32 @@ from repro.core.advertiser import Advertiser
 from repro.core.problem import MROAMInstance
 from repro.datasets import example1_instance, generate_nyc, generate_sg
 from repro.utils.rng import as_generator
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed",
+        type=int,
+        default=None,
+        help="run the collected tests in an order shuffled by this seed "
+        "(default: collection order)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the test order when ``--shuffle-seed`` is given.
+
+    Tests must pass in any order; a seeded shuffle finds the ones that lean
+    on state an earlier test left behind, and the printed seed replays the
+    failing order.
+    """
+    seed = config.getoption("--shuffle-seed")
+    if seed is None:
+        return
+    random.Random(seed).shuffle(items)
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line(f"shuffle seed: {seed}")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import statistics
 import time
 
 from repro import obs
@@ -185,38 +187,54 @@ class TestSnapshotMerge:
         assert obs.counter_value("c") == 0
 
 
-def _workload_loop(instrument: bool, iterations: int = 100) -> float:
-    """Min-of-runs time for a tight loop, optionally with disabled-obs calls."""
-    best = float("inf")
-    for _ in range(9):
-        started = time.perf_counter()
-        total = 0
-        for i in range(iterations):
-            total += sum(range(5000))  # the real per-iteration work
-            if instrument:
-                obs.counter_add("overhead.test")
-                with obs.span("overhead.test"):
-                    pass
-        best = min(best, time.perf_counter() - started)
+def _workload_pass(instrument: bool, iterations: int = 100) -> float:
+    """Time one pass of a tight loop, optionally with disabled-obs calls."""
+    started = time.perf_counter()
+    total = 0
+    for i in range(iterations):
+        total += sum(range(5000))  # the real per-iteration work
+        if instrument:
+            obs.counter_add("overhead.test")
+            with obs.span("overhead.test"):
+                pass
+    elapsed = time.perf_counter() - started
     assert total > 0
-    return best
+    return elapsed
 
 
 class TestDisabledOverhead:
     def test_disabled_instrumentation_under_5_percent(self):
         """The no-op path must cost <5% on a tight instrumented loop.
 
-        Min-of-7 runs on both sides (plus a tiny absolute epsilon) so
-        scheduler noise cannot flake the comparison; the per-iteration
-        workload is sized so the two boolean checks are genuinely amortized,
-        as they are at the real instrumentation sites.
+        Twenty-one repetitions, each timing the baseline and the
+        instrumented loop back to back (alternating which goes first), on
+        one CPU.  Each repetition's pair shares whatever state the host is
+        in, so the bound (5 % plus a tiny absolute epsilon) is held by the
+        median pair: a slow spell on a loaded host slows both sides of a pair
+        alike, and a lone lucky pass on one side cannot decide the verdict.
+        The per-iteration workload is sized so the two boolean checks are
+        genuinely amortized, as they are at the real instrumentation sites.
         """
         assert not obs.enabled()
-        _workload_loop(True)  # warm up both paths
-        baseline = _workload_loop(False)
-        instrumented = _workload_loop(True)
-        assert instrumented <= baseline * 1.05 + 1e-4, (
-            f"disabled-mode overhead too high: {instrumented:.6f}s vs "
-            f"baseline {baseline:.6f}s"
+        pinned = hasattr(os, "sched_setaffinity")
+        if pinned:  # CPUs of a shared host can differ in speed; stay on one
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(cpus)})
+        try:
+            _workload_pass(True)  # warm up both paths
+            _workload_pass(False)
+            excess = []
+            for repetition in range(21):
+                seconds = {}
+                for instrument in (False, True) if repetition % 2 else (True, False):
+                    seconds[instrument] = _workload_pass(instrument)
+                excess.append(seconds[True] - seconds[False] * 1.05)
+        finally:
+            if pinned:
+                os.sched_setaffinity(0, cpus)
+        median_excess = statistics.median(excess)
+        assert median_excess <= 1e-4, (
+            f"disabled-mode overhead too high: the median pair ran "
+            f"{median_excess:.6f}s past 1.05x its baseline"
         )
         assert obs.get_registry().counters == {}  # truly a no-op

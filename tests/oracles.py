@@ -5,9 +5,11 @@ computes faster: the rescan-everything BLS and ALS loops of Algorithms 5 and
 4, the scalar per-billboard exchange screen and candidate helpers that the
 round-fused screen (``repro.algorithms.screen``) replaced, and the eager
 full-pass greedy pricing that lazy-bound pricing (``repro.algorithms._marginal``)
-replaced.  None of them is imported by ``src/``; they exist so the
-equivalence tests compare the production paths against code that skips
-nothing.
+replaced, and the grid-over-points radius join that the billboard cell table
+(``repro.spatial.grid.CellTable``) replaced, next to a brute-force join over
+every (point, site) pair.  None of them is imported by ``src/``; they exist
+so the equivalence tests compare the production paths against code that
+skips nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.screen import _optimistic_regret
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_exchange_sets, delta_release
+from repro.spatial.grid import GridIndex, _expand_slices
 
 # ----------------------------------------------------- candidate sets (BLS)
 
@@ -312,3 +315,86 @@ def literal_pick(allocation, advertiser_id, candidate_ids):
         if best is None or ratio > best[0]:
             best = (ratio, billboard_id)
     return None if best is None else best[1]
+
+
+# ----------------------------------------------------------- radius joins
+
+
+def brute_force_join(points: np.ndarray, sites: np.ndarray, radius: float) -> set:
+    """Every ``(point_index, site_index)`` pair within ``radius``.
+
+    Prices all ``len(points) × len(sites)`` pairs with the production
+    predicate: ``dx*dx + dy*dy <= radius*radius`` for ``point − site``.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    sites = np.asarray(sites, dtype=np.float64).reshape(-1, 2)
+    dx = points[:, 0, None] - sites[None, :, 0]
+    dy = points[:, 1, None] - sites[None, :, 1]
+    point_ids, site_ids = np.nonzero(dx * dx + dy * dy <= radius * radius)
+    return set(zip(point_ids.tolist(), site_ids.tolist()))
+
+
+def grid_join_radius(
+    grid: GridIndex, queries: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """All ``(query_index, point_index)`` pairs within ``radius`` of a
+    :class:`GridIndex` — the grid-over-points join coverage builds ran before
+    the billboard cell table.
+
+    Every query's neighbourhood cells are resolved against the grid's CSR
+    buckets with one ``searchsorted`` per neighbourhood offset, candidate
+    pairs are gathered with a vectorized slice expansion, and one distance
+    mask runs per offset.  Each qualifying pair appears once; pair order is
+    deterministic but unspecified.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 2:
+        raise ValueError(f"queries must have shape (m, 2), got {queries.shape}")
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if len(queries) == 0 or len(grid.points) == 0:
+        return empty
+
+    reach = max(int(np.ceil(radius / grid.cell_size)), 1)
+    nx, ny = grid._dims
+    cells = np.floor((queries - grid._origin) / grid.cell_size).astype(np.int64)
+    radius_sq = radius * radius
+    query_hits: list[np.ndarray] = []
+    point_hits: list[np.ndarray] = []
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            tx = cells[:, 0] + dx
+            ty = cells[:, 1] + dy
+            in_grid = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
+            query_ids = np.nonzero(in_grid)[0]
+            slots, found = grid._lookup_buckets(tx[in_grid] * ny + ty[in_grid])
+            query_ids = query_ids[found]
+            starts = grid._bucket_offsets[slots[found]]
+            counts = grid._bucket_offsets[slots[found] + 1] - starts
+            point_ids = grid._order[_expand_slices(starts, counts)]
+            pair_queries = np.repeat(query_ids, counts)
+            diff = grid.points[point_ids] - queries[pair_queries]
+            mask = np.sum(diff * diff, axis=1) <= radius_sq
+            query_hits.append(pair_queries[mask])
+            point_hits.append(point_ids[mask])
+    return np.concatenate(query_hits), np.concatenate(point_hits)
+
+
+def grid_query_radius_bulk(grid: GridIndex, queries: np.ndarray, radius: float) -> np.ndarray:
+    """Sorted, deduplicated indices of grid points within ``radius`` of any query."""
+    _, point_ids = grid_join_radius(grid, queries, radius)
+    return np.unique(point_ids)
+
+
+def grid_chunk_coverage(
+    locations: np.ndarray, points: np.ndarray, point_counts: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled-mode coverage of one chunk the way builds computed it before
+    the cell table: a :class:`GridIndex` over the chunk's points (cell size
+    ``radius``) joined with the billboards.  Returns the deduplicated
+    ``(billboard, chunk-local trajectory)`` pairs sorted by billboard, then
+    trajectory."""
+    owners = np.repeat(np.arange(len(point_counts), dtype=np.int64), point_counts)
+    grid = GridIndex(points, cell_size=radius)
+    billboard_ids, point_ids = grid_join_radius(grid, locations, radius)
+    keys = np.unique(billboard_ids * len(point_counts) + owners[point_ids])
+    return np.divmod(keys, len(point_counts))
