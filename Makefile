@@ -33,8 +33,9 @@ bench:
 	$(PYTHON) scripts/bench_coverage.py --output BENCH_coverage.json --gate-regression
 	$(PYTHON) scripts/bench_solvers.py --output BENCH_solvers.json --gate-regression
 
-## Paper-scale sweep (10^4 -> 2*10^6 streamed trajectories): storage tiers,
-## bit-identity, and one greedy+BLS cell under a 512 MB bitmap budget.  Appends to BENCH_scale.json; takes minutes at full scale.
+## Paper-scale sweep (10^4 -> 2*10^6 streamed trajectories): streamed build,
+## the query workload, and one greedy+BLS cell at 10^6.  Appends to
+## BENCH_scale.json; takes minutes at full scale.
 bench-scale:
 	$(PYTHON) scripts/bench_scale.py --output BENCH_scale.json
 

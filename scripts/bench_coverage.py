@@ -1,14 +1,14 @@
-"""Coverage-kernel benchmark: seed (id-array) vs packed-bitmap kernels.
+"""Coverage-kernel benchmark: the CSR id-array kernel against its references.
 
 Times, on the default NYC-scale benchmark city:
 
-* **index build** — the seed's per-billboard grid-query loop vs the batched
-  cell-bucket join now used by :class:`CoverageIndex`;
+* **index build** — the seed's per-billboard grid-query loop vs the
+  point-streaming cell-table join now used by :class:`CoverageIndex`;
 * **1k ``influence_of_set`` queries** — the seed ``np.unique(concatenate)``
-  id-array kernel vs the packed-bitmap OR/popcount kernel;
-* **a BLS cell** — the full billboard-driven local search solved with the
-  bitmap kernel disabled vs enabled (the ``influence_of_set``-heavy workload
-  of the paper's efficiency study).
+  union vs the mark-scatter union :meth:`CoverageIndex.influence_of_set`
+  runs, answers asserted equal;
+* **a BLS cell** — the full billboard-driven local search (the paper's
+  efficiency-study workload).
 
 Appends to ``BENCH_coverage.json`` — an append-only, commit-stamped time
 series (see ``scripts/_bench_history.py``); ``--gate-regression 1.15`` fails
@@ -40,9 +40,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
 
-from repro import env, obs
+from repro import obs
 from repro.billboard import coverage_cache
-from repro.billboard.influence import BITMAP_BUDGET_ENV, CoverageIndex
+from repro.billboard.influence import CoverageIndex
 from repro.billboard.model import BillboardDB
 from repro.experiments.harness import run_cell
 from repro.market.scenario import Scenario
@@ -133,53 +133,37 @@ def bench_influence_queries(index: CoverageIndex, num_queries: int, seed: int = 
         ).tolist()
         for _ in range(num_queries)
     ]
-    assert index.has_bitmap, "bitmap kernel unavailable — raise REPRO_BITMAP_BUDGET_MB"
 
     started = time.perf_counter()
-    ids_answers = [index.influence_of_set_ids(s) for s in query_sets]
-    ids_s = time.perf_counter() - started
+    unique_answers = [
+        len(np.unique(np.concatenate([index.covered_by(b) for b in ids])))
+        for ids in query_sets
+    ]
+    unique_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    bitmap_answers = [index.influence_of_set(s) for s in query_sets]
-    bitmap_s = time.perf_counter() - started
+    mark_answers = [index.influence_of_set(ids) for ids in query_sets]
+    mark_s = time.perf_counter() - started
 
-    assert ids_answers == bitmap_answers, "bitmap kernel disagrees with id kernel"
+    assert unique_answers == mark_answers, "mark-scatter union disagrees with np.unique"
     return {
         "queries": num_queries,
-        "id_array_s": ids_s,
-        "bitmap_s": bitmap_s,
-        "speedup": ids_s / bitmap_s if bitmap_s > 0 else float("inf"),
+        "unique_s": unique_s,
+        "mark_s": mark_s,
+        "speedup": unique_s / mark_s if mark_s > 0 else float("inf"),
     }
 
 
 def bench_bls_cell(scenario: Scenario, restarts: int) -> dict:
-    """One BLS cell solved with the bitmap kernel off vs on.
-
-    Fresh cities per mode so no coverage cache leaks across the comparison;
-    the regret outcome must be identical (the kernels are bit-identical).
-    """
-    timings = {}
-    regrets = {}
-    for label, budget in (("id_array_s", "0"), ("bitmap_s", "")):
-        with env.temporary(BITMAP_BUDGET_ENV, budget or None):
-            city = scenario.build_city()
-            instance = scenario.build_instance(city)
-            started = time.perf_counter()
-            metrics = run_cell(
-                scenario, methods=["bls"], restarts=restarts, instance=instance
-            )
-            timings[label] = time.perf_counter() - started
-            regrets[label] = metrics["bls"].total_regret
-    assert regrets["id_array_s"] == regrets["bitmap_s"], (
-        "BLS reached different regret under the two kernels"
-    )
+    """One BLS cell on a fresh city (no coverage cache leaks into it)."""
+    city = scenario.build_city()
+    instance = scenario.build_instance(city)
+    started = time.perf_counter()
+    metrics = run_cell(scenario, methods=["bls"], restarts=restarts, instance=instance)
     return {
-        **timings,
-        "total_regret": regrets["bitmap_s"],
+        "bls_s": time.perf_counter() - started,
+        "total_regret": metrics["bls"].total_regret,
         "restarts": restarts,
-        "speedup": timings["id_array_s"] / timings["bitmap_s"]
-        if timings["bitmap_s"] > 0
-        else float("inf"),
     }
 
 
@@ -187,8 +171,8 @@ def collect_obs_columns(scenario: Scenario, index: CoverageIndex, seed: int) -> 
     """Kernel-dispatch and cache-hit counters for the BENCH JSON.
 
     Runs *outside* the timed sections with collection enabled: a short
-    instrumented replay of both query kernels, plus one cold + one warm
-    coverage-cache round trip in a temporary directory, so the timed
+    instrumented replay of the union and batch kernels, plus one cold + one
+    warm coverage-cache round trip in a temporary directory, so the timed
     benchmark itself keeps the (default, disabled) no-op instrumentation
     path that the <5% regression criterion measures.
     """
@@ -203,7 +187,6 @@ def collect_obs_columns(scenario: Scenario, index: CoverageIndex, seed: int) -> 
                 index.num_billboards, size=int(rng.integers(1, max_set)), replace=False
             ).tolist()
             index.influence_of_set(ids)
-            index.influence_of_set_ids(ids)
             index.batch_add_gains(np.zeros(index.num_trajectories, dtype=np.int64))
         city = scenario.build_city()
         with tempfile.TemporaryDirectory() as cache_dir:
@@ -222,8 +205,6 @@ def collect_obs_columns(scenario: Scenario, index: CoverageIndex, seed: int) -> 
             obs.disable()
     keys = (
         "influence.dispatch.idarray",
-        "influence.dispatch.bitmap",
-        "influence.bitmap.builds",
         "coverage_cache.hit",
         "coverage_cache.miss",
     )

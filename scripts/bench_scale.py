@@ -1,4 +1,4 @@
-"""Paper-scale coverage benchmark: streaming build, storage tiers, kernels.
+"""Paper-scale coverage benchmark: streaming build and query kernels.
 
 Sweeps synthetic-NYC corpora from 10^4 to 2*10^6 trajectories (the paper's
 NYC dataset is ~1.7 M trips) and, at each size:
@@ -6,15 +6,13 @@ NYC dataset is ~1.7 M trips) and, at each size:
 * **streams** the coverage build through
   :meth:`CoverageIndex.from_trajectory_chunks` in 100k-trip chunks — the
   corpus never exists in memory at once;
-* times the **query workload** (union popcounts + full and
-  candidate-restricted batch passes) on every storage-tier variant —
-  id-array, in-RAM bitmap, memmap-shard bitmap — and asserts every variant
-  is **bit-identical** to the id-array reference;
-* records which variant **wins** at that size plus the
-  ``influence.tier.*`` / ``influence.kernel.*`` dispatch counters.
+* times the **query workload** (unions + full and candidate-restricted batch
+  passes) on the CSR id-array kernel, asserting every union equals the
+  ``np.unique(concatenate)`` reference;
+* records the ``influence.dispatch.idarray`` counter of one replay.
 
-The largest size also solves one greedy + BLS cell under a 512 MB bitmap
-budget, demonstrating an end-to-end paper-scale solve.
+The 10^6 size also solves one greedy + BLS cell, demonstrating an
+end-to-end paper-scale solve.
 
 Appends to ``BENCH_scale.json`` (append-only history, see
 ``scripts/_bench_history.py``).
@@ -29,10 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -42,10 +38,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
 from bench_coverage import git_commit
 
-from repro import env, obs
+from repro import obs
 from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
-from repro.billboard import bitmap_store
 from repro.billboard.influence import CoverageIndex
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -57,7 +52,6 @@ from repro.utils.rng import as_generator
 FULL_SIZES = (10_000, 100_000, 1_000_000, 2_000_000)
 SMOKE_SIZES = (10_000,)
 CHUNK_SIZE = 100_000
-BITMAP_BUDGET_MB = 512.0
 BLS_SIZE = 1_000_000  # largest available size solves a cell too
 
 #: Advertiser market for the end-to-end solve: alpha/p_avg -> 5 advertisers.
@@ -71,29 +65,13 @@ def build_streaming(stream, n: int, lambda_m: float) -> tuple[CoverageIndex, flo
         stream.chunks(),
         num_trajectories=n,
         lambda_m=lambda_m,
-        bitmap_budget_mb=BITMAP_BUDGET_MB,
     )
     return index, time.perf_counter() - started
 
 
-def make_variant(
-    flat: np.ndarray, offsets: np.ndarray, n: int, name: str
-) -> CoverageIndex:
-    """One query-workload configuration rebuilt from the shared CSR."""
-    if name == "idarray":
-        return CoverageIndex.from_flat_arrays(flat, offsets, n, bitmap_budget_mb=0.0)
-    storage = name
-    index = CoverageIndex.from_flat_arrays(
-        flat, offsets, n, bitmap_budget_mb=BITMAP_BUDGET_MB, bitmap_storage=storage
-    )
-    # The workload must measure the bitmap kernels, not the adaptive
-    # dispatch's density heuristic (sparse coverage would pick id-array).
-    index._batch_prefers_bitmap = True
-    return index
-
-
-def query_workload(index: CoverageIndex, n: int, seed: int) -> tuple[dict, dict]:
-    """Timings plus the raw results (for cross-variant bit-identity checks)."""
+def query_workload(index: CoverageIndex, n: int, seed: int) -> dict:
+    """Timings of the query workload; unions are checked against the
+    ``np.unique(concatenate)`` reference outside the timed sections."""
     rng = as_generator(seed)
     num_b = index.num_billboards
     # counts_row must be a real multiplicity counter over a set containing
@@ -120,45 +98,30 @@ def query_workload(index: CoverageIndex, n: int, seed: int) -> tuple[dict, dict]
     batch_full_s = float("inf")
     for _ in range(3):
         started = time.perf_counter()
-        gains_full = index.batch_add_gains(counts_row)
+        index.batch_add_gains(counts_row)
         batch_full_s = min(batch_full_s, time.perf_counter() - started)
 
     started = time.perf_counter()
-    restricted = []
     for cand in candidates:
-        restricted.append(index.batch_add_gains(counts_row, candidate_ids=cand))
-        restricted.append(
-            index.batch_add_gains_without(counts_row, removed, candidate_ids=cand)
-        )
-        restricted.append(index.batch_remove_losses(counts_row, candidate_ids=cand))
-        restricted.append(index.batch_swap_deltas(removed, cand, counts_row))
+        index.batch_add_gains(counts_row, candidate_ids=cand)
+        index.batch_add_gains_without(counts_row, removed, candidate_ids=cand)
+        index.batch_remove_losses(counts_row, candidate_ids=cand)
+        index.batch_swap_deltas(removed, cand, counts_row)
     batch_restricted_s = time.perf_counter() - started
 
-    timings = {
+    for ids, union in zip(union_sets, unions):
+        expected = len(np.unique(np.concatenate([index.covered_by(b) for b in ids])))
+        assert union == expected, "influence_of_set disagrees with np.unique"
+    return {
         "union_s": union_s,
         "batch_full_s": batch_full_s,
         "batch_restricted_s": batch_restricted_s,
         "total_s": union_s + batch_full_s + batch_restricted_s,
     }
-    results = {"unions": unions, "gains_full": gains_full, "restricted": restricted}
-    return timings, results
-
-
-def assert_bit_identical(reference: dict, results: dict, variant: str) -> None:
-    assert results["unions"] == reference["unions"], (
-        f"{variant}: influence_of_set disagrees with id-array reference"
-    )
-    assert np.array_equal(results["gains_full"], reference["gains_full"]), (
-        f"{variant}: batch_add_gains disagrees with id-array reference"
-    )
-    for got, expected in zip(results["restricted"], reference["restricted"]):
-        assert np.array_equal(got, expected), (
-            f"{variant}: restricted batch kernel disagrees with id-array reference"
-        )
 
 
 def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
-    """``influence.tier.*`` / ``influence.kernel.*`` counters for one replay."""
+    """``influence.dispatch.*`` counters for one replay."""
     rng = as_generator(seed)
     counts_row = rng.integers(0, 3, size=n).astype(np.int64)
     was_enabled = obs.enabled()
@@ -179,62 +142,28 @@ def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
     return {
         key: int(value)
         for key, value in sorted(counters.items())
-        if key.startswith(("influence.tier.", "influence.kernel."))
+        if key.startswith("influence.dispatch.")
     }
-
-
-VARIANTS = ("idarray", "ram", "memmap")
-
-
-def run_variant(
-    name: str, flat: np.ndarray, offsets: np.ndarray, n: int, seed: int
-) -> tuple[dict, dict]:
-    """Build the variant, run the workload, and report timings + results."""
-    index = make_variant(flat, offsets, n, name)
-    timings, results = query_workload(index, n, seed)
-    timings["tier"] = index.bitmap_tier or "idarray"
-    timings["obs"] = dispatch_counters(index, n, seed)
-    return timings, results
 
 
 def bench_size(stream, n: int, lambda_m: float, seed: int) -> dict:
     index, build_s = build_streaming(stream, n, lambda_m)
-    flat, offsets = index.to_arrays()
-    entry = {
+    queries = query_workload(index, n, seed)
+    queries["obs"] = dispatch_counters(index, n, seed)
+    print(f"  n={n:>9,} total={queries['total_s']:.4f}s", flush=True)
+    return {
         "n_trajectories": n,
         "build": {
             "streaming_build_s": build_s,
             "chunks": stream.num_chunks(),
-            "coverage_nnz": int(len(flat)),
-            "bitmap_tier_at_512mb": index.bitmap_tier,
+            "coverage_nnz": int(index.supply),
         },
-        "variants": {},
+        "queries": queries,
     }
-    del index  # free the build's bitmap before the variants allocate theirs
-
-    reference = None
-    for name in VARIANTS:
-        timings, results = run_variant(name, flat, offsets, n, seed)
-        if name == "idarray":
-            reference = results
-            timings["bit_identical"] = True  # the reference, by definition
-        else:
-            assert_bit_identical(reference, results, name)
-            timings["bit_identical"] = True
-        entry["variants"][name] = timings
-        print(
-            f"  n={n:>9,} {name:<13} tier={timings['tier']:<8}"
-            f" total={timings['total_s']:.4f}s",
-            flush=True,
-        )
-    entry["query_winner"] = min(
-        entry["variants"], key=lambda v: entry["variants"][v]["total_s"]
-    )
-    return entry
 
 
 def bench_bls(stream, n: int, lambda_m: float, seed: int) -> dict:
-    """Greedy + BLS on the streamed corpus under the 512 MB bitmap budget."""
+    """Greedy + BLS on the streamed corpus."""
     index, build_s = build_streaming(stream, n, lambda_m)
     advertisers = generate_advertisers(index.supply, BLS_ALPHA, BLS_P_AVG, seed)
     instance = MROAMInstance(index, advertisers, BLS_GAMMA)
@@ -252,8 +181,6 @@ def bench_bls(stream, n: int, lambda_m: float, seed: int) -> dict:
 
     return {
         "n_trajectories": n,
-        "bitmap_budget_mb": BITMAP_BUDGET_MB,
-        "bitmap_tier": index.bitmap_tier,
         "advertisers": len(advertisers),
         "alpha": BLS_ALPHA,
         "p_avg": BLS_P_AVG,
@@ -282,20 +209,14 @@ def main(argv: list[str] | None = None) -> int:
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     lambda_m = 100.0
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as spill_dir:
-        with env.temporary(bitmap_store.SPILL_DIR_ENV, spill_dir):
-            size_entries = {}
-            for n in sizes:
-                stream = nyc_stream(
-                    args.billboards, n, chunk_size=CHUNK_SIZE, seed=args.seed
-                )
-                size_entries[str(n)] = bench_size(stream, n, lambda_m, args.seed)
+    size_entries = {}
+    for n in sizes:
+        stream = nyc_stream(args.billboards, n, chunk_size=CHUNK_SIZE, seed=args.seed)
+        size_entries[str(n)] = bench_size(stream, n, lambda_m, args.seed)
 
-            bls_n = max(s for s in sizes if s <= BLS_SIZE)
-            stream = nyc_stream(
-                args.billboards, bls_n, chunk_size=CHUNK_SIZE, seed=args.seed
-            )
-            bls = bench_bls(stream, bls_n, lambda_m, args.seed)
+    bls_n = max(s for s in sizes if s <= BLS_SIZE)
+    stream = nyc_stream(args.billboards, bls_n, chunk_size=CHUNK_SIZE, seed=args.seed)
+    bls = bench_bls(stream, bls_n, lambda_m, args.seed)
 
     report = {
         "benchmark": "coverage-scale",
@@ -307,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
             "sizes": "-".join(str(s) for s in sizes),
             "chunk_size": CHUNK_SIZE,
             "lambda_m": lambda_m,
-            "bitmap_budget_mb": BITMAP_BUDGET_MB,
             "seed": args.seed,
         },
         "machine": {

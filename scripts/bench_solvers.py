@@ -297,7 +297,7 @@ def traced_engine_passes(instance: MROAMInstance) -> None:
     dispatch counter deltas are stamped as a ``kernel.dispatch`` instant
     event so the report can attribute kernel choice to the pass.
     """
-    attributed = ("influence.dispatch.", "influence.kernel.", "influence.tier.")
+    attributed = "influence.dispatch."
     before = dict(obs.get_registry().counters)
     allocation = Allocation(instance)
     synchronous_greedy(allocation)

@@ -80,11 +80,11 @@ def knob():
 """,
     ),
     "kernel-contract": (
-        "src/repro/billboard/bitmap_store.py",
+        "src/repro/billboard/influence.py",
         '''\
-def canary_kernel(words):
-    """Claims to be bit-identical to the numpy path; no test references it."""
-    return words
+def canary_kernel(ids):
+    """Claims to be bit-identical to the id-array path; no test references it."""
+    return ids
 ''',
     ),
     "obs-guard": (

@@ -153,7 +153,6 @@ def best_marginal_billboard(
     row = stale.row(advertiser_id)
     bounds = _ratio_bounds(*pricing, row[candidate_ids], individual)
 
-    masks = allocation.packed_masks(advertiser_id)
     counts_row = allocation.counts_row(advertiser_id)
     exact = np.full(len(candidate_ids), -np.inf)
     priced = np.zeros(len(candidate_ids), dtype=bool)
@@ -162,11 +161,7 @@ def best_marginal_billboard(
     else:
         batch = np.arange(len(candidate_ids))
     while len(batch):
-        gains = coverage.batch_add_gains(
-            counts_row,
-            free_bits=masks[0] if masks is not None else None,
-            candidate_ids=candidate_ids[batch],
-        )
+        gains = coverage.batch_add_gains(counts_row, candidate_ids=candidate_ids[batch])
         row[candidate_ids[batch]] = gains
         exact[batch] = _gain_ratios(*pricing, gains, individual[batch])
         priced[batch] = True

@@ -54,28 +54,6 @@ from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_release
 
 
-def _partner_swap_delta(
-    allocation: Allocation, partner_id: int, lost_billboard: int, gained_billboard: int
-) -> int:
-    """Exact influence change of advertiser ``partner_id`` losing
-    ``lost_billboard`` and gaining ``gained_billboard``.
-
-    Delegates to :meth:`CoverageIndex.swap_delta` — on the packed bitmap
-    kernel the partner side of the exchange scan is two masked popcounts fed
-    by the allocation's cached ``counts == 0`` / ``counts == 1`` bitmasks.
-    """
-    coverage = allocation.instance.coverage
-    masks = allocation.packed_masks(partner_id)
-    free_bits, ones_bits = masks if masks is not None else (None, None)
-    return coverage.swap_delta(
-        lost_billboard,
-        gained_billboard,
-        allocation.counts_row(partner_id),
-        free_bits=free_bits,
-        ones_bits=ones_bits,
-    )
-
-
 def _select_partner(
     allocation: Allocation,
     advertiser_id: int,
@@ -166,8 +144,8 @@ def _select_partner(
             partner_id = int(partner_ids[position])
             if counters is not None:
                 counters["partner_exact"] = counters.get("partner_exact", 0) + 1
-            influence_delta = _partner_swap_delta(
-                allocation, partner_id, partner_billboard, billboard_id
+            influence_delta = instance.coverage.swap_delta(
+                partner_billboard, billboard_id, allocation.counts_row(partner_id)
             )
             partner_delta = (
                 instance.regret_of(
@@ -205,11 +183,11 @@ def _find_improving_exchange(
     One batch coverage pass yields the *exact* own-side regret delta for
     every candidate: the released state ``S_i − o_m`` is priced analytically
     by :meth:`CoverageIndex.batch_add_gains_without` against the
-    *unmodified* counter row, so the allocation (and its cached packed
-    masks) is never touched.  Free-candidate exchanges are then fully
-    priced with no per-candidate work, and only the partner advertiser's
-    side of owner↔owner exchanges retains an optimistic interval bound that
-    exact evaluation must confirm (:func:`_select_partner`).
+    *unmodified* counter row, so the allocation is never touched.
+    Free-candidate exchanges are then fully priced with no per-candidate
+    work, and only the partner advertiser's side of owner↔owner exchanges
+    retains an optimistic interval bound that exact evaluation must confirm
+    (:func:`_select_partner`).
 
     ``candidate_ids`` (ascending, excluding ``billboard_id`` and the
     advertiser's own billboards) restricts the scan and its kernel pass.
@@ -224,13 +202,8 @@ def _find_improving_exchange(
     released_influence = own_influence - float(
         allocation.influence_delta_remove(advertiser_id, billboard_id)
     )
-    masks = allocation.packed_masks(advertiser_id)
     gains = coverage.batch_add_gains_without(
-        allocation.counts_row(advertiser_id),
-        billboard_id,
-        free_bits=masks[0] if masks is not None else None,
-        ones_bits=masks[1] if masks is not None else None,
-        candidate_ids=candidate_ids,
+        allocation.counts_row(advertiser_id), billboard_id, candidate_ids=candidate_ids
     )
     return _select_partner(
         allocation,
@@ -262,10 +235,8 @@ def _release_pass_improves(
     the sequential release loop would accept nothing.
     """
     instance = allocation.instance
-    masks = allocation.packed_masks(advertiser_id)
     losses = instance.coverage.batch_remove_losses(
         allocation.counts_row(advertiser_id),
-        ones_bits=masks[1] if masks is not None else None,
         candidate_ids=np.asarray(owned, dtype=np.int64),
     )
     advertiser = instance.advertisers[advertiser_id]

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import env, obs
-from repro.billboard import bitmap_store
-from repro.billboard.influence import CoverageIndex, _resolve_bitmap_budget_mb
+from repro.billboard.influence import CoverageIndex
 from repro.billboard.model import BillboardDB
 from repro.trajectory.model import TrajectoryDB
 
@@ -35,12 +34,9 @@ from repro.trajectory.model import TrajectoryDB
 CACHE_ENV = env.COVERAGE_CACHE.name
 
 #: Bumped whenever the meet-test semantics or the file layout change, so a
-#: stale cache can never leak wrong coverage into an experiment.  v2 added
-#: the bitmap budget / storage mode to the content key: an in-RAM index and
-#: a memmap-sharded index of the same scenario are distinct cache entries,
-#: and a cached load now rebuilds with the caller's bitmap configuration
-#: instead of silently reverting to the defaults.
-_FORMAT_VERSION = 2
+#: stale cache can never leak wrong coverage into an experiment.  v3 dropped
+#: the packed-bitmap budget / storage mode that v2 added to the content key.
+_FORMAT_VERSION = 3
 
 
 def resolve_cache_dir(cache_dir: str | os.PathLike | None = None) -> Path | None:
@@ -56,22 +52,12 @@ def coverage_fingerprint(
     trajectories: TrajectoryDB,
     lambda_m: float,
     exact_segments: bool = False,
-    bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
 ) -> str:
-    """Hex digest identifying one coverage computation's exact inputs.
-
-    The bitmap budget and storage mode are part of the key (resolved the
-    same way the index resolves them, so argument and environment spellings
-    of the same configuration hash identically): indexes that dispatch to
-    different kernels/tiers must not collide in the cache.
-    """
+    """Hex digest identifying one coverage computation's exact inputs."""
     digest = hashlib.sha256()
     digest.update(f"repro-coverage-v{_FORMAT_VERSION}".encode())
     digest.update(np.float64(lambda_m).tobytes())
     digest.update(b"exact" if exact_segments else b"sampled")
-    digest.update(np.float64(_resolve_bitmap_budget_mb(bitmap_budget_mb)).tobytes())
-    digest.update(bitmap_store.resolve_storage(bitmap_storage).encode())
     digest.update(np.int64(len(billboards)).tobytes())
     digest.update(np.int64(len(trajectories)).tobytes())
     digest.update(np.ascontiguousarray(billboards.locations).tobytes())
@@ -110,16 +96,8 @@ def store(index: CoverageIndex, path: str | os.PathLike) -> Path:
     return path
 
 
-def load(
-    path: str | os.PathLike,
-    bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
-) -> CoverageIndex | None:
-    """Load a cached index, or ``None`` if absent/unreadable/stale.
-
-    The bitmap configuration is applied to the rebuilt index — a cache hit
-    dispatches to exactly the kernels a fresh build would.
-    """
+def load(path: str | os.PathLike) -> CoverageIndex | None:
+    """Load a cached index, or ``None`` if absent/unreadable/stale."""
     path = Path(path)
     if not path.is_file():
         return None
@@ -133,8 +111,6 @@ def load(
                 archive["offsets"],
                 num_trajectories=int(archive["num_trajectories"]),
                 lambda_m=float(archive["lambda_m"]),
-                bitmap_budget_mb=bitmap_budget_mb,
-                bitmap_storage=bitmap_storage,
             )
     except (OSError, KeyError, ValueError, zipfile.BadZipFile):
         obs.counter_add("coverage_cache.corrupt")
@@ -147,8 +123,6 @@ def get_or_build(
     lambda_m: float = 100.0,
     exact_segments: bool = False,
     cache_dir: str | os.PathLike | None = None,
-    bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
     chunk_size: int | None = None,
 ) -> CoverageIndex:
     """Load the coverage index from cache, building (and storing) on a miss.
@@ -163,21 +137,12 @@ def get_or_build(
             trajectories,
             lambda_m=lambda_m,
             exact_segments=exact_segments,
-            bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
-    fingerprint = coverage_fingerprint(
-        billboards,
-        trajectories,
-        lambda_m,
-        exact_segments,
-        bitmap_budget_mb=bitmap_budget_mb,
-        bitmap_storage=bitmap_storage,
-    )
+    fingerprint = coverage_fingerprint(billboards, trajectories, lambda_m, exact_segments)
     path = cache_path(directory, fingerprint)
     with obs.span("coverage_cache.get_or_build", fingerprint=fingerprint[:12]):
-        cached = load(path, bitmap_budget_mb, bitmap_storage)
+        cached = load(path)
         if cached is not None:
             obs.counter_add("coverage_cache.hit")
             return cached
@@ -187,8 +152,6 @@ def get_or_build(
             trajectories,
             lambda_m=lambda_m,
             exact_segments=exact_segments,
-            bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
         try:

@@ -12,98 +12,45 @@ per-billboard covered-trajectory id arrays once (a radius join that streams
 the trajectory points through a billboard cell table, emitting one CSR per
 build) and answers all influence queries from them.
 
-Two kernels answer the queries:
+One kernel answers the queries: the CSR id arrays.  Union influence
+``I(S)`` scatters the members' covered ids into a fresh boolean mark over
+the trajectory universe and counts the marks.  The batch gain/loss and
+swap-delta passes gather each billboard's ids and test the advertiser's
+multiplicity counter row at them, touching one entry per covered id.
 
-* the **id-array kernel** — sorted ``int64`` covered-trajectory arrays, the
-  always-available representation;
-* the **packed-bitmap kernel** — a ``(num_billboards, ceil(T/64))`` ``uint64``
-  matrix where bit ``t`` of row ``o`` says billboard ``o`` covers trajectory
-  ``t``.  Union influence becomes bitwise-OR + popcount and the batch
-  gain/loss and swap-delta passes become single masked popcounts.  The bitmap
-  is built lazily and only when it fits the memory budget
-  (``bitmap_budget_mb`` argument, ``REPRO_BITMAP_BUDGET_MB`` environment
-  variable, default 512 MB); past the budget every query transparently falls
-  back to the id-array kernel, so results are bit-identical either way.
-
-The two kernels are *bit-identical*, so each query dispatches to whichever
-is cheaper for its actual operand sizes: union influence always prefers the
-bitmap (popcount beats sort-based dedup), while the batch and swap passes
-compare the words they would touch (``rows × ceil(T/64)``) against the
-number of covered ids the id-array pass would gather — on sparse coverage
-the id arrays win, on dense coverage the bitmap does.
-
-Every batch pass additionally accepts an optional ``candidate_ids`` row
-restriction: the dirty-set sweep engines and the greedy marginal scans
-usually need gains for a handful of candidate billboards, not the whole
-inventory, and the restricted passes compute *only those rows* — the bitmap
-path gathers the candidate rows into a reusable per-index scratch block and
-popcounts ``len(candidates) × words`` words (no full-matrix ``bitmap &
-mask`` temporary), the id-array path gathers only the candidates' CSR
-slices.  Restricted results are bit-identical to slicing the full pass:
+Every batch pass accepts an optional ``candidate_ids`` row restriction: the
+dirty-set sweep engines and the greedy marginal scans usually need gains for
+a handful of candidate billboards, not the whole inventory, and the
+restricted passes gather *only those rows'* CSR slices.  Restricted results
+are bit-identical to slicing the full pass:
 ``batch_add_gains(row, candidate_ids=c) == batch_add_gains(row)[c]``.
 
-Paper-scale corpora (10⁶⁺ trajectories) add two more layers, both
-bit-identical to the in-RAM numpy path:
+Paper-scale corpora (10⁶⁺ trajectories) stream the ingestion:
+``chunk_size=`` (or ``REPRO_COVERAGE_CHUNK_SIZE``) feeds the radius join
+bounded chunks of trajectories, and :meth:`CoverageIndex.from_trajectory_chunks`
+builds coverage from a chunk *generator* so the full corpus never has to
+exist in memory at once; both are bit-identical to the single-shot build.
 
-* **streaming ingestion** — ``chunk_size=`` (or ``REPRO_COVERAGE_CHUNK_SIZE``)
-  feeds the radius join bounded chunks of trajectories, and
-  :meth:`CoverageIndex.from_trajectory_chunks` builds coverage from a chunk
-  *generator* so the full corpus never has to exist in memory at once;
-* **tiered bitmap storage** — the packed bitmap lives in a
-  :class:`~repro.billboard.bitmap_store.BitmapStore` (in-RAM, shared-memory,
-  or ``numpy.memmap`` row shards, see that module) so the bitmap kernel
-  keeps working past the RAM budget instead of degrading to id arrays.
-
-Every bitmap dispatch records its storage tier (``influence.tier.ram`` /
-``.shm`` / ``.memmap``; id-array dispatches count ``influence.tier.idarray``)
-and its popcount kernel (``influence.kernel.numpy``).
+Every kernel call counts ``influence.dispatch.idarray``; the row-restricted
+passes and the union also observe their row count in the
+``influence.popcount.rows`` histogram.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import env, obs
-from repro.billboard import bitmap_store
-from repro.billboard.bitmap_store import BitmapStore
 from repro.billboard.model import BillboardDB
 from repro.spatial.geometry import min_distance_to_polyline
 from repro.spatial.grid import CellTable
 from repro.trajectory.model import TrajectoryDB
-from repro.utils import bitset
-
-#: Environment variable holding the bitmap memory budget in megabytes.
-BITMAP_BUDGET_ENV = env.BITMAP_BUDGET_MB.name
 
 #: Environment variable holding the default ingestion chunk size (in
 #: trajectories) for coverage builds; unset = single-shot build.
 CHUNK_SIZE_ENV = env.COVERAGE_CHUNK_SIZE.name
-
-#: Default bitmap memory budget (megabytes) when neither the constructor
-#: argument nor the environment variable is set.
-DEFAULT_BITMAP_BUDGET_MB = 512.0
-
-#: Rows of the dense boolean staging block used while packing the bitmap are
-#: chunked so staging memory stays below this many bytes.
-_PACK_CHUNK_BYTES = 64 * 1024 * 1024
-
-
-def _resolve_bitmap_budget_mb(bitmap_budget_mb: float | None) -> float:
-    if bitmap_budget_mb is not None:
-        return float(bitmap_budget_mb)
-    raw = env.BITMAP_BUDGET_MB.raw()
-    if raw is not None:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{BITMAP_BUDGET_ENV} must be a number of megabytes, got {raw!r}"
-            ) from None
-    return DEFAULT_BITMAP_BUDGET_MB
-
 
 def _resolve_chunk_size(chunk_size: int | None) -> int | None:
     """Effective ingestion chunk size: argument, else environment, else None."""
@@ -273,14 +220,6 @@ class CoverageIndex:
     exact_segments:
         Upgrade the meet test from the paper's sampled ``p(o, t)`` to the
         trajectory polyline coming within ``λ``.
-    bitmap_budget_mb:
-        Memory budget for the packed-bitmap kernel; ``None`` reads
-        ``REPRO_BITMAP_BUDGET_MB`` (default 512).  A non-positive budget
-        disables the bitmap entirely.
-    bitmap_storage:
-        Storage mode for the packed bitmap (``auto`` / ``ram`` / ``memmap``
-        / ``none``); ``None`` reads ``REPRO_BITMAP_STORAGE`` (default
-        ``auto``).  See :mod:`repro.billboard.bitmap_store`.
     chunk_size:
         Stream the radius join in chunks of this many trajectories so peak
         build memory is O(chunk); ``None`` reads ``REPRO_COVERAGE_CHUNK_SIZE``
@@ -300,8 +239,6 @@ class CoverageIndex:
         trajectories: TrajectoryDB,
         lambda_m: float = 100.0,
         exact_segments: bool = False,
-        bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
         chunk_size: int | None = None,
     ) -> None:
         if lambda_m <= 0:
@@ -309,7 +246,6 @@ class CoverageIndex:
         self.lambda_m = float(lambda_m)
         self.num_billboards = len(billboards)
         self.num_trajectories = len(trajectories)
-        self._init_caches(bitmap_budget_mb, bitmap_storage)
 
         # Point-streaming radius join: the billboards go into a cell table
         # once per build, then every trajectory point (all at once, or chunk
@@ -340,20 +276,6 @@ class CoverageIndex:
             self._adopt_csr(flat, offsets)
             obs.counter_add("coverage.builds")
 
-    def _init_caches(
-        self, bitmap_budget_mb: float | None, bitmap_storage: str | None = None
-    ) -> None:
-        self._bitmap_budget_mb = _resolve_bitmap_budget_mb(bitmap_budget_mb)
-        self._bitmap_storage = bitmap_store.resolve_storage(bitmap_storage)
-        self._store: BitmapStore | None = None
-        self._bitmap_decided = False
-        self._batch_prefers_bitmap: bool | None = None
-        self._individual_f64: np.ndarray | None = None
-        # Reusable (rows, words) uint64 block for the restricted bitmap
-        # passes, grown geometrically and never shrunk; one per index (the
-        # kernels are single-threaded per index, attachers own their own).
-        self._scratch: np.ndarray | None = None
-
     @classmethod
     def from_trajectory_chunks(
         cls,
@@ -362,8 +284,6 @@ class CoverageIndex:
         num_trajectories: int | None = None,
         lambda_m: float = 100.0,
         exact_segments: bool = False,
-        bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Build coverage from a *generator* of trajectory chunks.
 
@@ -383,7 +303,6 @@ class CoverageIndex:
         if lambda_m <= 0:
             raise ValueError(f"lambda_m must be positive, got {lambda_m}")
         index.num_billboards = len(billboards)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
         with obs.span(
             "coverage.build",
             billboards=index.num_billboards,
@@ -412,8 +331,6 @@ class CoverageIndex:
         covered: Sequence[Sequence[int]],
         num_trajectories: int,
         lambda_m: float = 100.0,
-        bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Build an index directly from coverage lists (no geometry).
 
@@ -425,7 +342,6 @@ class CoverageIndex:
         index.lambda_m = float(lambda_m)
         index.num_billboards = len(covered)
         index.num_trajectories = int(num_trajectories)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
         arrays = []
         for billboard_id, ids in enumerate(covered):
             array = np.unique(np.asarray(list(ids), dtype=np.int64))
@@ -448,8 +364,6 @@ class CoverageIndex:
         offsets: np.ndarray,
         num_trajectories: int,
         lambda_m: float = 100.0,
-        bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Rebuild an index from its CSR serialization (see :meth:`to_arrays`).
 
@@ -462,7 +376,6 @@ class CoverageIndex:
         index.lambda_m = float(lambda_m)
         index.num_billboards = len(offsets) - 1
         index.num_trajectories = int(num_trajectories)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
         index._adopt_csr(flat_ids, offsets)
         return index
 
@@ -472,19 +385,18 @@ class CoverageIndex:
         self._covered = [flat_ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         self._individual = np.diff(offsets)
         self._flat_cache = (flat_ids, offsets)
+        self._individual_f64: np.ndarray | None = None
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(flat_ids, offsets)`` CSR serialization of the coverage."""
         return self._flat_coverage()
 
     def to_shared(self) -> "SharedCoverage":
-        """Export the CSR arrays (and packed bitmap, if any) into shared memory.
+        """Export the CSR arrays into shared memory.
 
         Returns a :class:`~repro.parallel.shared.SharedCoverage` handle owning
         the segments; worker processes rebuild a read-only view of this index
-        with :meth:`attach_shared` instead of unpickling a copy.  The bitmap
-        decision is forced here so every attacher inherits the creator's
-        kernel dispatch verbatim.
+        with :meth:`attach_shared` instead of unpickling a copy.
         """
         from repro.parallel.shared import SharedCoverage
 
@@ -494,42 +406,19 @@ class CoverageIndex:
     def attach_shared(cls, spec: "SharedCoverageSpec") -> "CoverageIndex":
         """Attach a read-only index to segments exported by :meth:`to_shared`.
 
-        The CSR arrays (and bitmap) are numpy views over the shared segments —
-        no copy is made.  The bitmap decision is pinned to the creator's: an
-        attached index never builds its own bitmap, so creator and attachers
-        dispatch to identical kernels.
+        The CSR arrays are numpy views over the shared segments — no copy is
+        made.
         """
         from repro.parallel.shared import attach_array
 
         flat, flat_shm = attach_array(spec.flat)
         offsets, offsets_shm = attach_array(spec.offsets)
         index = cls.from_flat_arrays(
-            flat,
-            offsets,
-            spec.num_trajectories,
-            lambda_m=spec.lambda_m,
-            bitmap_budget_mb=spec.bitmap_budget_mb,
+            flat, offsets, spec.num_trajectories, lambda_m=spec.lambda_m
         )
-        handles = [flat_shm, offsets_shm]
-        index._bitmap_decided = True
-        if spec.bitmap is not None:
-            bm = spec.bitmap
-            if bm.tier == "memmap":
-                index._store = BitmapStore.memmap_attach(
-                    bm.paths, bm.rows_per_shard, bm.num_rows, bm.words
-                )
-            else:
-                shards = []
-                for shard_spec in bm.shards:
-                    shard, shard_shm = attach_array(shard_spec)
-                    shards.append(shard)
-                    handles.append(shard_shm)
-                index._store = BitmapStore.from_shards(
-                    shards, bm.rows_per_shard, bm.num_rows, bm.words, "shm"
-                )
         # Keep the SharedMemory objects alive as long as the index: the numpy
         # views borrow their buffers.
-        index._shm_handles = handles
+        index._shm_handles = [flat_shm, offsets_shm]
         obs.counter_add("shm.attach")
         return index
 
@@ -547,208 +436,24 @@ class CoverageIndex:
         """
         return self._flat_cache
 
-    # ------------------------------------------------------------ bitmap kernel
-
     @property
     def bitmap_words(self) -> int:
-        """Words per bitmap row: ``ceil(num_trajectories / 64)``."""
-        return bitset.num_words(self.num_trajectories)
+        """``ceil(num_trajectories / 64)``, the 64-bit words one packed row of
+        the trajectory universe would take.
 
-    def bitmap_bytes(self) -> int:
-        """Memory the packed bitmap needs (whether or not it is built)."""
-        return self.num_billboards * self.bitmap_words * 8
-
-    @property
-    def has_bitmap(self) -> bool:
-        """Whether the packed-bitmap kernel is available (builds it lazily)."""
-        return self._ensure_bitmap() is not None
-
-    @property
-    def bitmap_tier(self) -> str | None:
-        """Storage tier of the bitmap (``ram``/``shm``/``memmap``), or None.
-
-        Forces the (lazy, once-per-index) bitmap decision.
+        Kept only because the end-to-end benchmark (``perfbench/``) reads it
+        to convert kernel rows into ``influence.kernel_bytes``.
         """
-        store = self._ensure_bitmap()
-        return store.tier if store is not None else None
-
-    def _ensure_bitmap(self) -> BitmapStore | None:
-        """The bitmap store, deciding tier and building it on first call.
-
-        The decision is made exactly once per index:
-
-        * ``none`` storage or a non-positive budget disables the bitmap
-          silently (a deliberate configuration, not a surprise);
-        * ``ram`` / ``auto`` within budget build the in-RAM store;
-        * past the budget, ``auto`` spills to memmap shards when a spill
-          directory is configured and ``memmap`` always does (under a private
-          temp dir when none is configured); the spill warns once, naming the
-          tier and the budget that triggered it;
-        * ``auto`` past the budget with nowhere to spill — and ``ram`` past
-          the budget — skip the bitmap with a warn-once naming the id-array
-          fallback, exactly as before this tier existed.
-        """
-        if not self._bitmap_decided:
-            self._bitmap_decided = True
-            storage = self._bitmap_storage
-            budget_bytes = self._bitmap_budget_mb * 1024 * 1024
-            needed = self.bitmap_bytes()
-            if storage == "none" or self._bitmap_budget_mb <= 0:
-                pass  # deliberate disable: silent
-            elif needed <= budget_bytes and storage != "memmap":
-                self._store = self._build_store("ram", None)
-            elif storage == "memmap" or (
-                storage == "auto"
-                and (spill_dir := bitmap_store.resolve_spill_dir()) is not None
-            ):
-                if storage == "memmap":
-                    spill_dir = bitmap_store.resolve_spill_dir()
-                if storage == "auto":
-                    # Spilling past the budget is a behavior change worth one
-                    # warning per index; an explicit memmap request is not.
-                    obs.get_logger("repro.billboard.influence").warning(
-                        "bitmap spilled to memmap tier: %.1f MB needed > "
-                        "%s=%.1f MB budget (%d billboards x %d words); "
-                        "shards under %s",
-                        needed / (1024 * 1024),
-                        BITMAP_BUDGET_ENV,
-                        self._bitmap_budget_mb,
-                        self.num_billboards,
-                        self.bitmap_words,
-                        spill_dir,
-                    )
-                self._store = self._build_store("memmap", spill_dir)
-                obs.counter_add("influence.bitmap.spilled")
-            else:
-                # The decision is made exactly once per index, so this warning
-                # fires exactly once per index that exceeds the budget.
-                obs.get_logger("repro.billboard.influence").warning(
-                    "bitmap kernel skipped: %.1f MB needed > %s=%.1f MB budget "
-                    "(%d billboards x %d words); falling back to the id-array "
-                    "tier (set %s or %s to spill to memmap shards instead)",
-                    needed / (1024 * 1024),
-                    BITMAP_BUDGET_ENV,
-                    self._bitmap_budget_mb,
-                    self.num_billboards,
-                    self.bitmap_words,
-                    bitmap_store.SPILL_DIR_ENV,
-                    bitmap_store.STORAGE_ENV + "=memmap",
-                )
-                obs.counter_add("influence.bitmap.skipped")
-        return self._store
-
-    def _build_store(self, tier: str, spill_dir) -> BitmapStore:
-        """Build the packed bitmap into the chosen storage tier."""
-        with obs.span(
-            "coverage.bitmap_build", bytes=self.bitmap_bytes(), tier=tier
-        ):
-            if tier == "ram":
-                bitmap = np.zeros(
-                    (self.num_billboards, self.bitmap_words),
-                    dtype=bitset.WORD_DTYPE,
-                )
-                store = BitmapStore.ram(bitmap)
-            else:
-                store = BitmapStore.memmap_create(
-                    self.num_billboards, self.bitmap_words, spill_dir
-                )
-            for start, block in self._packed_row_blocks():
-                store.set_rows(start, block)
-            store.seal()
-        obs.counter_add("influence.bitmap.builds")
-        obs.gauge_set("influence.bitmap.bytes", self.bitmap_bytes())
-        obs.gauge_set(f"bitmap.shards.{store.tier}", store.num_shards)
-        return store
-
-    def _packed_row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``(row_start, packed_rows)`` blocks with bounded staging memory.
-
-        Dense boolean rows are staged in chunks of at most ``_PACK_CHUNK_BYTES``
-        and packed chunk by chunk, so packing memory stays bounded regardless
-        of corpus size.
-        """
-        if self.num_trajectories == 0 or self.num_billboards == 0:
-            return
-        flat, offsets = self._flat_coverage()
-        rows_per_chunk = max(1, _PACK_CHUNK_BYTES // max(self.num_trajectories, 1))
-        for start in range(0, self.num_billboards, rows_per_chunk):
-            stop = min(start + rows_per_chunk, self.num_billboards)
-            counts = np.diff(offsets[start : stop + 1])
-            dense = np.zeros((stop - start, self.num_trajectories), dtype=bool)
-            row_ids = np.repeat(np.arange(stop - start), counts)
-            dense[row_ids, flat[offsets[start] : offsets[stop]]] = True
-            yield start, bitset.pack_bits(dense)
-
-    def bits_of(self, billboard_id: int) -> np.ndarray | None:
-        """Packed coverage row of one billboard, or ``None`` without bitmap."""
-        store = self._ensure_bitmap()
-        if store is None:
-            return None
-        return store.row(billboard_id)
-
-    @property
-    def batch_prefers_bitmap(self) -> bool:
-        """Whether the bitmap beats the id arrays for whole-matrix passes.
-
-        The bitmap pass popcounts ``num_billboards × bitmap_words`` words no
-        matter how sparse the coverage is; the id-array pass touches one entry
-        per covered id.  On sparse coverage (few covered trajectories per
-        billboard) the id arrays are strictly less work, so the batch passes
-        only take the bitmap when the flat id count exceeds the word count.
-        Callers maintaining packed counter masks use this to skip packing
-        masks the batch passes would never read.
-        """
-        if self._batch_prefers_bitmap is None:
-            flat, _ = self._flat_coverage()
-            self._batch_prefers_bitmap = (
-                len(flat) > self.num_billboards * self.bitmap_words
-            )
-        return self._batch_prefers_bitmap
-
-    def bitmap_profitable_for(self, *billboard_ids: int) -> bool:
-        """Whether the bitmap wins a per-row (single/swap) delta query.
-
-        The bitmap side costs a handful of full-row word ops (ANDs +
-        popcounts); the id side gathers one entry per covered id of the rows
-        involved.  ``4×`` words approximates the bitmap's constant factor.
-        """
-        ids = sum(int(self._individual[b]) for b in billboard_ids)
-        return ids > 4 * self.bitmap_words
+        return (self.num_trajectories + 63) // 64
 
     # ------------------------------------------------------------ batch passes
 
-    def _dispatch_bitmap(self) -> None:
-        """Count one bitmap dispatch plus its storage tier and kernel."""
-        obs.counter_add("influence.dispatch.bitmap")
-        store = self._store
-        obs.counter_add(f"influence.tier.{store.tier if store else 'ram'}")
-        obs.counter_add("influence.kernel.numpy")
-
     @staticmethod
-    def _dispatch_idarray() -> None:
-        """Count one id-array dispatch (the tier that is always available)."""
+    def _count_call(rows: int | None = None) -> None:
+        """Count one kernel call, plus the rows of a row-restricted pass."""
         obs.counter_add("influence.dispatch.idarray")
-        obs.counter_add("influence.tier.idarray")
-
-    def _scratch_rows(self, rows: int, words: int) -> np.ndarray:
-        """A ``(rows, words)`` view of the reusable restricted-pass block."""
-        block = self._scratch
-        if block is None or block.shape[0] < rows or block.shape[1] != words:
-            capacity = max(rows, 16)
-            if block is not None and block.shape[1] == words:
-                capacity = max(capacity, 2 * block.shape[0])
-            block = np.empty((capacity, words), dtype=bitset.WORD_DTYPE)
-            self._scratch = block
-        return block[:rows]
-
-    def _masked_row_popcounts(
-        self, candidate_ids: np.ndarray, mask_words: np.ndarray
-    ) -> np.ndarray:
-        """``popcount(bitmap[c] & mask)`` per candidate row, via the scratch
-        block — no ``(num_billboards, words)`` temporary is ever built."""
-        scratch = self._scratch_rows(len(candidate_ids), self.bitmap_words)
-        self._store.gather(candidate_ids, scratch)
-        return bitmap_store.block_masked_popcounts(scratch, mask_words)
+        if rows is not None:
+            obs.histogram_observe("influence.popcount.rows", rows)
 
     def _gather_restricted(
         self, candidate_ids: np.ndarray
@@ -782,43 +487,24 @@ class CoverageIndex:
         return np.ascontiguousarray(np.asarray(candidate_ids, dtype=np.int64))
 
     def batch_add_gains(
-        self,
-        counts_row: np.ndarray,
-        free_bits: np.ndarray | None = None,
-        candidate_ids: np.ndarray | None = None,
+        self, counts_row: np.ndarray, candidate_ids: np.ndarray | None = None
     ) -> np.ndarray:
         """Marginal influence of adding *each* billboard to a set.
 
         Given an advertiser's multiplicity counter row, returns the vector
         ``g`` with ``g[b] = |{t ∈ cov(b) : counts_row[t] == 0}|`` for every
-        billboard ``b``.  With the bitmap kernel this is one masked popcount
-        over the whole matrix; ``free_bits`` (the packed ``counts_row == 0``
-        mask) can be supplied by callers that maintain it incrementally.
+        billboard ``b``.
 
         With ``candidate_ids`` only those rows are computed and the result is
         aligned to the candidate order (``g[i]`` belongs to
         ``candidate_ids[i]``) — bit-identical to slicing the full pass.
         """
-        if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
-                if free_bits is None:
-                    free_bits = bitset.pack_bits(counts_row == 0)
-                self._dispatch_bitmap()
-                if candidate_ids is not None:
-                    candidate_ids = self._as_candidates(candidate_ids)
-                    obs.histogram_observe(
-                        "influence.popcount.rows", len(candidate_ids)
-                    )
-                    return self._masked_row_popcounts(candidate_ids, free_bits)
-                obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(free_bits)
-        self._dispatch_idarray()
         if candidate_ids is not None:
             candidate_ids = self._as_candidates(candidate_ids)
-            obs.histogram_observe("influence.popcount.rows", len(candidate_ids))
+            self._count_call(len(candidate_ids))
             gathered, bounds = self._gather_restricted(candidate_ids)
             return self._segment_counts(counts_row[gathered] == 0, bounds)
+        self._count_call()
         flat, offsets = self._flat_coverage()
         if len(flat) == 0:
             return np.zeros(self.num_billboards, dtype=np.int64)
@@ -828,8 +514,6 @@ class CoverageIndex:
         self,
         counts_row: np.ndarray,
         removed_billboard: int,
-        free_bits: np.ndarray | None = None,
-        ones_bits: np.ndarray | None = None,
         candidate_ids: np.ndarray | None = None,
     ) -> np.ndarray:
         """:meth:`batch_add_gains` as if ``removed_billboard`` had already been
@@ -838,149 +522,78 @@ class CoverageIndex:
         A trajectory is free after the removal when its count is 0, or when it
         is 1 and covered by the removed billboard.  This is the BLS exchange
         scan's kernel: it prices ``S − o_m + o_n`` for every candidate ``o_n``
-        while the allocation itself stays untouched.  ``free_bits`` /
-        ``ones_bits`` are the packed ``counts_row == 0`` / ``== 1`` masks.
-        ``candidate_ids`` restricts the pass to those rows (result aligned to
-        the candidate order), bit-identical to slicing the full pass.
+        while the allocation itself stays untouched.  ``candidate_ids``
+        restricts the pass to those rows (result aligned to the candidate
+        order), bit-identical to slicing the full pass.
         """
-        if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
-                if free_bits is None:
-                    free_bits = bitset.pack_bits(counts_row == 0)
-                if ones_bits is None:
-                    ones_bits = bitset.pack_bits(counts_row == 1)
-                released_free = free_bits | (ones_bits & store.row(removed_billboard))
-                self._dispatch_bitmap()
-                if candidate_ids is not None:
-                    candidate_ids = self._as_candidates(candidate_ids)
-                    obs.histogram_observe(
-                        "influence.popcount.rows", len(candidate_ids)
-                    )
-                    return self._masked_row_popcounts(candidate_ids, released_free)
-                obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(released_free)
-        self._dispatch_idarray()
         removed = np.zeros(self.num_trajectories, dtype=counts_row.dtype)
         removed[self._covered[removed_billboard]] = 1
         if candidate_ids is not None:
             candidate_ids = self._as_candidates(candidate_ids)
-            obs.histogram_observe("influence.popcount.rows", len(candidate_ids))
+            self._count_call(len(candidate_ids))
             gathered, bounds = self._gather_restricted(candidate_ids)
             return self._segment_counts(
                 (counts_row[gathered] - removed[gathered]) == 0, bounds
             )
+        self._count_call()
         flat, offsets = self._flat_coverage()
         if len(flat) == 0:
             return np.zeros(self.num_billboards, dtype=np.int64)
         return self._segment_counts((counts_row[flat] - removed[flat]) == 0, offsets)
 
     def batch_remove_losses(
-        self,
-        counts_row: np.ndarray,
-        ones_bits: np.ndarray | None = None,
-        candidate_ids: np.ndarray | None = None,
+        self, counts_row: np.ndarray, candidate_ids: np.ndarray | None = None
     ) -> np.ndarray:
         """Influence lost by removing *each* billboard from a set.
 
         ``l[b] = |{t ∈ cov(b) : counts_row[t] == 1}|``; only meaningful for
-        billboards actually in the set, but computed for all.  ``ones_bits``
-        is the packed ``counts_row == 1`` mask (optional, bitmap path only).
+        billboards actually in the set, but computed for all.
         ``candidate_ids`` restricts the pass to those rows (result aligned to
         the candidate order), bit-identical to slicing the full pass.
         """
-        if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
-                if ones_bits is None:
-                    ones_bits = bitset.pack_bits(counts_row == 1)
-                self._dispatch_bitmap()
-                if candidate_ids is not None:
-                    candidate_ids = self._as_candidates(candidate_ids)
-                    obs.histogram_observe(
-                        "influence.popcount.rows", len(candidate_ids)
-                    )
-                    return self._masked_row_popcounts(candidate_ids, ones_bits)
-                obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(ones_bits)
-        self._dispatch_idarray()
         if candidate_ids is not None:
             candidate_ids = self._as_candidates(candidate_ids)
-            obs.histogram_observe("influence.popcount.rows", len(candidate_ids))
+            self._count_call(len(candidate_ids))
             gathered, bounds = self._gather_restricted(candidate_ids)
             return self._segment_counts(counts_row[gathered] == 1, bounds)
+        self._count_call()
         flat, offsets = self._flat_coverage()
         if len(flat) == 0:
             return np.zeros(self.num_billboards, dtype=np.int64)
         return self._segment_counts(counts_row[flat] == 1, offsets)
 
+    @staticmethod
+    def _in_removed(cov_removed: np.ndarray, ids: np.ndarray, dtype) -> np.ndarray:
+        """``[t ∈ cov_removed]`` for every ``t`` in ``ids``, as ``dtype``."""
+        if len(cov_removed) == 0:
+            return np.zeros(len(ids), dtype=dtype)
+        positions = np.searchsorted(cov_removed, ids)
+        positions[positions == len(cov_removed)] = len(cov_removed) - 1
+        return (cov_removed[positions] == ids).astype(dtype)
+
     def batch_swap_deltas(
-        self,
-        removed_billboard: int,
-        candidate_ids: np.ndarray,
-        counts_row: np.ndarray,
-        free_bits: np.ndarray | None = None,
-        ones_bits: np.ndarray | None = None,
+        self, removed_billboard: int, candidate_ids: np.ndarray, counts_row: np.ndarray
     ) -> np.ndarray:
         """:meth:`swap_delta` for one removed billboard against *many* added
         candidates in one vectorized pass.
 
         ``d[i]`` equals ``swap_delta(removed_billboard, candidate_ids[i],
         counts_row)`` bit-for-bit; the loss term is shared across candidates
-        and each gain term is a restricted masked popcount (bitmap kernel) or
-        a restricted CSR gather (id-array kernel).
+        and each gain term is a restricted CSR gather.
         """
         candidate_ids = self._as_candidates(candidate_ids)
         if len(candidate_ids) == 0:
             return np.empty(0, dtype=np.int64)
-        ids_cost = int(
-            self._individual[candidate_ids].sum()
-            + self._individual[removed_billboard]
-        )
-        store = (
-            self._ensure_bitmap()
-            if ids_cost > (len(candidate_ids) + 2) * self.bitmap_words
-            else None
-        )
-        if store is not None:
-            self._dispatch_bitmap()
-            obs.histogram_observe(
-                "influence.popcount.rows", 2 * len(candidate_ids)
-            )
-            row_removed = np.asarray(store.row(removed_billboard))
-            if free_bits is None:
-                free_bits = bitset.pack_bits(counts_row == 0)
-            if ones_bits is None:
-                ones_bits = bitset.pack_bits(counts_row == 1)
-            loss = bitmap_store.masked_total(row_removed, ones_bits)
-            freed_mask = free_bits & ~row_removed
-            recovered_mask = row_removed & ones_bits
-            gains = self._masked_row_popcounts(candidate_ids, freed_mask)
-            gains += self._masked_row_popcounts(candidate_ids, recovered_mask)
-            return gains - loss
-        self._dispatch_idarray()
-        obs.histogram_observe("influence.popcount.rows", len(candidate_ids))
+        self._count_call(len(candidate_ids))
         cov_removed = self._covered[removed_billboard]
         loss = int(np.count_nonzero(counts_row[cov_removed] == 1))
         gathered, bounds = self._gather_restricted(candidate_ids)
-        if len(cov_removed):
-            positions = np.searchsorted(cov_removed, gathered)
-            positions[positions == len(cov_removed)] = len(cov_removed) - 1
-            in_removed = (cov_removed[positions] == gathered).astype(counts_row.dtype)
-        else:
-            in_removed = np.zeros(len(gathered), dtype=counts_row.dtype)
-        gains = self._segment_counts(
-            (counts_row[gathered] - in_removed) == 0, bounds
-        )
+        in_removed = self._in_removed(cov_removed, gathered, counts_row.dtype)
+        gains = self._segment_counts((counts_row[gathered] - in_removed) == 0, bounds)
         return gains - loss
 
     def swap_delta(
-        self,
-        removed_billboard: int,
-        added_billboard: int,
-        counts_row: np.ndarray,
-        free_bits: np.ndarray | None = None,
-        ones_bits: np.ndarray | None = None,
+        self, removed_billboard: int, added_billboard: int, counts_row: np.ndarray
     ) -> int:
         """Exact influence change of one advertiser that loses
         ``removed_billboard`` and gains ``added_billboard`` in the same move.
@@ -993,39 +606,12 @@ class CoverageIndex:
 
         A trajectory covered only by the removed billboard but re-covered by
         the added one contributes to both terms and cancels, which is correct.
-        On the bitmap kernel both terms are masked popcounts; ``free_bits`` /
-        ``ones_bits`` are the packed ``c == 0`` / ``c == 1`` masks (packed on
-        demand when omitted).
         """
-        store = (
-            self._ensure_bitmap()
-            if self.bitmap_profitable_for(removed_billboard, added_billboard)
-            else None
-        )
-        if store is not None:
-            self._dispatch_bitmap()
-            obs.histogram_observe("influence.popcount.rows", 2)
-            row_removed = np.asarray(store.row(removed_billboard))
-            row_added = np.asarray(store.row(added_billboard))
-            if free_bits is None:
-                free_bits = bitset.pack_bits(counts_row == 0)
-            if ones_bits is None:
-                ones_bits = bitset.pack_bits(counts_row == 1)
-            loss = bitmap_store.masked_total(row_removed, ones_bits)
-            gain = bitmap_store.masked_total(
-                row_added & ~row_removed, free_bits
-            ) + bitmap_store.masked_total(row_added & row_removed, ones_bits)
-            return gain - loss
-        self._dispatch_idarray()
+        self._count_call()
         cov_removed = self._covered[removed_billboard]
         cov_added = self._covered[added_billboard]
         loss = int(np.count_nonzero(counts_row[cov_removed] == 1))
-        if len(cov_removed):
-            positions = np.searchsorted(cov_removed, cov_added)
-            positions[positions == len(cov_removed)] = len(cov_removed) - 1
-            in_removed = (cov_removed[positions] == cov_added).astype(counts_row.dtype)
-        else:
-            in_removed = np.zeros(len(cov_added), dtype=counts_row.dtype)
+        in_removed = self._in_removed(cov_removed, cov_added, counts_row.dtype)
         gain = int(np.count_nonzero(counts_row[cov_added] - in_removed == 0))
         return gain - loss
 
@@ -1058,27 +644,17 @@ class CoverageIndex:
     def influence_of_set(self, billboard_ids: Iterable[int]) -> int:
         """``I(S)``: number of distinct trajectories covered by the set.
 
-        Uses the packed-bitmap kernel (bitwise-OR + popcount) when it fits the
-        memory budget, the id-array kernel otherwise — both bit-identical.
+        One scatter of the members' covered ids into a fresh boolean mark over
+        the trajectory universe, then a count of the marks.  Duplicate or
+        unordered ids are harmless.
         """
-        store = self._ensure_bitmap()
-        if store is None:
-            return self.influence_of_set_ids(billboard_ids)
-        ids = np.fromiter((int(b) for b in billboard_ids), dtype=np.int64)
-        self._dispatch_bitmap()
-        obs.histogram_observe("influence.popcount.rows", len(ids))
-        if len(ids) == 0:
+        covered = [self._covered[int(b)] for b in billboard_ids]
+        self._count_call(len(covered))
+        if not covered:
             return 0
-        return store.union_popcount(ids)
-
-    def influence_of_set_ids(self, billboard_ids: Iterable[int]) -> int:
-        """``I(S)`` via the sorted-id-array kernel (always available)."""
-        self._dispatch_idarray()
-        arrays = [self._covered[int(b)] for b in billboard_ids]
-        arrays = [a for a in arrays if len(a)]
-        if not arrays:
-            return 0
-        return int(len(np.unique(np.concatenate(arrays))))
+        marked = np.zeros(self.num_trajectories, dtype=bool)
+        marked[np.concatenate(covered)] = True
+        return int(np.count_nonzero(marked))
 
     @property
     def supply(self) -> int:
@@ -1131,8 +707,6 @@ def build_coverage(
     lambda_m: float = 100.0,
     *,
     exact_segments: bool = False,
-    bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
     chunk_size: int | None = None,
     num_trajectories: int | None = None,
 ) -> CoverageIndex:
@@ -1152,8 +726,6 @@ def build_coverage(
             trajectories,
             lambda_m=lambda_m,
             exact_segments=exact_segments,
-            bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
     return CoverageIndex.from_trajectory_chunks(
@@ -1162,6 +734,4 @@ def build_coverage(
         num_trajectories=num_trajectories,
         lambda_m=lambda_m,
         exact_segments=exact_segments,
-        bitmap_budget_mb=bitmap_budget_mb,
-        bitmap_storage=bitmap_storage,
     )

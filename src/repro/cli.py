@@ -15,7 +15,7 @@ import os
 import sys
 
 from repro import env, obs
-from repro.billboard import bitmap_store, influence
+from repro.billboard import influence
 from repro.datasets import example1_instance, example1_strategy1, example1_strategy2, generate_city
 from repro.experiments.configs import (
     ALPHA_VALUES,
@@ -106,13 +106,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         f"to this JSONL ledger; ${obs.LEDGER_ENV} is the default",
     )
     parser.add_argument(
-        "--bitmap-storage",
-        choices=bitmap_store.STORAGE_MODES,
-        default=None,
-        help="packed-bitmap storage tier (auto = ram within budget, memmap "
-        f"spill past it); sets ${bitmap_store.STORAGE_ENV}",
-    )
-    parser.add_argument(
         "--coverage-chunk-size",
         type=int,
         default=None,
@@ -124,8 +117,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _apply_coverage_knobs(args: argparse.Namespace) -> None:
     """Export the coverage knobs as environment so every build sees them."""
-    if getattr(args, "bitmap_storage", None) is not None:
-        os.environ[bitmap_store.STORAGE_ENV] = args.bitmap_storage
     if getattr(args, "coverage_chunk_size", None) is not None:
         if args.coverage_chunk_size <= 0:
             raise SystemExit("--coverage-chunk-size must be positive")

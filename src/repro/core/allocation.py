@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.problem import MROAMInstance
 from repro.core.regret import RegretBreakdown
-from repro.utils import bitset
 
 UNASSIGNED = -1
 
@@ -39,10 +38,6 @@ class Allocation:
         self._counts = np.zeros((num_advertisers, num_trajectories), dtype=np.int32)
         self._influences = np.zeros(num_advertisers, dtype=np.int64)
         self._unassigned: set[int] = set(range(num_billboards))
-        # Lazily packed (counts == 0, counts == 1) bitmasks per advertiser,
-        # invalidated whenever that advertiser's counter row changes.  They
-        # feed the coverage index's popcount kernel (see packed_masks).
-        self._packed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ state
 
@@ -124,7 +119,6 @@ class Allocation:
         row = self._counts[advertiser_id]
         self._influences[advertiser_id] += int(np.count_nonzero(row[covered] == 0))
         row[covered] += 1
-        self._packed.pop(advertiser_id, None)
         self._owner[billboard_id] = advertiser_id
         self._sets[advertiser_id].add(billboard_id)
         self._unassigned.discard(billboard_id)
@@ -138,7 +132,6 @@ class Allocation:
         row = self._counts[advertiser_id]
         row[covered] -= 1
         self._influences[advertiser_id] -= int(np.count_nonzero(row[covered] == 0))
-        self._packed.pop(advertiser_id, None)
         self._owner[billboard_id] = UNASSIGNED
         self._sets[advertiser_id].discard(billboard_id)
         self._unassigned.add(billboard_id)
@@ -193,12 +186,6 @@ class Allocation:
         self._influences[[advertiser_a, advertiser_b]] = self._influences[
             [advertiser_b, advertiser_a]
         ]
-        packed_a = self._packed.pop(advertiser_a, None)
-        packed_b = self._packed.pop(advertiser_b, None)
-        if packed_b is not None:
-            self._packed[advertiser_a] = packed_b
-        if packed_a is not None:
-            self._packed[advertiser_b] = packed_a
 
     def assign_many(self, assignments: Iterable[tuple[int, int]]) -> None:
         """Bulk-assign ``(billboard_id, advertiser_id)`` pairs."""
@@ -209,13 +196,7 @@ class Allocation:
 
     def influence_delta_add(self, advertiser_id: int, billboard_id: int) -> int:
         """Influence gained by assigning ``billboard_id`` (no mutation)."""
-        coverage = self.instance.coverage
-        if coverage.bitmap_profitable_for(billboard_id):
-            bits = coverage.bits_of(billboard_id)
-            if bits is not None:
-                free_bits, _ = self._packed_masks(advertiser_id)
-                return bitset.popcount_total(bits & free_bits)
-        covered = coverage.covered_by(billboard_id)
+        covered = self.instance.coverage.covered_by(billboard_id)
         return int(np.count_nonzero(self._counts[advertiser_id][covered] == 0))
 
     def influence_delta_remove(self, advertiser_id: int, billboard_id: int) -> int:
@@ -224,13 +205,7 @@ class Allocation:
         The caller is responsible for ``billboard_id`` actually belonging to
         ``advertiser_id``; the returned value is non-negative.
         """
-        coverage = self.instance.coverage
-        if coverage.bitmap_profitable_for(billboard_id):
-            bits = coverage.bits_of(billboard_id)
-            if bits is not None:
-                _, ones_bits = self._packed_masks(advertiser_id)
-                return bitset.popcount_total(bits & ones_bits)
-        covered = coverage.covered_by(billboard_id)
+        covered = self.instance.coverage.covered_by(billboard_id)
         return int(np.count_nonzero(self._counts[advertiser_id][covered] == 1))
 
     def counts_row(self, advertiser_id: int) -> np.ndarray:
@@ -238,30 +213,6 @@ class Allocation:
         view = self._counts[advertiser_id].view()
         view.flags.writeable = False
         return view
-
-    def _packed_masks(self, advertiser_id: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._packed.get(advertiser_id)
-        if cached is None:
-            row = self._counts[advertiser_id]
-            cached = (bitset.pack_bits(row == 0), bitset.pack_bits(row == 1))
-            self._packed[advertiser_id] = cached
-        return cached
-
-    def packed_masks(self, advertiser_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Packed ``(counts == 0, counts == 1)`` masks of one advertiser.
-
-        ``None`` when the coverage index runs without its bitmap kernel, or
-        when its coverage is sparse enough that the batch passes prefer the
-        id arrays (packing masks they would never read is pure overhead).
-        The masks are packed lazily and cached until the advertiser's counter
-        row next changes; move-pricing code hands them to the coverage kernel
-        so repeated delta queries against the same advertiser cost one
-        popcount each instead of a fresh pack.
-        """
-        coverage = self.instance.coverage
-        if not coverage.batch_prefers_bitmap or not coverage.has_bitmap:
-            return None
-        return self._packed_masks(advertiser_id)
 
     def copy_assignments_from(self, other: "Allocation") -> None:
         """Adopt another allocation's plan wholesale (bulk vectorized copy).
@@ -289,9 +240,6 @@ class Allocation:
         self._influences[:carried] = other._influences
         self._influences[carried:] = 0
         self._unassigned = set(other._unassigned)
-        # Mask tuples are never mutated in place (see clone()), so sharing is
-        # safe; extra rows were zeroed above so their stale masks must go.
-        self._packed = {k: v for k, v in other._packed.items() if k < carried}
 
     # ------------------------------------------------------------------- misc
 
@@ -304,9 +252,6 @@ class Allocation:
         copy._counts = self._counts.copy()
         copy._influences = self._influences.copy()
         copy._unassigned = set(self._unassigned)
-        # Mask tuples are never mutated in place, so sharing them is safe;
-        # either side's next counter change just drops its own dict entry.
-        copy._packed = dict(self._packed)
         return copy
 
     def assignment_map(self) -> dict[int, frozenset[int]]:

@@ -41,40 +41,6 @@ def delta_release(allocation: Allocation, billboard_id: int) -> float:
     )
 
 
-def _swap_influence_delta(
-    allocation: Allocation,
-    advertiser_id: int,
-    removed_billboard: int,
-    added_billboard: int,
-) -> int:
-    """Exact influence change for one advertiser that loses ``removed_billboard``
-    and gains ``added_billboard`` in the same move.
-
-    With ``c`` the advertiser's counters, ``cov_r``/``cov_a`` the two coverage
-    arrays::
-
-        loss = |{t ∈ cov_r : c[t] == 1}|
-        gain = |{t ∈ cov_a : c[t] − [t ∈ cov_r] == 0}|
-
-    A trajectory covered only by the removed billboard but re-covered by the
-    added one contributes to both terms and cancels, which is correct.
-
-    The arithmetic lives in :meth:`CoverageIndex.swap_delta`; on the packed
-    bitmap kernel both terms are masked popcounts fed by the allocation's
-    incrementally maintained ``counts == 0`` / ``counts == 1`` bitmasks.
-    """
-    coverage = allocation.instance.coverage
-    masks = allocation.packed_masks(advertiser_id)
-    free_bits, ones_bits = masks if masks is not None else (None, None)
-    return coverage.swap_delta(
-        removed_billboard,
-        added_billboard,
-        allocation.counts_row(advertiser_id),
-        free_bits=free_bits,
-        ones_bits=ones_bits,
-    )
-
-
 def delta_exchange_billboards(
     allocation: Allocation, billboard_a: int, billboard_b: int
 ) -> float:
@@ -89,6 +55,9 @@ def delta_exchange_billboards(
     if owner_a == owner_b:
         return 0.0
 
+    # Each swap's influence change is CoverageIndex.swap_delta's exact
+    # loss/gain count against the advertiser's counter row.
+    coverage = allocation.instance.coverage
     delta = 0.0
     if owner_a != UNASSIGNED and owner_b != UNASSIGNED:
         for advertiser_id, removed, added in (
@@ -96,7 +65,9 @@ def delta_exchange_billboards(
             (owner_b, billboard_b, billboard_a),
         ):
             before = allocation.influence(advertiser_id)
-            after = before + _swap_influence_delta(allocation, advertiser_id, removed, added)
+            after = before + coverage.swap_delta(
+                removed, added, allocation.counts_row(advertiser_id)
+            )
             delta += _regret_at(allocation, advertiser_id, after) - _regret_at(
                 allocation, advertiser_id, before
             )
@@ -109,7 +80,9 @@ def delta_exchange_billboards(
     else:
         advertiser_id, removed, added = owner_b, billboard_b, billboard_a
     before = allocation.influence(advertiser_id)
-    after = before + _swap_influence_delta(allocation, advertiser_id, removed, added)
+    after = before + coverage.swap_delta(
+        removed, added, allocation.counts_row(advertiser_id)
+    )
     return _regret_at(allocation, advertiser_id, after) - _regret_at(
         allocation, advertiser_id, before
     )

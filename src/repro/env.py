@@ -16,7 +16,7 @@ section instead of hand-rolled save/restore.
 Parsers take the raw string and return the typed value; they are only
 invoked when the variable is set, so ``default`` is returned untouched
 (``get()``) when the environment says nothing.  Modules with bespoke
-validation (e.g. the bitmap storage-mode whitelist) read ``raw()`` and keep
+validation (e.g. the positive coverage chunk size) read ``raw()`` and keep
 their own error messages.
 """
 
@@ -48,7 +48,7 @@ class EnvKnob:
     default: object
     parser: Callable[[str], object]
     doc: str
-    #: Where the knob surfaces besides the environment ("--bitmap-storage",
+    #: Where the knob surfaces besides the environment ("--obs-out PATH",
     #: "constructor argument", ...) — documentation only.
     cli: str = field(default="", compare=False)
 
@@ -126,8 +126,7 @@ COVERAGE_CACHE = _declare(
         default=None,
         parser=parse_nonempty,
         doc="Directory caching coverage indices on disk, keyed by a content "
-        "fingerprint of (city, λ, meet-test mode, bitmap config); unset "
-        "disables caching.",
+        "fingerprint of (city, λ, meet-test mode); unset disables caching.",
     )
 )
 
@@ -139,39 +138,6 @@ COVERAGE_CHUNK_SIZE = _declare(
         doc="Stream the coverage build N trajectories at a time (peak build "
         "memory O(N)); unset builds single-shot.",
         cli="--coverage-chunk-size N",
-    )
-)
-
-BITMAP_BUDGET_MB = _declare(
-    EnvKnob(
-        name="REPRO_BITMAP_BUDGET_MB",
-        default=512.0,
-        parser=float,
-        doc="Packed-bitmap influence kernel memory budget in megabytes "
-        "(0 disables the bitmap kernel); results are bit-identical either "
-        "way.",
-        cli="bitmap_budget_mb=",
-    )
-)
-
-BITMAP_STORAGE = _declare(
-    EnvKnob(
-        name="REPRO_BITMAP_STORAGE",
-        default="auto",
-        parser=str,
-        doc="Bitmap storage tier: auto (RAM within budget, memmap spill past "
-        "it), ram, memmap, or none; every tier is bit-identical.",
-        cli="--bitmap-storage",
-    )
-)
-
-BITMAP_SPILL_DIR = _declare(
-    EnvKnob(
-        name="REPRO_BITMAP_SPILL_DIR",
-        default=None,
-        parser=parse_nonempty,
-        doc="Directory for memmap bitmap shards; defaults to "
-        "$REPRO_COVERAGE_CACHE/bitmap-shards when only the cache is set.",
     )
 )
 

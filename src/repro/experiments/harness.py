@@ -83,9 +83,7 @@ def _run_method(
     with obs.span("harness.cell", method=method, **(span_attrs or {})):
         if obs.enabled():
             # One union query per cell: reports the reachable-audience
-            # ceiling on the run log and exercises the bitmap kernel's
-            # dispatch counter even on cells too sparse for the batch
-            # passes to pick it.
+            # ceiling on the run log.
             obs.gauge_set(
                 "coverage.total_reachable",
                 float(instance.coverage.total_reachable()),

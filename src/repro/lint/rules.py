@@ -357,10 +357,7 @@ def env_registry(context: LintContext, source: SourceFile) -> Iterator:
 
 # --------------------------------------------------------- kernel-contract
 
-_KERNEL_MODULES = (
-    "src/repro/billboard/influence.py",
-    "src/repro/billboard/bitmap_store.py",
-)
+_KERNEL_MODULES = ("src/repro/billboard/influence.py",)
 
 _BIT_IDENTICAL_TAG = "bit-identical"
 

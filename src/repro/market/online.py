@@ -51,12 +51,15 @@ PRICING_MODES = ("incremental", "full")
 class QuoteToken:
     """Commit material for one priced proposal.
 
-    Valid only against the book version it was priced at: any accepted
-    proposal or adopted reoptimization in between invalidates it (the
-    recorded repair was computed against a plan that no longer exists).
+    Valid only on the host that priced it (``issuer``) and against the book
+    version it was priced at: any accepted proposal or adopted
+    reoptimization in between invalidates it (the recorded repair was
+    computed against a plan that no longer exists).
     """
 
     newcomer: Advertiser
+    #: Identity of the pricing host (its private sentinel object).
+    issuer: object = field(repr=False, compare=False)
     book_version: int
     #: Incremental path: the journal slice + sweep snapshot to replay.
     entries: tuple = ()
@@ -123,6 +126,7 @@ class OnlineHost:
         self._advertisers: list[Advertiser] = []
         self._allocation: Allocation | None = None
         self._book_version = 0
+        self._issuer = object()
         self._workspace: QuoteWorkspace | None = (
             QuoteWorkspace(coverage, gamma=gamma, repair_sweeps=repair_sweeps)
             if pricing == "incremental"
@@ -189,6 +193,7 @@ class OnlineHost:
             would_satisfy = priced.would_satisfy
             token = QuoteToken(
                 newcomer=newcomer,
+                issuer=self._issuer,
                 book_version=self._book_version,
                 entries=priced.entries,
                 post_state=priced.post_state,
@@ -203,6 +208,7 @@ class OnlineHost:
             would_satisfy = repaired.is_satisfied(newcomer.advertiser_id)
             token = QuoteToken(
                 newcomer=newcomer,
+                issuer=self._issuer,
                 book_version=self._book_version,
                 repaired=repaired,
             )
@@ -229,11 +235,16 @@ class OnlineHost:
         """Adopt a priced proposal's repair: the token's plan becomes live.
 
         Raises ``ValueError`` when the quote carries no token (pool-priced
-        batch quotes) or the book changed since it was priced.
+        batch quotes), was priced by another host, or the book changed since
+        it was priced.
         """
         token = quote.token if isinstance(quote, Quote) else quote
         if token is None:
             raise ValueError("quote carries no commit token; re-price it")
+        if token.issuer is not self._issuer:
+            raise ValueError(
+                "foreign quote token: it was priced by another host; re-quote it"
+            )
         if token.book_version != self._book_version:
             raise ValueError(
                 "stale quote token: the book changed since this proposal was "

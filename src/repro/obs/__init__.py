@@ -4,7 +4,7 @@ Instrumented code imports this package and records unconditionally::
 
     from repro import obs
 
-    obs.counter_add("influence.dispatch.bitmap")
+    obs.counter_add("influence.dispatch.idarray")
     with obs.span("coverage.build", lambda_m=lambda_m):
         ...
 

@@ -22,13 +22,7 @@ COVERAGE_CACHE_CORRUPT = "coverage_cache.corrupt"
 COVERAGE_CACHE_WRITE_FAILURE = "coverage_cache.write_failure"
 COVERAGE_BUILDS = "coverage.builds"
 COVERAGE_CHUNKS = "coverage.chunks"
-INFLUENCE_BITMAP_SPILLED = "influence.bitmap.spilled"
-INFLUENCE_BITMAP_SKIPPED = "influence.bitmap.skipped"
-INFLUENCE_BITMAP_BUILDS = "influence.bitmap.builds"
-INFLUENCE_DISPATCH_BITMAP = "influence.dispatch.bitmap"
 INFLUENCE_DISPATCH_IDARRAY = "influence.dispatch.idarray"
-INFLUENCE_KERNEL_NUMPY = "influence.kernel.numpy"
-INFLUENCE_TIER_IDARRAY = "influence.tier.idarray"
 SHM_CREATE = "shm.create"
 SHM_ATTACH = "shm.attach"
 POOL_SPAWN = "pool.spawn"  # also the span name of the spawn phase
@@ -47,7 +41,6 @@ QUOTE_CACHE_MISS = "quote.cache.miss"
 
 # --------------------------------------------------------------- gauges
 
-INFLUENCE_BITMAP_BYTES = "influence.bitmap.bytes"
 COVERAGE_TOTAL_REACHABLE = "coverage.total_reachable"
 
 # ----------------------------------------------------------- histograms
@@ -64,7 +57,6 @@ GREEDY_REPRICED = "greedy.repriced"
 # ---------------------------------------------------------------- spans
 
 SPAN_COVERAGE_BUILD = "coverage.build"
-SPAN_COVERAGE_BITMAP_BUILD = "coverage.bitmap_build"
 SPAN_COVERAGE_CACHE_GET_OR_BUILD = "coverage_cache.get_or_build"
 SPAN_POOL_ATTACH = "pool.attach"
 SPAN_POOL_TASK = "pool.task"
@@ -87,14 +79,11 @@ EVENT_SOLVER = "solver"  # per-solve telemetry record (convergence, moves)
 TRACE_BLS_SWEEP = "bls.sweep"  # per-sweep phase-split complete event
 TRACE_KERNEL_DISPATCH_INSTANT = "kernel.dispatch"  # per-engine-pass deltas
 TRACE_KERNEL_DISPATCH_TRACK = "kernel_dispatch"  # sampled counter track
-TRACE_BITMAP_RESIDENCY_TRACK = "bitmap_residency"
 TRACE_RSS_TRACK = "rss_mb"
 
-#: Name families with a runtime-computed suffix (storage tier, solver name).
+#: Name families with a runtime-computed suffix (solver name).
 #: A call site using an f-string must open with one of these prefixes.
 DYNAMIC_PREFIXES = (
-    "influence.tier.",  # influence.tier.<storage tier>
-    "bitmap.shards.",  # bitmap.shards.<storage tier>   (gauge)
     "solver.",  # solver.<registry name>          (span per solve)
 )
 

@@ -156,7 +156,7 @@ def kernel_dispatch_table(data: dict) -> dict:
     totals = {
         name: value
         for name, value in other.get("counters", {}).items()
-        if name.startswith(("influence.dispatch.", "influence.kernel.", "influence.tier."))
+        if name.startswith("influence.dispatch.")
     }
     per_engine: dict[str, dict] = {}
     for event in data.get("traceEvents", []):

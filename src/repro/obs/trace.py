@@ -28,9 +28,9 @@ via ``atexit`` *and* ``multiprocessing.util.Finalize`` in every pool worker
 files back in before writing.
 
 **Sampling.**  On span boundaries (throttled to one sample per ~50 ms) the
-tracer emits Chrome *counter* events (``"ph": "C"``) for the process RSS,
-the bitmap shard-tier residency gauges, and the kernel dispatch counters,
-so the timeline shows memory and kernel activity alongside the spans.
+tracer emits Chrome *counter* events (``"ph": "C"``) for the process RSS
+and the kernel dispatch counters, so the timeline shows memory and kernel
+activity alongside the spans.
 
 Enable with ``--trace-out`` on the CLI / bench scripts or by exporting
 ``REPRO_OBS_TRACE=/path/to/trace.json``.  Tracing implies metric
@@ -60,14 +60,7 @@ TRACE_ENV = env.OBS_TRACE.name
 _SAMPLE_INTERVAL_S = 0.05
 
 #: Counter series sampled on span boundaries (prefix match on counters).
-_SAMPLED_COUNTER_PREFIXES = (
-    "influence.dispatch.",
-    "influence.kernel.",
-    "influence.tier.",
-)
-
-#: Gauge series sampled on span boundaries (prefix match on gauges).
-_SAMPLED_GAUGE_PREFIXES = ("bitmap.shards.", "influence.bitmap.bytes")
+_SAMPLED_COUNTER_PREFIXES = ("influence.dispatch.",)
 
 _EPOCH_OFFSET: float | None = None
 
@@ -226,7 +219,7 @@ def read_rss_mb() -> float | None:
 
 def record_span(span) -> None:
     """Emit a completed :class:`~repro.obs.spans.Span` as a trace event,
-    then maybe sample the RSS / shard-tier / kernel-dispatch counters.
+    then maybe sample the RSS / kernel-dispatch counters.
 
     Called from ``Span.__exit__`` behind the ``trace_enabled`` test; the
     boundary sample is throttled to one per ~50 ms so deep span nests don't
@@ -243,7 +236,7 @@ def record_span(span) -> None:
 
 
 def sample_process_counters() -> None:
-    """One counter sample: RSS plus the selected gauge/counter series."""
+    """One counter sample: RSS plus the kernel dispatch counters."""
     rss = read_rss_mb()
     if rss is not None:
         emit_counter("rss_mb", {"rss_mb": rss})
@@ -255,13 +248,6 @@ def sample_process_counters() -> None:
     }
     if dispatch:
         emit_counter("kernel_dispatch", dispatch)
-    shards = {
-        name: value
-        for name, value in registry.gauges.items()
-        if name.startswith(_SAMPLED_GAUGE_PREFIXES)
-    }
-    if shards:
-        emit_counter("bitmap_residency", shards)
 
 
 # -------------------------------------------------------- worker spill

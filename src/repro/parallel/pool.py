@@ -43,6 +43,7 @@ import gc
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro import env, obs
 from repro.billboard.influence import CoverageIndex
@@ -168,6 +169,10 @@ class PersistentPool:
         order, so counter totals match a serial run of the same tasks.
         Tasks are dispatched in contiguous chunks — one slice per worker —
         to amortize the pickle/IPC round trips.
+
+        A worker that dies mid-map breaks the executor for good: the pool
+        then closes itself (unlinking its segments) before re-raising, so
+        :func:`pool_for` spawns a fresh pool on the next call.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -180,9 +185,15 @@ class PersistentPool:
         with obs.span(
             "pool.map", tasks=len(tasks), workers=self.workers, first=self._maps == 1
         ):
-            for result, snapshot in self._executor.map(func, tasks, chunksize=chunksize):
-                obs.merge_snapshot(snapshot)
-                results.append(result)
+            try:
+                for result, snapshot in self._executor.map(
+                    func, tasks, chunksize=chunksize
+                ):
+                    obs.merge_snapshot(snapshot)
+                    results.append(result)
+            except BrokenProcessPool:
+                self.close()
+                raise
         return results
 
     def close(self) -> None:

@@ -1,8 +1,8 @@
 """Shared-memory segment lifecycle for zero-copy parallel work.
 
 A :class:`SharedCoverage` exports one :class:`~repro.billboard.influence.
-CoverageIndex`'s CSR arrays (and packed bitmap, when built) into
-``multiprocessing.shared_memory`` segments.  Worker processes attach numpy
+CoverageIndex`'s CSR arrays into ``multiprocessing.shared_memory``
+segments.  Worker processes attach numpy
 views over the same physical pages instead of unpickling a private copy, so
 fanning a solve out over N workers costs one coverage index, not N.
 
@@ -38,23 +38,6 @@ class SharedArraySpec:
 
 
 @dataclass(frozen=True)
-class SharedBitmapSpec:
-    """Address of one tiered bitmap store, for workers to attach.
-
-    ``shm``-tier stores ship one segment per row shard; ``memmap``-tier
-    stores ship only the shard file paths (the page cache is already the
-    shared medium — attaching costs nothing).
-    """
-
-    tier: str
-    shards: tuple[SharedArraySpec, ...]
-    paths: tuple[str, ...]
-    rows_per_shard: int
-    num_rows: int
-    words: int
-
-
-@dataclass(frozen=True)
 class SharedCoverageSpec:
     """Everything a worker needs to rebuild a read-only ``CoverageIndex``.
 
@@ -64,10 +47,8 @@ class SharedCoverageSpec:
 
     flat: SharedArraySpec
     offsets: SharedArraySpec
-    bitmap: SharedBitmapSpec | None
     num_trajectories: int
     lambda_m: float
-    bitmap_budget_mb: float
 
 
 def _export_array(array: np.ndarray) -> tuple[shared_memory.SharedMemory, SharedArraySpec]:
@@ -112,52 +93,16 @@ class SharedCoverage:
 
     @classmethod
     def create(cls, index) -> "SharedCoverage":
-        """Export ``index``'s CSR arrays (and bitmap, if any) into segments.
-
-        Forces the index's bitmap decision first, so whether attachers get the
-        bitmap kernel is fixed here, not left to per-worker state.
-        """
+        """Export ``index``'s CSR arrays into segments."""
         flat, offsets = index.to_arrays()
-        segments = []
         flat_segment, flat_spec = _export_array(flat)
-        segments.append(flat_segment)
         offsets_segment, offsets_spec = _export_array(offsets)
-        segments.append(offsets_segment)
-        bitmap_spec = None
-        store = index._ensure_bitmap()
-        if store is not None:
-            if store.tier == "memmap":
-                # The sealed shard files are the shared medium already: every
-                # attacher maps the same page-cache pages. Ship paths only.
-                bitmap_spec = SharedBitmapSpec(
-                    tier="memmap",
-                    shards=(),
-                    paths=store.paths,
-                    rows_per_shard=store.rows_per_shard,
-                    num_rows=store.num_rows,
-                    words=store.words,
-                )
-            else:
-                shard_specs = []
-                for shard in store.shards:
-                    shard_segment, shard_spec = _export_array(np.asarray(shard))
-                    segments.append(shard_segment)
-                    shard_specs.append(shard_spec)
-                bitmap_spec = SharedBitmapSpec(
-                    tier="shm",
-                    shards=tuple(shard_specs),
-                    paths=(),
-                    rows_per_shard=store.rows_per_shard,
-                    num_rows=store.num_rows,
-                    words=store.words,
-                )
+        segments = [flat_segment, offsets_segment]
         spec = SharedCoverageSpec(
             flat=flat_spec,
             offsets=offsets_spec,
-            bitmap=bitmap_spec,
             num_trajectories=index.num_trajectories,
             lambda_m=index.lambda_m,
-            bitmap_budget_mb=index._bitmap_budget_mb,
         )
         obs.counter_add("shm.create", len(segments))
         return cls(spec, segments)

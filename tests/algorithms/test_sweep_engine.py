@@ -4,8 +4,7 @@ The production sweeps skip provably-dead scans via version-counter
 certificates but run one final unrestricted verification sweep before
 declaring local optimality, so they must land on bit-identical allocations
 to the literal rescan loops of ``tests/oracles.py`` — same owners, same
-total regret, same accepted-move counts — on every instance, under both
-coverage kernels (packed bitmap and id-list).
+total regret, same accepted-move counts — on every instance.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from tests.conftest import make_random_instance, random_allocation
 from repro.algorithms.als import advertiser_driven_local_search
 from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.sweep import BillboardSweepState, PairSweepState
-from repro.billboard.influence import BITMAP_BUDGET_ENV
 from repro.core.allocation import UNASSIGNED
 from tests.oracles import (
     changed_candidates,
@@ -46,20 +44,9 @@ def _run_als(instance, start_seed: int, engine: str):
     return allocation, stats
 
 
-@pytest.fixture(params=["bitmap", "id"])
-def kernel_env(request, monkeypatch):
-    """Force one coverage kernel; instances must be built inside the test
-    because the bitmap budget is read at ``CoverageIndex`` construction."""
-    if request.param == "id":
-        monkeypatch.setenv(BITMAP_BUDGET_ENV, "0")
-    else:
-        monkeypatch.delenv(BITMAP_BUDGET_ENV, raising=False)
-    return request.param
-
-
 class TestDirtyMatchesFull:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_bls_identical_allocation_and_regret(self, seed, kernel_env):
+    def test_bls_identical_allocation_and_regret(self, seed):
         instance = make_random_instance(
             seed, num_billboards=20, num_trajectories=40, num_advertisers=4
         )
@@ -73,7 +60,7 @@ class TestDirtyMatchesFull:
             assert dirty_stats[key] == full_stats[key], key
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_als_identical_allocation_and_regret(self, seed, kernel_env):
+    def test_als_identical_allocation_and_regret(self, seed):
         instance = make_random_instance(
             seed, num_billboards=20, num_trajectories=40, num_advertisers=4
         )

@@ -2,9 +2,8 @@
 
 Every batch pass accepts ``candidate_ids`` and must return exactly the full
 pass sliced to those rows — for *any* subset (empty, full, unordered, with
-duplicates), under both kernels (packed bitmap and id-array), because the
-dirty sweep engine's correctness proof reduces restricted scans to full
-scans through this equality.
+duplicates), because the dirty sweep engine's correctness proof reduces
+restricted scans to full scans through this equality.
 """
 
 from __future__ import annotations
@@ -13,20 +12,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.billboard.influence import BITMAP_BUDGET_ENV, CoverageIndex
+from repro.billboard.influence import CoverageIndex
 
 SEEDS = (0, 1, 7, 23, 99)
-
-
-@pytest.fixture(params=["bitmap", "id"])
-def kernel_env(request, monkeypatch):
-    """Force one coverage kernel; indices must be built inside the test
-    because the bitmap budget is read at ``CoverageIndex`` construction."""
-    if request.param == "id":
-        monkeypatch.setenv(BITMAP_BUDGET_ENV, "0")
-    else:
-        monkeypatch.delenv(BITMAP_BUDGET_ENV, raising=False)
-    return request.param
 
 
 def _random_index(rng: np.random.Generator) -> tuple[CoverageIndex, np.ndarray]:
@@ -61,7 +49,7 @@ def _subsets(rng: np.random.Generator, num_billboards: int) -> list[np.ndarray]:
 
 class TestRestrictedEqualsFullSlice:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_add_gains(self, seed, kernel_env):
+    def test_batch_add_gains(self, seed):
         rng = np.random.default_rng(seed)
         index, counts = _random_index(rng)
         full = index.batch_add_gains(counts)
@@ -71,7 +59,7 @@ class TestRestrictedEqualsFullSlice:
             assert np.array_equal(restricted, full[subset])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_add_gains_without(self, seed, kernel_env):
+    def test_batch_add_gains_without(self, seed):
         rng = np.random.default_rng(seed)
         index, counts = _random_index(rng)
         removed = int(rng.integers(0, index.num_billboards))
@@ -83,7 +71,7 @@ class TestRestrictedEqualsFullSlice:
             assert np.array_equal(restricted, full[subset])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_remove_losses(self, seed, kernel_env):
+    def test_batch_remove_losses(self, seed):
         rng = np.random.default_rng(seed)
         index, counts = _random_index(rng)
         full = index.batch_remove_losses(counts)
@@ -92,7 +80,7 @@ class TestRestrictedEqualsFullSlice:
             assert np.array_equal(restricted, full[subset])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_swap_deltas(self, seed, kernel_env):
+    def test_batch_swap_deltas(self, seed):
         """One removed billboard against many added candidates equals the
         per-candidate ``swap_delta`` loop, bit for bit."""
         rng = np.random.default_rng(seed)
@@ -107,52 +95,6 @@ class TestRestrictedEqualsFullSlice:
             assert batched.dtype == np.int64
             assert np.array_equal(batched, looped)
 
-    def test_supplied_masks_match_packed_on_demand(self, kernel_env):
-        """Callers that maintain packed masks incrementally must get the same
-        restricted answers as on-demand packing."""
-        from repro.utils import bitset
-
-        rng = np.random.default_rng(5)
-        index, counts = _random_index(rng)
-        subset = np.arange(0, index.num_billboards, 2)
-        free_bits = bitset.pack_bits(counts == 0)
-        ones_bits = bitset.pack_bits(counts == 1)
-        assert np.array_equal(
-            index.batch_add_gains(counts, free_bits=free_bits, candidate_ids=subset),
-            index.batch_add_gains(counts, candidate_ids=subset),
-        )
-        removed = 0
-        assert np.array_equal(
-            index.batch_add_gains_without(
-                counts,
-                removed,
-                free_bits=free_bits,
-                ones_bits=ones_bits,
-                candidate_ids=subset,
-            ),
-            index.batch_add_gains_without(counts, removed, candidate_ids=subset),
-        )
-
-
-class TestScratchBuffer:
-    def test_scratch_reused_and_grows(self):
-        """The bitmap path's per-index scratch block is allocated once per
-        size class and reused — no fresh full-matrix temporary per call."""
-        index = CoverageIndex.from_coverage_lists(
-            [list(range(0, 64)), list(range(32, 96)), [5], [70]], num_trajectories=100
-        )
-        assert index.has_bitmap
-        counts = np.zeros(100, dtype=np.int64)
-        small = np.array([0, 1])
-        index.batch_add_gains(counts, candidate_ids=small)
-        first = index._scratch
-        assert first is not None and first.shape[0] >= len(small)
-        index.batch_remove_losses(counts, candidate_ids=small)
-        assert index._scratch is first  # reused, not reallocated
-        big = np.arange(4).repeat(8)  # 32 rows > initial capacity
-        index.batch_add_gains(counts, candidate_ids=big)
-        assert index._scratch.shape[0] >= len(big)
-
     def test_restricted_rows_histogram(self):
         """``influence.popcount.rows`` must record the *restricted* row count
         on restricted dispatches — the observable proof that the kernel no
@@ -161,7 +103,6 @@ class TestScratchBuffer:
             [list(range(0, 80)), list(range(10, 90)), list(range(20, 100)), [1, 2]],
             num_trajectories=100,
         )
-        assert index.batch_prefers_bitmap
         counts = np.zeros(100, dtype=np.int64)
         obs.enable()
         try:

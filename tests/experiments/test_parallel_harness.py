@@ -82,7 +82,7 @@ class TestSharedCoverageInWorkers:
         # One attach per worker whose snapshot shipped back — bounded by the
         # pool size, never by the task count.
         assert 1 <= attaches <= 2
-        assert creates >= 2  # flat + offsets (+ bitmap) exported by the parent
+        assert creates >= 2  # flat + offsets exported by the parent
 
 
 class TestWorkerValidation:
@@ -123,8 +123,9 @@ class TestBenchSmoke:
         assert history["schema"] == "bench-history-v1"
         report = history["runs"][-1]
         assert report["smoke"] is True
-        for section in ("build", "influence_of_set", "bls_cell"):
+        for section in ("build", "influence_of_set"):
             assert report[section]["speedup"] > 0.0
+        assert report["bls_cell"]["bls_s"] > 0.0
         assert report["influence_of_set"]["queries"] == 100
 
     def test_bench_solvers_smoke(self, tmp_path):

@@ -185,9 +185,9 @@ class TestObsNaming:
                 from repro import obs
 
 
-                def f(tier):
+                def f(name):
                     obs.counter_add("pool.reuse")
-                    obs.gauge_set(f"influence.tier.{tier}", 1)
+                    obs.gauge_set(f"solver.{name}", 1)
                 """,
                 rules=["obs-naming"],
             )
@@ -254,7 +254,7 @@ class TestEnvRegistry:
 
 
             def f():
-                return os.environ.get("REPRO_BITMAP_STORAGE")
+                return os.environ.get("REPRO_QUOTE_PRICING")
             """,
             rules=["env-registry"],
         )
@@ -284,7 +284,7 @@ class TestEnvRegistry:
             """\
             import os
 
-            SOME_ENV = "REPRO_BITMAP_STORAGE"
+            SOME_ENV = "REPRO_QUOTE_PRICING"
 
 
             def f():
@@ -309,8 +309,8 @@ class TestEnvRegistry:
 
 
                 def f():
-                    os.environ["REPRO_BITMAP_STORAGE"] = "1"
-                    os.environ.pop("REPRO_BITMAP_STORAGE", None)
+                    os.environ["REPRO_QUOTE_PRICING"] = "1"
+                    os.environ.pop("REPRO_QUOTE_PRICING", None)
                     return os.environ.get("HOME")
                 """,
                 rules=["env-registry"],
@@ -321,8 +321,8 @@ class TestEnvRegistry:
 
 class TestKernelContract:
     KERNEL = """\
-        def fused_popcount(rows):
-            \"\"\"Counts bits; bit-identical to the numpy reference.\"\"\"
+        def fused_gather(rows):
+            \"\"\"Gathers ids; bit-identical to the numpy reference.\"\"\"
             return rows
 
 
@@ -334,24 +334,24 @@ class TestKernelContract:
     def test_untested_bit_identity_claim_fires(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
-            "src/repro/billboard/bitmap_store.py",
+            "src/repro/billboard/influence.py",
             self.KERNEL,
             rules=["kernel-contract"],
         )
         assert triples(findings) == [("kernel-contract", 1, 0)]
-        assert "fused_popcount" in findings[0].message
+        assert "fused_gather" in findings[0].message
 
     def test_referenced_claim_is_clean(self, tmp_path):
         test_dir = tmp_path / "tests"
         test_dir.mkdir()
         (test_dir / "test_kernels.py").write_text(
-            "from repro.billboard.bitmap_store import fused_popcount\n",
+            "from repro.billboard.influence import fused_gather\n",
             encoding="utf-8",
         )
         assert (
             lint_snippet(
                 tmp_path,
-                "src/repro/billboard/bitmap_store.py",
+                "src/repro/billboard/influence.py",
                 self.KERNEL,
                 rules=["kernel-contract"],
             )

@@ -168,6 +168,19 @@ class TestTokens:
         with pytest.raises(ValueError, match="stale"):
             host.commit(quote)
 
+    @pytest.mark.parametrize("pricing", PRICING_MODES)
+    def test_foreign_token_is_rejected(self, pricing):
+        """A token priced by another host (even at the same book version) is
+        refused before any state changes."""
+        issuer = OnlineHost(overlapping_coverage(1), pricing=pricing)
+        host = OnlineHost(disjoint_coverage(), pricing=pricing)
+        quote = issuer.quote(demand=30, payment=5.0)
+        with pytest.raises(ValueError, match="foreign"):
+            host.commit(quote)
+        assert host.advertisers == ()
+        assert host.total_regret() == 0.0
+        issuer.commit(quote)  # still valid on its own host
+
     def test_adopted_reoptimize_invalidates_tokens(self):
         host = OnlineHost(overlapping_coverage(6), repair_sweeps=0, seed=6)
         rng = random.Random(6)

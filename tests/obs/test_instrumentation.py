@@ -1,8 +1,6 @@
-"""Instrumentation-site tests: influence dispatch, cache, grid, bitmap skip."""
+"""Instrumentation-site tests: influence dispatch, cache, grid."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pytest
@@ -15,74 +13,24 @@ from repro.datasets import generate_nyc
 COVERAGE = [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5], [6]]
 
 
-def make_index(**kwargs) -> CoverageIndex:
-    return CoverageIndex.from_coverage_lists(COVERAGE, num_trajectories=7, **kwargs)
+def make_index() -> CoverageIndex:
+    return CoverageIndex.from_coverage_lists(COVERAGE, num_trajectories=7)
 
 
 class TestInfluenceDispatch:
-    def test_union_query_dispatches_bitmap(self):
-        obs.enable()
-        index = make_index()
-        assert index.influence_of_set([0, 1, 2]) == 6
-        assert obs.counter_value("influence.dispatch.bitmap") == 1
-        assert obs.counter_value("influence.bitmap.builds") == 1
-        rows = obs.get_registry().histograms["influence.popcount.rows"]
-        assert rows.count == 1 and rows.max == 3
-
     def test_id_kernel_dispatches_idarray(self):
         obs.enable()
         index = make_index()
-        assert index.influence_of_set_ids([0, 1, 2]) == 6
+        assert index.influence_of_set([0, 1, 2]) == 6
         assert obs.counter_value("influence.dispatch.idarray") == 1
-        assert obs.counter_value("influence.dispatch.bitmap") == 0
+        rows = obs.get_registry().histograms["influence.popcount.rows"]
+        assert rows.count == 1 and rows.max == 3
 
     def test_batch_pass_counts_one_dispatch(self):
         obs.enable()
         index = make_index()
         index.batch_add_gains(np.zeros(index.num_trajectories, dtype=np.int64))
-        total = obs.counter_value("influence.dispatch.bitmap") + obs.counter_value(
-            "influence.dispatch.idarray"
-        )
-        assert total == 1
-
-    def test_no_bitmap_falls_back_to_idarray(self):
-        obs.enable()
-        index = make_index(bitmap_budget_mb=0.0)
-        assert index.influence_of_set([0, 1, 2]) == 6
         assert obs.counter_value("influence.dispatch.idarray") == 1
-        assert obs.counter_value("influence.dispatch.bitmap") == 0
-
-
-class TestBitmapSkipWarning:
-    def test_warns_exactly_once_per_index(self, caplog):
-        obs.enable()
-        index = make_index(bitmap_budget_mb=1e-9)  # positive but too small
-        with caplog.at_level(logging.WARNING, logger="repro.billboard.influence"):
-            assert index.influence_of_set([0]) == 3  # decides + skips
-            assert index.influence_of_set([1]) == 2  # already decided
-            assert not index.has_bitmap
-        warnings = [
-            record
-            for record in caplog.records
-            if "bitmap kernel skipped" in record.getMessage()
-        ]
-        assert len(warnings) == 1
-        assert obs.counter_value("influence.bitmap.skipped") == 1
-
-    def test_silent_when_budget_disables_bitmap(self, caplog):
-        obs.enable()
-        index = make_index(bitmap_budget_mb=0.0)  # deliberate disable
-        with caplog.at_level(logging.WARNING, logger="repro.billboard.influence"):
-            index.influence_of_set([0])
-        assert caplog.records == []
-        assert obs.counter_value("influence.bitmap.skipped") == 0
-
-    def test_silent_when_bitmap_fits(self, caplog):
-        obs.enable()
-        index = make_index()
-        with caplog.at_level(logging.WARNING, logger="repro.billboard.influence"):
-            assert index.has_bitmap
-        assert caplog.records == []
 
 
 class TestCoverageCacheCounters:

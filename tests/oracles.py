@@ -7,7 +7,8 @@ round-fused screen (``repro.algorithms.screen``) replaced, and the eager
 full-pass greedy pricing that lazy-bound pricing (``repro.algorithms._marginal``)
 replaced, and the grid-over-points radius join that the billboard cell table
 (``repro.spatial.grid.CellTable``) replaced, next to a brute-force join over
-every (point, site) pair.  None of them is imported by ``src/``; they exist
+every (point, site) pair.  :class:`SetCoverage` re-derives every coverage
+kernel answer from Python ``set``s, one per billboard.  None of them is imported by ``src/``; they exist
 so the equivalence tests compare the production paths against code that
 skips nothing.
 """
@@ -162,11 +163,7 @@ def rescan_exchange(
         candidates = all_exchange_candidates(
             allocation.owners, advertiser_id, billboard_id
         )
-        masks = allocation.packed_masks(advertiser_id)
-        gains = instance.coverage.batch_add_gains(
-            allocation.counts_row(advertiser_id),
-            free_bits=masks[0] if masks is not None else None,
-        )
+        gains = instance.coverage.batch_add_gains(allocation.counts_row(advertiser_id))
         return _select_partner(
             allocation,
             advertiser_id,
@@ -287,11 +284,8 @@ def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, stal
     if influence == 0:
         gains = individual
     else:
-        masks = allocation.packed_masks(advertiser_id)
         gains = coverage.batch_add_gains(
-            allocation.counts_row(advertiser_id),
-            free_bits=masks[0] if masks is not None else None,
-            candidate_ids=candidate_ids,
+            allocation.counts_row(advertiser_id), candidate_ids=candidate_ids
         )
     regret = instance.regret_of(advertiser_id, influence)
     new_regrets = _regret_values_unchecked(
@@ -398,3 +392,78 @@ def grid_chunk_coverage(
     billboard_ids, point_ids = grid_join_radius(grid, locations, radius)
     keys = np.unique(billboard_ids * len(point_counts) + owners[point_ids])
     return np.divmod(keys, len(point_counts))
+
+
+# -------------------------------------------------------- coverage kernels
+
+
+class SetCoverage:
+    """Scalar coverage oracle: one Python ``set`` of trajectory ids per
+    billboard, every kernel answer counted trajectory by trajectory.
+
+    Built from the same coverage lists the index under test is built from
+    (``covered[b]`` lists the trajectories billboard ``b`` covers, in any
+    order, repeats allowed), never from the index itself.
+    ``counts_row[t]`` is an advertiser's multiplicity counter for trajectory
+    ``t`` (how many of its billboards cover ``t``).  Candidate ids may be
+    unordered or repeated; answers align to the order given.
+    """
+
+    def __init__(self, covered) -> None:
+        self.sets = [{int(t) for t in ids} for ids in covered]
+
+    def influence_of_set(self, billboard_ids) -> int:
+        covered: set[int] = set()
+        for billboard_id in billboard_ids:
+            covered |= self.sets[int(billboard_id)]
+        return len(covered)
+
+    def _candidates(self, candidate_ids):
+        if candidate_ids is None:
+            return range(len(self.sets))
+        return [int(b) for b in candidate_ids]
+
+    def add_gain(self, counts_row, billboard_id: int, removed=None) -> int:
+        """Trajectories of ``billboard_id`` with no cover left once
+        ``removed`` (if any) leaves the set."""
+        released = self.sets[removed] if removed is not None else set()
+        return sum(
+            1
+            for t in self.sets[billboard_id]
+            if counts_row[t] - (t in released) == 0
+        )
+
+    def remove_loss(self, counts_row, billboard_id: int) -> int:
+        """Trajectories ``billboard_id`` alone covers."""
+        return sum(1 for t in self.sets[billboard_id] if counts_row[t] == 1)
+
+    def batch_add_gains(self, counts_row, candidate_ids=None) -> list[int]:
+        return [self.add_gain(counts_row, b) for b in self._candidates(candidate_ids)]
+
+    def batch_add_gains_without(
+        self, counts_row, removed_billboard: int, candidate_ids=None
+    ) -> list[int]:
+        return [
+            self.add_gain(counts_row, b, removed_billboard)
+            for b in self._candidates(candidate_ids)
+        ]
+
+    def batch_remove_losses(self, counts_row, candidate_ids=None) -> list[int]:
+        return [self.remove_loss(counts_row, b) for b in self._candidates(candidate_ids)]
+
+    def swap_delta(self, removed_billboard: int, added_billboard: int, counts_row) -> int:
+        """Change in covered trajectories when the row's counters lose
+        ``removed_billboard`` and gain ``added_billboard``."""
+        removed = self.sets[removed_billboard]
+        added = self.sets[added_billboard]
+        delta = 0
+        for t in removed | added:
+            after = counts_row[t] - (t in removed) + (t in added)
+            delta += int(after > 0) - int(counts_row[t] > 0)
+        return delta
+
+    def batch_swap_deltas(self, removed_billboard: int, candidate_ids, counts_row):
+        return [
+            self.swap_delta(removed_billboard, int(b), counts_row)
+            for b in candidate_ids
+        ]

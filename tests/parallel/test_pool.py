@@ -11,18 +11,21 @@ consecutive pool uses equal the serial loop), and the small API edges
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import obs
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.parallel.pool import (
+    OVERSUBSCRIBE_ENV,
     PersistentPool,
     close_all_pools,
     effective_workers,
     instance_pool,
 )
 from tests.conftest import make_random_instance
+from tests.parallel.test_shared_memory import shm_entries
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,29 @@ class TestPoolCache:
         pool = instance_pool(instance, 2)
         close_all_pools()
         assert pool.closed
+
+
+def _die_on_request(instance, payload):
+    if payload == "die":
+        os._exit(1)
+    return instance.num_billboards
+
+
+class TestWorkerDeath:
+    def test_broken_pool_closes_and_respawns(self, instance, monkeypatch):
+        """A worker killed mid-map raises cleanly, the broken pool closes
+        and unlinks its segments, and the cache hands out a fresh pool."""
+        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")  # two workers on any host
+        pool = instance_pool(instance, 2)
+        spec = pool._shared.spec
+        assert shm_entries(spec)
+        with pytest.raises(BrokenProcessPool):
+            pool.run(_die_on_request, ["die", "x"])
+        assert pool.closed
+        assert shm_entries(spec) == []
+        fresh = instance_pool(instance, 2)
+        assert fresh is not pool
+        assert fresh.run(_die_on_request, ["x", "y"]) == [instance.num_billboards] * 2
 
 
 class TestPoolReuseDeterminism:

@@ -26,8 +26,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def shm_entries(spec) -> list[str]:
     """The ``/dev/shm`` file names belonging to a spec's segments."""
     names = [spec.flat.name, spec.offsets.name]
-    if spec.bitmap is not None:
-        names.extend(shard.name for shard in spec.bitmap.shards)
     shm_dir = Path("/dev/shm")
     return [name for name in names if (shm_dir / name.lstrip("/")).exists()]
 
@@ -44,7 +42,6 @@ class TestRoundTrip:
         index = instance.coverage
         allocation = random_allocation(instance, seed=3)
         counts = allocation.counts_row(0)
-        masks = allocation.packed_masks(0)
         some_set = sorted(allocation.billboards_of(0))
         with index.to_shared() as shared:
             attached = CoverageIndex.attach_shared(shared.spec)
@@ -57,19 +54,11 @@ class TestRoundTrip:
                 attached.batch_add_gains(counts),
                 index.batch_add_gains(counts),
             )
-            if masks is not None:
-                assert np.array_equal(
-                    attached.batch_add_gains(counts, free_bits=masks[0]),
-                    index.batch_add_gains(counts, free_bits=masks[0]),
-                )
             if some_set:
                 removed = some_set[0]
-                kwargs = {}
-                if masks is not None:
-                    kwargs = {"free_bits": masks[0], "ones_bits": masks[1]}
                 assert np.array_equal(
-                    attached.batch_add_gains_without(counts, removed, **kwargs),
-                    index.batch_add_gains_without(counts, removed, **kwargs),
+                    attached.batch_add_gains_without(counts, removed),
+                    index.batch_add_gains_without(counts, removed),
                 )
 
     def test_attached_swap_delta_matches(self, instance):
@@ -106,17 +95,6 @@ class TestRoundTrip:
             assert np.array_equal(array, flat)
             segment.close()
 
-    def test_bitmap_decision_is_exported(self, instance):
-        """Attachers inherit the creator's kernel choice instead of
-        re-deciding from their own environment."""
-        index = instance.coverage
-        with index.to_shared() as shared:
-            attached = CoverageIndex.attach_shared(shared.spec)
-            assert attached._bitmap_decided
-            assert (shared.spec.bitmap is not None) == (
-                index._ensure_bitmap() is not None
-            )
-
 
 class TestLifecycle:
     def test_close_unlinks_segments(self, instance):
@@ -149,8 +127,6 @@ class TestLifecycle:
             "shared = instance.coverage.to_shared()\n"
             "spec = shared.spec\n"
             "names = [spec.flat.name, spec.offsets.name]\n"
-            "if spec.bitmap is not None:\n"
-            "    names.extend(shard.name for shard in spec.bitmap.shards)\n"
             "print('\\n'.join(names))\n"
             # no shared.close(): atexit must clean up
         )

@@ -31,15 +31,15 @@ class TestParsers:
 
 class TestKnobAccessors:
     def test_unset_returns_default_untouched(self, monkeypatch):
-        monkeypatch.delenv(env.BITMAP_BUDGET_MB.name, raising=False)
-        assert env.BITMAP_BUDGET_MB.raw() is None
-        assert env.BITMAP_BUDGET_MB.get() == 512.0
-        assert not env.BITMAP_BUDGET_MB.is_set()
+        monkeypatch.delenv(env.QUOTE_PRICING.name, raising=False)
+        assert env.QUOTE_PRICING.raw() is None
+        assert env.QUOTE_PRICING.get() == "incremental"
+        assert not env.QUOTE_PRICING.is_set()
 
     def test_set_value_is_parsed(self, monkeypatch):
-        monkeypatch.setenv(env.BITMAP_BUDGET_MB.name, "64.5")
-        assert env.BITMAP_BUDGET_MB.get() == 64.5
-        assert env.BITMAP_BUDGET_MB.is_set()
+        monkeypatch.setenv(env.COVERAGE_CHUNK_SIZE.name, "4096")
+        assert env.COVERAGE_CHUNK_SIZE.get() == 4096
+        assert env.COVERAGE_CHUNK_SIZE.is_set()
 
     def test_empty_string_is_present_but_not_set(self, monkeypatch):
         monkeypatch.setenv(env.COVERAGE_CACHE.name, "")
@@ -64,29 +64,29 @@ class TestKnobAccessors:
 
 class TestTemporary:
     def test_set_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "ram")
-        with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
-            assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
-        assert os.environ["REPRO_BITMAP_STORAGE"] == "ram"
+        monkeypatch.setenv("REPRO_QUOTE_PRICING", "full")
+        with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
+            assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
+        assert os.environ["REPRO_QUOTE_PRICING"] == "full"
 
     def test_unset_for_scope_then_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "memmap")
-        with env.temporary("REPRO_BITMAP_STORAGE", None):
-            assert "REPRO_BITMAP_STORAGE" not in os.environ
-        assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
+        monkeypatch.setenv("REPRO_QUOTE_PRICING", "incremental")
+        with env.temporary("REPRO_QUOTE_PRICING", None):
+            assert "REPRO_QUOTE_PRICING" not in os.environ
+        assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
 
     def test_restores_absence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BITMAP_STORAGE", raising=False)
-        with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
-            assert os.environ["REPRO_BITMAP_STORAGE"] == "memmap"
-        assert "REPRO_BITMAP_STORAGE" not in os.environ
+        monkeypatch.delenv("REPRO_QUOTE_PRICING", raising=False)
+        with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
+            assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
+        assert "REPRO_QUOTE_PRICING" not in os.environ
 
     def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITMAP_STORAGE", "ram")
+        monkeypatch.setenv("REPRO_QUOTE_PRICING", "full")
         with pytest.raises(RuntimeError):
-            with env.temporary("REPRO_BITMAP_STORAGE", "memmap"):
+            with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
                 raise RuntimeError("boom")
-        assert os.environ["REPRO_BITMAP_STORAGE"] == "ram"
+        assert os.environ["REPRO_QUOTE_PRICING"] == "full"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
         monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
@@ -101,24 +101,34 @@ class TestRegistryHygiene:
             assert name.startswith("REPRO_"), name
             assert knob.doc.strip(), f"{name} has no doc"
 
+    def test_declared_knobs(self):
+        assert list(env.REGISTRY) == [
+            "REPRO_COVERAGE_CACHE",
+            "REPRO_COVERAGE_CHUNK_SIZE",
+            "REPRO_POOL_OVERSUBSCRIBE",
+            "REPRO_QUOTE_PRICING",
+            "REPRO_QUOTE_BATCH_WORKERS",
+            "REPRO_OBS_OUT",
+            "REPRO_OBS_TRACE",
+            "REPRO_OBS_LEDGER",
+            "REPRO_OBS_SPILL_DIR",
+        ]
+
     def test_lookup_by_name(self):
-        assert env.knob("REPRO_BITMAP_STORAGE") is env.BITMAP_STORAGE
+        assert env.knob("REPRO_QUOTE_PRICING") is env.QUOTE_PRICING
         with pytest.raises(KeyError):
             env.knob("REPRO_NOT_DECLARED")
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            env._declare(env.BITMAP_STORAGE)
+            env._declare(env.QUOTE_PRICING)
 
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
         # bound to the registry's names.
-        from repro.billboard import bitmap_store, coverage_cache, influence
+        from repro.billboard import coverage_cache, influence
         from repro.parallel import pool
 
-        assert bitmap_store.STORAGE_ENV == env.BITMAP_STORAGE.name
-        assert bitmap_store.SPILL_DIR_ENV == env.BITMAP_SPILL_DIR.name
         assert coverage_cache.CACHE_ENV == env.COVERAGE_CACHE.name
-        assert influence.BITMAP_BUDGET_ENV == env.BITMAP_BUDGET_MB.name
         assert influence.CHUNK_SIZE_ENV == env.COVERAGE_CHUNK_SIZE.name
         assert pool.OVERSUBSCRIBE_ENV == env.POOL_OVERSUBSCRIBE.name
