@@ -20,9 +20,7 @@ they land on the identical plan), then measures:
   rolled back through the journal (``journal.rollback`` fired per quote) and
   the host's allocation object survived identically — rejected quotes
   allocate no copies;
-* **batched pricing** (``quote_many``): serial batch per-quote time, plus a
-  pool-fanned batch (bit-identity asserted) when the hardware has ≥ 2
-  schedulable CPUs.
+* **batched pricing** (``quote_many``): serial batch per-quote time.
 
 Appends to ``BENCH_quotes.json`` — an append-only, commit-stamped time
 series (see ``scripts/_bench_history.py``); ``--gate-regression`` fails the
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -57,7 +54,6 @@ from repro import obs
 from repro.market.online import OnlineHost
 from repro.market.scenario import Scenario
 from repro.obs import ledger
-from repro.parallel.pool import close_all_pools
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -218,38 +214,17 @@ def collect_quote_latency(incremental, proposals, samples) -> dict:
         obs.reset()
 
 
-def bench_quote_many(incremental, proposals, batch_size, workers) -> dict:
-    """Serial batch timing + pool-fanned bit-identity when CPUs allow."""
+def bench_quote_many(incremental, proposals, batch_size) -> dict:
+    """Serial ``quote_many`` batch timing (obs off)."""
     batch = [proposals[index % len(proposals)] for index in range(batch_size)]
     started = time.perf_counter()
-    serial_quotes = incremental.quote_many(batch)
+    incremental.quote_many(batch)
     serial_wall = time.perf_counter() - started
-
-    result = {
+    return {
         "batch_size": batch_size,
         "serial_batch_quote_s": serial_wall / batch_size,
         "note": "quote_many per-quote wall time, obs off",
     }
-    try:
-        schedulable = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        schedulable = os.cpu_count() or 1
-    if schedulable >= 2 and workers >= 2:
-        started = time.perf_counter()
-        parallel_quotes = incremental.quote_many(batch, workers=workers)
-        parallel_wall = time.perf_counter() - started
-        assert [quote_key(q) for q in parallel_quotes] == [
-            quote_key(q) for q in serial_quotes
-        ], "pool-fanned batch quotes diverged from the serial batch"
-        result["workers"] = workers
-        result["parallel_batch_quote_s"] = parallel_wall / batch_size
-        result["parallel_identical"] = True
-    else:
-        result["parallel_skipped"] = (
-            f"{schedulable} schedulable CPU(s) — pool fan-out would only "
-            "time-slice one core"
-        )
-    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -259,12 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--output", default="BENCH_quotes.json")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="pool size for the quote_many section (skipped on 1-CPU hosts)",
-    )
     parser.add_argument(
         "--assert-speedup",
         type=float,
@@ -327,8 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         incremental, full, proposals, n_incremental, n_full
     )
     latency = collect_quote_latency(incremental, proposals, latency_samples)
-    batched = bench_quote_many(incremental, proposals, batch_size, args.workers)
-    close_all_pools()
+    batched = bench_quote_many(incremental, proposals, batch_size)
 
     report = {
         "benchmark": "quote-throughput",

@@ -186,7 +186,6 @@ def bench_parallel_restarts(
     workers: int,
     seed: int,
     repeats: int = 4,
-    restart_batch_size="auto",
 ) -> dict:
     """Serial vs persistent-pool parallel restarts; identical best allocation.
 
@@ -208,7 +207,6 @@ def bench_parallel_restarts(
             restarts=restarts,
             seed=seed,
             restart_workers=pool_workers,
-            restart_batch_size=restart_batch_size,
         )
 
     obs.enable()
@@ -267,7 +265,6 @@ def bench_parallel_restarts(
     return {
         "restarts": restarts,
         "workers": workers,
-        "restart_batch_size": restart_batch_size,
         "grain": grain,
         "timed_repeats": repeats,
         "serial_s": serial_s,

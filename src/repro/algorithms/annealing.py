@@ -153,13 +153,7 @@ class SimulatedAnnealingSolver(Solver):
     restart_workers:
         Fan chains out over this many processes attached to a shared-memory
         coverage index; ``None``/``1`` runs them serially.  Same result
-        either way.
-    restart_batch_size:
-        Chains packed into one pool task on the parallel path (``"auto"``
-        targets ≥0.5 s of compute per task from the run ledger's grain
-        history, falling back to one wave per worker; see DESIGN.md §13).
-        In-task reduction is the same strict ``<`` in chain order, so every
-        batching choice returns the identical best plan.
+        either way (one wave of chains per pool task, DESIGN.md §13).
     """
 
     name = "SA"
@@ -172,7 +166,6 @@ class SimulatedAnnealingSolver(Solver):
         seed=None,
         restarts: int = 1,
         restart_workers: int | None = None,
-        restart_batch_size="auto",
     ) -> None:
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
@@ -184,20 +177,12 @@ class SimulatedAnnealingSolver(Solver):
             raise ValueError(
                 f"restart_workers must be >= 1, got {restart_workers}"
             )
-        if restart_batch_size not in (None, "auto") and (
-            not isinstance(restart_batch_size, int) or restart_batch_size < 1
-        ):
-            raise ValueError(
-                "restart_batch_size must be None, 'auto', or an int >= 1, "
-                f"got {restart_batch_size!r}"
-            )
         self.steps = steps
         self.initial_temperature = initial_temperature
         self.cooling = cooling
         self.seed = seed
         self.restarts = restarts
         self.restart_workers = restart_workers
-        self.restart_batch_size = restart_batch_size
 
     def _solve(self, instance: MROAMInstance, stats: dict) -> Allocation:
         if self.restarts == 1:
@@ -222,7 +207,6 @@ class SimulatedAnnealingSolver(Solver):
                     initial_temperature=self.initial_temperature,
                     cooling=self.cooling,
                     workers=self.restart_workers,
-                    restart_batch_size=self.restart_batch_size,
                 )
             else:
                 chains = [
@@ -237,7 +221,7 @@ class SimulatedAnnealingSolver(Solver):
                 ]
 
         # Track the winning chain *index* and fetch its plan once at the end:
-        # batched tasks ship only their in-task winner's plan, and the global
+        # pool tasks ship only their in-task winner's plan, and the global
         # winner is always its own task's winner (strict < at both levels),
         # so chains[best_index]["best"] is always present.
         best_index = -1

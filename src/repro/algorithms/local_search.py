@@ -21,7 +21,6 @@ best allocation.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -57,15 +56,8 @@ class RandomizedLocalSearch(Solver):
     restart_workers:
         Fan the random restarts out over this many worker processes attached
         to a shared-memory coverage index; ``None``/``1`` runs them serially.
-        Same best allocation either way.
-    restart_batch_size:
-        Restarts packed into one pool task on the parallel path (DESIGN.md
-        §13).  ``"auto"`` (default) sizes batches so one task targets ≥0.5 s
-        of compute, calibrated from the incumbent refinement's wall time (or
-        the run ledger's grain history); an explicit int pins the batch
-        size; ``None``/``1`` restores one-task-per-restart.  The reduction
-        is strict ``<`` in restart order in-task and across tasks, so every
-        batching choice returns the serial run's exact best allocation.
+        Each pool task runs one wave of ``ceil(restarts / restart_workers)``
+        restarts (DESIGN.md §13).  Same best allocation either way.
     """
 
     def __init__(
@@ -76,7 +68,6 @@ class RandomizedLocalSearch(Solver):
         min_improvement: float = 1e-9,
         max_sweeps: int | None = None,
         restart_workers: int | None = None,
-        restart_batch_size="auto",
     ) -> None:
         if neighborhood not in NEIGHBORHOODS:
             raise ValueError(
@@ -88,20 +79,12 @@ class RandomizedLocalSearch(Solver):
             raise ValueError(
                 f"restart_workers must be >= 1, got {restart_workers}"
             )
-        if restart_batch_size not in (None, "auto") and (
-            not isinstance(restart_batch_size, int) or restart_batch_size < 1
-        ):
-            raise ValueError(
-                "restart_batch_size must be None, 'auto', or an int >= 1, "
-                f"got {restart_batch_size!r}"
-            )
         self.neighborhood = neighborhood
         self.restarts = restarts
         self.seed = seed
         self.min_improvement = min_improvement
         self.max_sweeps = max_sweeps
         self.restart_workers = restart_workers
-        self.restart_batch_size = restart_batch_size
         self.name = neighborhood.upper()
 
     def _local_search(self) -> Callable[[Allocation, dict], Allocation]:
@@ -171,7 +154,6 @@ class RandomizedLocalSearch(Solver):
         best: Allocation,
         best_regret: float,
         stats: dict,
-        estimate_seconds: float | None,
     ) -> tuple[Allocation, float]:
         """Fan the restarts out over processes; identical reduction to serial.
 
@@ -179,7 +161,7 @@ class RandomizedLocalSearch(Solver):
         (and in the same order) the serial loop would consume, so the workers
         run the exact restarts the serial path runs.  The reduction tracks
         the winning restart *index* and rebuilds one allocation at the end —
-        batched tasks only ship their in-task winner's owner vector, and the
+        pool tasks only ship their in-task winner's owner vector, and the
         global winner is always its own task's winner (strict ``<`` both
         levels), so that vector is always present.
         """
@@ -198,8 +180,6 @@ class RandomizedLocalSearch(Solver):
             min_improvement=self.min_improvement,
             max_sweeps=self.max_sweeps,
             workers=self.restart_workers,
-            restart_batch_size=self.restart_batch_size,
-            estimate_seconds=estimate_seconds,
         )
         with obs.span("restart.reduce", restarts=len(outcomes)):
             best_index = -1
@@ -222,22 +202,17 @@ class RandomizedLocalSearch(Solver):
         local_search = self._local_search()
 
         # Line 3.1: incumbent from the synchronous greedy, then refined.
-        # Its wall time doubles as the "auto" grain calibration estimate —
-        # one restart is the same greedy + neighbourhood search from a
-        # random seed plan.
         before = dict(stats)
-        incumbent_started = time.perf_counter()  # repro-lint: ignore[determinism] telemetry-only clock
         best = Allocation(instance)
         synchronous_greedy(best, stats=stats)
         best = local_search(best, stats)
-        incumbent_seconds = time.perf_counter() - incumbent_started  # repro-lint: ignore[determinism] telemetry-only clock
         best_regret = best.total_regret()
         stats["best_restart"] = -1  # -1 = the deterministic greedy start
         self._record_restart(best_regret, before, stats)
 
         if self.restarts > 0 and (self.restart_workers or 1) > 1:
             best, best_regret = self._parallel_restarts(
-                instance, rng, best, best_regret, stats, incumbent_seconds
+                instance, rng, best, best_regret, stats
             )
         else:
             for restart in range(self.restarts):

@@ -43,6 +43,17 @@ _SWEEP_FORMATS = {
 }
 
 
+def positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1 (exit 2 with a usage error otherwise)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=("nyc", "sg"), default="nyc")
     parser.add_argument("--billboards", type=int, default=None, help="inventory size")
@@ -60,23 +71,16 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for the methods × values task grid (default serial)",
     )
     parser.add_argument(
         "--restart-workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for ALS/BLS random restarts (shared-memory "
         "coverage, same result as serial; ignored with --workers > 1)",
-    )
-    parser.add_argument(
-        "--restart-batch-size",
-        default=None,
-        metavar="K|auto",
-        help="restarts packed per pool task on the --restart-workers path "
-        "(auto targets >=0.5s of compute per task; same result either way)",
     )
     parser.add_argument(
         "--obs-out",
@@ -107,7 +111,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--coverage-chunk-size",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="stream the coverage build N trajectories at a time (peak build "
@@ -118,22 +122,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 def _apply_coverage_knobs(args: argparse.Namespace) -> None:
     """Export the coverage knobs as environment so every build sees them."""
     if getattr(args, "coverage_chunk_size", None) is not None:
-        if args.coverage_chunk_size <= 0:
-            raise SystemExit("--coverage-chunk-size must be positive")
         os.environ[influence.CHUNK_SIZE_ENV] = str(args.coverage_chunk_size)
-
-
-def _restart_batch_size(args: argparse.Namespace):
-    """Parse --restart-batch-size: None (solver default), "auto", or int."""
-    raw = getattr(args, "restart_batch_size", None)
-    if raw is None or raw == "auto":
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"--restart-batch-size must be an integer or 'auto', got {raw!r}"
-        )
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
@@ -204,7 +193,6 @@ def _cmd_cell(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
         restart_workers=args.restart_workers,
-        restart_batch_size=_restart_batch_size(args),
     )
     print(f"cell: {scenario}")
     for method, cell in metrics.items():
@@ -232,7 +220,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
         restart_workers=args.restart_workers,
-        restart_batch_size=_restart_batch_size(args),
     )
     fmt = _SWEEP_FORMATS[args.parameter]
     print(format_regret_table(result, f"{args.dataset.upper()} — sweep over {args.parameter}", fmt))
@@ -440,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     quotes.add_argument(
         "--pricing",
         choices=("incremental", "full"),
-        default=None,
-        help="quote-pricing engine (default: $REPRO_QUOTE_PRICING, then "
-        "incremental); both return bit-identical quotes",
+        default="incremental",
+        help="quote-pricing engine (default: incremental); both return "
+        "bit-identical quotes",
     )
     quotes.add_argument(
         "--sweeps", type=int, default=2, help="bounded-repair BLS sweeps per quote"

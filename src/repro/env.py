@@ -156,33 +156,6 @@ POOL_OVERSUBSCRIBE = _declare(
 )
 
 
-# ----------------------------------------------------------------- market
-
-
-QUOTE_PRICING = _declare(
-    EnvKnob(
-        name="REPRO_QUOTE_PRICING",
-        default="incremental",
-        parser=str,
-        doc="OnlineHost pricing engine: incremental (journaled allocation, "
-        "warm restricted repair) or full (rebuild-from-scratch baseline); "
-        "quotes are bit-identical either way.",
-        cli="pricing=",
-    )
-)
-
-QUOTE_BATCH_WORKERS = _declare(
-    EnvKnob(
-        name="REPRO_QUOTE_BATCH_WORKERS",
-        default=None,
-        parser=int,
-        doc="Worker count for quote_many batch pricing over the shared "
-        "instance pool; unset (or < 2) prices the batch serially.",
-        cli="workers=",
-    )
-)
-
-
 # ----------------------------------------------------------- observability
 
 

@@ -57,14 +57,11 @@ def _solver_kwargs(
     method: str,
     restarts: int,
     restart_workers: int | None = None,
-    restart_batch_size=None,
 ) -> dict:
     if method in ("als", "bls"):
         kwargs: dict = {"restarts": restarts}
         if restart_workers is not None:
             kwargs["restart_workers"] = restart_workers
-        if restart_batch_size is not None:
-            kwargs["restart_batch_size"] = restart_batch_size
         return kwargs
     return {}
 
@@ -77,7 +74,6 @@ def _run_method(
     runtime_repeats: int,
     span_attrs: dict | None = None,
     restart_workers: int | None = None,
-    restart_batch_size=None,
 ) -> CellMetrics:
     """One (instance, method) execution — the unit of parallel work."""
     with obs.span("harness.cell", method=method, **(span_attrs or {})):
@@ -91,7 +87,7 @@ def _run_method(
         solver = make_solver(
             method,
             seed=solver_seed,
-            **_solver_kwargs(method, restarts, restart_workers, restart_batch_size),
+            **_solver_kwargs(method, restarts, restart_workers),
         )
         first = solver.solve(instance)
         metrics = CellMetrics.from_result(method, first)
@@ -101,9 +97,7 @@ def _run_method(
                 repeat_solver = make_solver(
                     method,
                     seed=solver_seed,
-                    **_solver_kwargs(
-                        method, restarts, restart_workers, restart_batch_size
-                    ),
+                    **_solver_kwargs(method, restarts, restart_workers),
                 )
                 runtimes.append(repeat_solver.solve(instance).runtime_s)
             metrics = replace(metrics, runtime_s=sum(runtimes) / len(runtimes))
@@ -268,7 +262,6 @@ def run_cell(
     runtime_repeats: int = 1,
     workers: int | None = None,
     restart_workers: int | None = None,
-    restart_batch_size=None,
     _span_attrs: dict | None = None,
 ) -> dict[str, CellMetrics]:
     """Run each method on one cell; returns ``{method: CellMetrics}``.
@@ -303,7 +296,6 @@ def run_cell(
             runtime_repeats,
             _span_attrs,
             restart_workers=restart_workers,
-            restart_batch_size=restart_batch_size,
         )
         for method in methods
     }
@@ -320,7 +312,6 @@ def sweep(
     runtime_repeats: int = 1,
     workers: int | None = None,
     restart_workers: int | None = None,
-    restart_batch_size=None,
 ) -> ExperimentResult:
     """Vary one scenario field across ``values``; other fields stay fixed.
 
@@ -367,7 +358,6 @@ def sweep(
             solver_seed=solver_seed,
             runtime_repeats=runtime_repeats,
             restart_workers=restart_workers,
-            restart_batch_size=restart_batch_size,
             _span_attrs={"parameter": parameter, "value": value},
         )
     return result

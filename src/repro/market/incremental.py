@@ -29,15 +29,12 @@ two paths in lockstep).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.algorithms.repair import bounded_repair, settle_certificates
 from repro.algorithms.sweep import BillboardSweepState
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
-from repro.core.allocation import UNASSIGNED, Allocation
+from repro.core.allocation import Allocation
 from repro.core.journal import JournaledAllocation
 from repro.core.problem import MROAMInstance
 
@@ -74,30 +71,18 @@ class QuoteWorkspace:
         gamma: float = 0.5,
         repair_sweeps: int = 2,
         min_improvement: float = 1e-9,
-        advertisers: Sequence[Advertiser] = (),
-        allocation: Allocation | None = None,
     ) -> None:
         self._coverage = coverage
         self._gamma = float(gamma)
         self.repair_sweeps = repair_sweeps
         self.min_improvement = min_improvement
-        self._book: list[Advertiser] = list(advertisers)
-        self._rebuild(allocation)
-
-    def _rebuild(self, book_allocation: Allocation | None) -> None:
-        """Cold start: fresh extended instance, allocation, and sweep state."""
-        slot = len(self._book)
-        self._ghost = _ghost(slot)
-        self._ext = MROAMInstance(
-            self._coverage, [*self._book, self._ghost], gamma=self._gamma
-        )
+        # Cold start: an empty book, so the extended instance is the ghost.
+        self._book: list[Advertiser] = []
+        self._ghost = _ghost(0)
+        self._ext = MROAMInstance(self._coverage, [self._ghost], gamma=self._gamma)
         self.allocation = JournaledAllocation(self._ext)
-        if book_allocation is not None:
-            self.allocation.copy_assignments_from(book_allocation)
         self.allocation.journal_enable()
-        self.state = BillboardSweepState(slot + 1, self._coverage.num_billboards)
-        if self._book:
-            self.settle()
+        self.state = BillboardSweepState(1, self._coverage.num_billboards)
 
     def settle(self) -> None:
         """Re-certify the sweep state against the standing plan (no moves).
@@ -219,45 +204,3 @@ class QuoteWorkspace:
             self.newcomer_slot + 1, self._coverage.num_billboards
         )
         self.settle()
-
-    def install_owners(self, owners: np.ndarray) -> None:
-        """Rebuild a shipped owner vector into the (empty) allocation.
-
-        Used by pool workers: the parent ships its book plan as the compact
-        owner vector, and replaying it as assigns reproduces the counter
-        rows, influence vector, and sets exactly (integer adds commute).
-        """
-        owners = np.asarray(owners)
-        self.allocation.replay(
-            ("assign", int(billboard_id), int(owners[billboard_id]))
-            for billboard_id in np.nonzero(owners != UNASSIGNED)[0]
-        )
-
-
-def _price_chunk(instance: MROAMInstance, payload: dict) -> list:
-    """Pool runner: price a chunk of proposals against a shipped book plan.
-
-    Runs in a worker against the attached *book* instance (which never
-    mutates — the newcomer slot lives only in the worker's private
-    workspace).  A cold workspace prices bit-identically to the parent's
-    warm one (DESIGN.md §15), so the fan-out changes wall-clock only.
-    """
-    workspace = QuoteWorkspace(
-        instance.coverage,
-        gamma=instance.gamma,
-        repair_sweeps=payload["repair_sweeps"],
-        min_improvement=payload["min_improvement"],
-        advertisers=instance.advertisers,
-    )
-    owners = payload["owners"]
-    if owners is not None:
-        workspace.install_owners(owners)
-        workspace.settle()
-    slot = workspace.newcomer_slot
-    results = []
-    for demand, payment, name in payload["proposals"]:
-        priced = workspace.price(Advertiser(slot, demand, payment, name=name))
-        results.append(
-            (priced.regret_before, priced.regret_after, priced.would_satisfy)
-        )
-    return results

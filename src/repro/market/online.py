@@ -12,8 +12,7 @@ workflow on top:
   plan (equivalent to ``commit(quote(...))``).
 * :meth:`OnlineHost.commit` — commit a previously returned quote's token:
   the repair computed while pricing is adopted, not recomputed.
-* :meth:`OnlineHost.quote_many` — price a batch of independent proposals,
-  optionally fanned across the instance's persistent worker pool.
+* :meth:`OnlineHost.quote_many` — price a batch of independent proposals.
 * :meth:`OnlineHost.reoptimize` — run the full randomized local search over
   the current book (e.g. nightly).
 
@@ -33,15 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import env, obs
+from repro import obs
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.algorithms.repair import bounded_repair
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
-from repro.market.incremental import QuoteWorkspace, _price_chunk
-from repro.parallel.pool import instance_pool
+from repro.market.incremental import QuoteWorkspace
 
 #: The available quote-pricing engines (see module docstring).
 PRICING_MODES = ("incremental", "full")
@@ -78,9 +76,9 @@ class Quote:
     regret_before: float
     regret_after: float
     would_satisfy: bool
-    #: Commit material (``None`` for pool-priced batch quotes, which are
-    #: price-only).  Excluded from equality so quotes from different pricing
-    #: engines compare on their numbers alone.
+    #: Commit material (``None`` only for quotes built by hand, which
+    #: ``commit`` refuses).  Excluded from equality so quotes from different
+    #: pricing engines compare on their numbers alone.
     token: QuoteToken | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -108,12 +106,10 @@ class OnlineHost:
         gamma: float = 0.5,
         repair_sweeps: int = 2,
         seed: int = 0,
-        pricing: str | None = None,
+        pricing: str = "incremental",
     ) -> None:
         if repair_sweeps < 0:
             raise ValueError(f"repair_sweeps must be non-negative, got {repair_sweeps}")
-        if pricing is None:
-            pricing = str(env.QUOTE_PRICING.get())
         if pricing not in PRICING_MODES:
             raise ValueError(
                 f"unknown pricing {pricing!r}; expected one of {PRICING_MODES}"
@@ -132,10 +128,6 @@ class OnlineHost:
             if pricing == "incremental"
             else None
         )
-        # The book instance handed to worker pools, rebuilt per book version
-        # (pools key on the instance object, so reusing it keeps them warm).
-        self._pool_instance: MROAMInstance | None = None
-        self._pool_instance_version = -1
 
     # ------------------------------------------------------------------ state
 
@@ -264,78 +256,22 @@ class OnlineHost:
             self.commit(quote)
         return quote
 
-    def quote_many(self, proposals, workers: int | None = None) -> list[Quote]:
+    def quote_many(self, proposals) -> list[Quote]:
         """Price independent proposals as one batch (state unchanged).
 
         ``proposals`` is a sequence of ``(demand, payment)`` or ``(demand,
-        payment, name)`` tuples.  With ``workers >= 2`` (argument or
-        ``REPRO_QUOTE_BATCH_WORKERS``) and a non-empty book on the
-        incremental engine, the batch fans across the book instance's
-        persistent worker pool; pool-priced quotes are price-only (no commit
-        token), and their numbers are bit-identical to the serial loop.
+        payment, name)`` tuples; each is priced against the current book, as
+        :meth:`quote` would.
         """
         normalized = [
             (proposal[0], proposal[1], proposal[2] if len(proposal) > 2 else "")
             for proposal in proposals
         ]
-        if workers is None:
-            configured = env.QUOTE_BATCH_WORKERS.get()
-            workers = int(configured) if configured is not None else 0
         with obs.span("quote.batch", proposals=len(normalized)):
-            if (
-                self.pricing == "incremental"
-                and self._advertisers
-                and workers >= 2
-                and len(normalized) >= 2
-            ):
-                quotes = self._quote_many_parallel(normalized, workers)
-                if quotes is not None:
-                    return quotes
             return [
                 self._price(demand, payment, name)
                 for demand, payment, name in normalized
             ]
-
-    def _quote_many_parallel(self, proposals: list, workers: int) -> list | None:
-        """Fan a normalized batch across the warm pool; ``None`` = go serial."""
-        instance = self._book_instance()
-        pool = instance_pool(instance, workers)
-        if pool.workers < 2:
-            return None
-        owners = self._workspace.allocation.owners.copy()
-        chunk = -(-len(proposals) // pool.workers)  # ceil division
-        payloads = [
-            {
-                "owners": owners,
-                "proposals": proposals[start : start + chunk],
-                "repair_sweeps": self.repair_sweeps,
-                "min_improvement": self._workspace.min_improvement,
-            }
-            for start in range(0, len(proposals), chunk)
-        ]
-        rows = [row for chunk_rows in pool.run(_price_chunk, payloads) for row in chunk_rows]
-        return [
-            Quote(
-                advertiser_name=name,
-                demand=demand,
-                payment=payment,
-                regret_before=regret_before,
-                regret_after=regret_after,
-                would_satisfy=would_satisfy,
-            )
-            for (demand, payment, name), (
-                regret_before,
-                regret_after,
-                would_satisfy,
-            ) in zip(proposals, rows)
-        ]
-
-    def _book_instance(self) -> MROAMInstance:
-        """The book instance reused across pool calls at one book version."""
-        if self._pool_instance_version != self._book_version:
-            self._pool_instance = self.instance()
-            self._pool_instance_version = self._book_version
-        return self._pool_instance
 
     def reoptimize(self, restarts: int = 3) -> float:
         """Full randomized local search over the whole book (e.g. nightly).

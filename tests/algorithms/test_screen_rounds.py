@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.annealing import SimulatedAnnealingSolver
 from repro.algorithms.greedy_global import synchronous_greedy
-from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.algorithms.screen import round_flags
 from repro.algorithms.sweep import BillboardSweepState, round_candidates
 from repro.core.allocation import UNASSIGNED, Allocation
@@ -194,12 +192,3 @@ class TestRoundFlags:
             1e-9,
         )
         assert not flags.any()
-
-
-class TestSolverParameterValidation:
-    @pytest.mark.parametrize("bad", [0, -1, "bogus", 1.5])
-    def test_restart_batch_size_validated(self, bad):
-        with pytest.raises(ValueError, match="restart_batch_size"):
-            RandomizedLocalSearch("bls", restart_batch_size=bad)
-        with pytest.raises(ValueError, match="restart_batch_size"):
-            SimulatedAnnealingSolver(steps=10, restart_batch_size=bad)

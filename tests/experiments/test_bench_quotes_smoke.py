@@ -61,3 +61,5 @@ class TestBenchQuotesSmoke:
 
         batched = report["quote_many"]
         assert batched["serial_batch_quote_s"] > 0.0
+        # quote_many is the serial loop: no pool-fanned half in the report.
+        assert set(batched) == {"batch_size", "serial_batch_quote_s", "note"}

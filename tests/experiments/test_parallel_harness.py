@@ -158,8 +158,7 @@ class TestBenchSmoke:
         restarts = report["parallel_restarts"]
         assert restarts["shm_attach"] >= 1
         assert restarts["serial_s"] > 0.0 and restarts["parallel_s"] > 0.0
-        # Auto grain batching packs several restarts per pool task (smoke
-        # restarts finish well under the 0.5 s/task target).
+        # One wave per pool task packs several restarts per task.
         grain = restarts["grain"]
         assert 0 < grain["tasks"] < restarts["restarts"]
         assert grain["restarts_per_task"] > 1.0

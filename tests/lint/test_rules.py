@@ -254,7 +254,7 @@ class TestEnvRegistry:
 
 
             def f():
-                return os.environ.get("REPRO_QUOTE_PRICING")
+                return os.environ.get("REPRO_POOL_OVERSUBSCRIBE")
             """,
             rules=["env-registry"],
         )
@@ -284,7 +284,7 @@ class TestEnvRegistry:
             """\
             import os
 
-            SOME_ENV = "REPRO_QUOTE_PRICING"
+            SOME_ENV = "REPRO_POOL_OVERSUBSCRIBE"
 
 
             def f():
@@ -309,8 +309,8 @@ class TestEnvRegistry:
 
 
                 def f():
-                    os.environ["REPRO_QUOTE_PRICING"] = "1"
-                    os.environ.pop("REPRO_QUOTE_PRICING", None)
+                    os.environ["REPRO_POOL_OVERSUBSCRIBE"] = "1"
+                    os.environ.pop("REPRO_POOL_OVERSUBSCRIBE", None)
                     return os.environ.get("HOME")
                 """,
                 rules=["env-registry"],

@@ -9,13 +9,12 @@ over randomized sequences on two coverage families and compare with ``==``
 (no tolerances).
 """
 
-import os
 import random
 
 import numpy as np
 import pytest
 
-from repro import env, obs
+from repro import obs
 from repro.billboard.influence import CoverageIndex
 from repro.market.online import OnlineHost, PRICING_MODES, Quote
 
@@ -257,32 +256,11 @@ class TestQuoteMany:
         assert [q.demand for q in quotes] == [3, 6]
         assert quotes[0].advertiser_name == ""
 
-    def test_parallel_batch_matches_serial(self):
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("needs >= 2 schedulable CPUs for a real pool")
-        host = OnlineHost(overlapping_coverage(7))
-        rng = random.Random(7)
-        for _ in range(4):
-            host.accept(rng.randint(3, 18), round(rng.uniform(1, 8), 2))
-        proposals = [
-            (rng.randint(2, 25), round(rng.uniform(0.5, 8), 2), f"p{i}")
-            for i in range(6)
-        ]
-        serial = host.quote_many(proposals)
-        parallel = host.quote_many(proposals, workers=2)
-        assert [
-            (q.regret_before, q.regret_after, q.would_satisfy) for q in serial
-        ] == [(q.regret_before, q.regret_after, q.would_satisfy) for q in parallel]
-        # Pool-priced quotes are price-only.
-        assert all(q.token is None for q in parallel)
-
 
 class TestConfiguration:
-    def test_env_knob_selects_engine(self):
-        with env.temporary(env.QUOTE_PRICING.name, "full"):
-            assert OnlineHost(disjoint_coverage()).pricing == "full"
-        with env.temporary(env.QUOTE_PRICING.name, None):
-            assert OnlineHost(disjoint_coverage()).pricing == "incremental"
+    def test_default_is_incremental(self):
+        assert OnlineHost(disjoint_coverage()).pricing == "incremental"
+        assert OnlineHost(disjoint_coverage(), pricing="full").pricing == "full"
 
     def test_unknown_pricing_rejected(self):
         with pytest.raises(ValueError, match="pricing"):

@@ -50,13 +50,12 @@ def instance():
     ).build_instance()
 
 
-def solve(instance, workers, restart_batch_size="auto"):
+def solve(instance, workers):
     return RandomizedLocalSearch(
         "bls",
         restarts=RESTARTS,
         seed=11,
         restart_workers=workers,
-        restart_batch_size=restart_batch_size,
     ).solve(instance)
 
 
@@ -137,11 +136,12 @@ class TestTraceAcrossProcesses:
 
         out = tmp_path / "trace.json"
         obs.trace_enable(out=str(out))
-        # One restart per task pins the task count.  Which worker takes each
-        # task is the scheduler's choice (one warm worker may take them all),
-        # so the assertions cover only what tracing controls: every task's
-        # span reaches the written file, under its worker's pid and name.
-        solve(instance, WORKERS, restart_batch_size=1)
+        # One wave per task: RESTARTS >= WORKERS gives WORKERS tasks.  Which
+        # worker takes each task is the scheduler's choice (one warm worker
+        # may take them all), so the assertions cover only what tracing
+        # controls: every task's span reaches the written file, under its
+        # worker's pid and name.
+        solve(instance, WORKERS)
         close_all_pools()
         written = obs.write_trace()
         data = json.loads(written.read_text())
@@ -151,7 +151,7 @@ class TestTraceAcrossProcesses:
             for e in data["traceEvents"]
             if e.get("ph") == "X" and e.get("name") == "pool.task"
         ]
-        assert len(tasks) == RESTARTS
+        assert len(tasks) == WORKERS
         names = {
             e["pid"]: e["args"]["name"]
             for e in data["traceEvents"]

@@ -1,16 +1,14 @@
 """Batched restart grains must be invisible to results (DESIGN.md §13).
 
-Packing several restarts into one pool task changes only the task shape:
-the in-task reduction applies the same strict ``<`` in restart order the
-caller applies across tasks, so batched, unbatched, and serial runs must
-return bit-identical allocations, regrets, and move counters for every
-batch size — including ``"auto"``, whose size depends on a timing estimate
-and therefore must never leak into results.
+The parallel drivers pack one wave — ``ceil(restarts / workers)`` restarts
+— into each pool task.  The in-task reduction applies the same strict
+``<`` in restart order the caller applies across tasks, so parallel and
+serial runs must return bit-identical allocations, regrets, and move
+counters for every restart count: fewer restarts than workers (batches of
+one), even waves, and an uneven last batch.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -18,14 +16,12 @@ from repro import obs
 from repro.algorithms.annealing import SimulatedAnnealingSolver
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.parallel.pool import close_all_pools
-from repro.parallel.restarts import (
-    TARGET_TASK_SECONDS,
-    estimated_restart_seconds,
-    resolve_batch_size,
-)
 from tests.conftest import make_random_instance
 
 MOVE_KEYS = ("bls_exchanges", "bls_releases", "bls_topups", "als_exchanges")
+WORKERS = 2
+#: 1 < workers, 2 = one per worker, 3 and 5 leave an uneven last batch.
+RESTART_COUNTS = (1, 2, 3, 5)
 
 
 @pytest.fixture(scope="module")
@@ -35,144 +31,73 @@ def instance():
     )
 
 
-class TestResolveBatchSize:
-    def test_disabled_modes(self):
-        assert resolve_batch_size(None, 8, 2) == 1
-        assert resolve_batch_size(1, 8, 2) == 1
-        assert resolve_batch_size("auto", 0, 2) == 1
-
-    def test_explicit_int_capped_at_restarts(self):
-        assert resolve_batch_size(3, 8, 2) == 3
-        assert resolve_batch_size(16, 8, 2) == 8
-
-    def test_auto_without_estimate_is_one_wave(self):
-        # ceil(restarts / workers): the fattest grain using every worker.
-        assert resolve_batch_size("auto", 8, 2) == 4
-        assert resolve_batch_size("auto", 7, 2) == 4
-        assert resolve_batch_size("auto", 8, 3) == 3
-
-    def test_auto_targets_task_seconds(self):
-        # 0.05 s per restart -> ceil(0.5 / 0.05) = 10, capped at one wave.
-        estimate = TARGET_TASK_SECONDS / 10
-        assert resolve_batch_size("auto", 40, 2, estimate) == 10
-        assert resolve_batch_size("auto", 8, 2, estimate) == 4
-        # Slow restarts already exceed the target: one restart per task.
-        assert resolve_batch_size("auto", 8, 2, TARGET_TASK_SECONDS * 2) == 1
-
-    def test_invalid_int_rejected(self):
-        with pytest.raises(ValueError, match="restart_batch_size"):
-            resolve_batch_size(0, 8, 2)
-
-
-class TestLedgerCalibration:
-    def test_grain_history_round_trip(self, instance, tmp_path, monkeypatch):
-        """Driver runs write ``parallel.grain`` rows; ``"auto"`` sizing reads
-        the mean per-restart seconds back for comparable instances."""
-        ledger = tmp_path / "ledger.jsonl"
-        monkeypatch.setenv("REPRO_OBS_LEDGER", str(ledger))
-        assert estimated_restart_seconds("local_search", instance) is None
-        try:
-            RandomizedLocalSearch(
-                "bls", restarts=4, seed=3, restart_workers=2, restart_batch_size=2
-            ).solve(instance)
-        finally:
-            close_all_pools()
-        rows = [
-            json.loads(line)
-            for line in ledger.read_text().splitlines()
-            if line.strip()
-        ]
-        grains = [row for row in rows if row.get("kind") == "parallel.grain"]
-        assert len(grains) == 1
-        grain = grains[0]["grain"]
-        assert grain["task_kind"] == "local_search"
-        assert grain["restarts"] == 4
-        assert grain["batch_size"] == 2
-        assert grain["tasks"] == 2
-        assert grain["mean_restart_seconds"] > 0
-        estimate = estimated_restart_seconds("local_search", instance)
-        assert estimate == pytest.approx(grain["mean_restart_seconds"])
-        # Different task kind or instance size: no comparable history.
-        assert estimated_restart_seconds("sa", instance) is None
-        other = make_random_instance(
-            5, num_billboards=12, num_trajectories=30, num_advertisers=3
-        )
-        assert estimated_restart_seconds("local_search", other) is None
-
-    def test_no_ledger_no_estimate(self, instance, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_LEDGER", raising=False)
-        assert estimated_restart_seconds("local_search", instance) is None
-
-
 class TestBatchedBitIdentity:
     @pytest.mark.parametrize("neighborhood", ["bls", "als"])
     def test_every_batch_size_matches_serial(self, instance, neighborhood):
-        serial = RandomizedLocalSearch(neighborhood, restarts=4, seed=42).solve(
-            instance
-        )
         try:
-            for batch_size in (None, 2, 3, "auto"):
+            for restarts in RESTART_COUNTS:
+                serial = RandomizedLocalSearch(
+                    neighborhood, restarts=restarts, seed=42
+                ).solve(instance)
                 batched = RandomizedLocalSearch(
                     neighborhood,
-                    restarts=4,
+                    restarts=restarts,
                     seed=42,
-                    restart_workers=2,
-                    restart_batch_size=batch_size,
+                    restart_workers=WORKERS,
                 ).solve(instance)
                 assert (
                     batched.allocation.assignment_map()
                     == serial.allocation.assignment_map()
-                ), batch_size
-                assert batched.total_regret == serial.total_regret, batch_size
+                ), restarts
+                assert batched.total_regret == serial.total_regret, restarts
                 assert batched.stats.get("best_restart") == serial.stats.get(
                     "best_restart"
-                ), batch_size
+                ), restarts
                 for key in MOVE_KEYS:
                     assert batched.stats.get(key, 0) == serial.stats.get(key, 0), (
-                        batch_size,
+                        restarts,
                         key,
                     )
         finally:
             close_all_pools()
 
     def test_annealing_batches_match_serial(self, instance):
-        serial = SimulatedAnnealingSolver(steps=300, seed=9, restarts=4).solve(
-            instance
-        )
         try:
-            for batch_size in (None, 2, "auto"):
+            for restarts in RESTART_COUNTS:
+                serial = SimulatedAnnealingSolver(
+                    steps=300, seed=9, restarts=restarts
+                ).solve(instance)
                 batched = SimulatedAnnealingSolver(
                     steps=300,
                     seed=9,
-                    restarts=4,
-                    restart_workers=2,
-                    restart_batch_size=batch_size,
+                    restarts=restarts,
+                    restart_workers=WORKERS,
                 ).solve(instance)
                 assert (
                     batched.allocation.assignment_map()
                     == serial.allocation.assignment_map()
-                ), batch_size
-                assert batched.total_regret == serial.total_regret, batch_size
+                ), restarts
+                assert batched.total_regret == serial.total_regret, restarts
                 assert batched.stats.get("sa_best_restart") == serial.stats.get(
                     "sa_best_restart"
-                ), batch_size
+                ), restarts
                 assert batched.stats.get("sa_accepted") == serial.stats.get(
                     "sa_accepted"
-                ), batch_size
+                ), restarts
         finally:
             close_all_pools()
 
 
 class TestBatchedPoolBehaviour:
     def test_batches_shrink_task_count_and_pool_persists(self, instance):
-        """Two batched solver calls: the second reuses the warm pool, and
-        each fans fewer tasks than restarts (the grain actually fattened)."""
+        """Two solver calls: the second reuses the warm pool, and each fans
+        one task per worker rather than one per restart."""
         close_all_pools()
         obs.enable()
         try:
             obs.reset()
             solver = RandomizedLocalSearch(
-                "bls", restarts=4, seed=7, restart_workers=2, restart_batch_size=2
+                "bls", restarts=4, seed=7, restart_workers=WORKERS
             )
             solver.solve(instance)
             solver.solve(instance)
@@ -190,3 +115,20 @@ class TestBatchedPoolBehaviour:
         assert batches.mean == 2.0  # 2 restarts packed per task
         assert tasks == 4
         assert tasks < 2 * 4  # fewer tasks than restarts run
+
+    def test_five_restarts_on_two_workers_pack_three_then_two(self, instance):
+        """One wave per task: ``ceil(5 / 2) = 3`` restarts, then the rest."""
+        close_all_pools()
+        obs.enable()
+        try:
+            obs.reset()
+            RandomizedLocalSearch(
+                "bls", restarts=5, seed=7, restart_workers=WORKERS
+            ).solve(instance)
+            batches = obs.get_registry().histogram("pool.task.batch")
+        finally:
+            obs.disable()
+            obs.reset()
+            close_all_pools()
+        assert batches.count == 2
+        assert (batches.max, batches.min) == (3.0, 2.0)

@@ -21,6 +21,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--parameter", "bogus"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--restart-workers", "--coverage-chunk-size"]
+    )
+    def test_zero_counts_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cell", flag, "0"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_example1_output(self, capsys):

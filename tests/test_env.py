@@ -31,10 +31,10 @@ class TestParsers:
 
 class TestKnobAccessors:
     def test_unset_returns_default_untouched(self, monkeypatch):
-        monkeypatch.delenv(env.QUOTE_PRICING.name, raising=False)
-        assert env.QUOTE_PRICING.raw() is None
-        assert env.QUOTE_PRICING.get() == "incremental"
-        assert not env.QUOTE_PRICING.is_set()
+        monkeypatch.delenv(env.POOL_OVERSUBSCRIBE.name, raising=False)
+        assert env.POOL_OVERSUBSCRIBE.raw() is None
+        assert env.POOL_OVERSUBSCRIBE.get() is False
+        assert not env.POOL_OVERSUBSCRIBE.is_set()
 
     def test_set_value_is_parsed(self, monkeypatch):
         monkeypatch.setenv(env.COVERAGE_CHUNK_SIZE.name, "4096")
@@ -64,29 +64,29 @@ class TestKnobAccessors:
 
 class TestTemporary:
     def test_set_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUOTE_PRICING", "full")
-        with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
-            assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
-        assert os.environ["REPRO_QUOTE_PRICING"] == "full"
+        monkeypatch.setenv("REPRO_OBS_OUT", "a.jsonl")
+        with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
+            assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
+        assert os.environ["REPRO_OBS_OUT"] == "a.jsonl"
 
     def test_unset_for_scope_then_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUOTE_PRICING", "incremental")
-        with env.temporary("REPRO_QUOTE_PRICING", None):
-            assert "REPRO_QUOTE_PRICING" not in os.environ
-        assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
+        monkeypatch.setenv("REPRO_OBS_OUT", "b.jsonl")
+        with env.temporary("REPRO_OBS_OUT", None):
+            assert "REPRO_OBS_OUT" not in os.environ
+        assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
 
     def test_restores_absence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUOTE_PRICING", raising=False)
-        with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
-            assert os.environ["REPRO_QUOTE_PRICING"] == "incremental"
-        assert "REPRO_QUOTE_PRICING" not in os.environ
+        monkeypatch.delenv("REPRO_OBS_OUT", raising=False)
+        with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
+            assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
+        assert "REPRO_OBS_OUT" not in os.environ
 
     def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUOTE_PRICING", "full")
+        monkeypatch.setenv("REPRO_OBS_OUT", "a.jsonl")
         with pytest.raises(RuntimeError):
-            with env.temporary("REPRO_QUOTE_PRICING", "incremental"):
+            with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
                 raise RuntimeError("boom")
-        assert os.environ["REPRO_QUOTE_PRICING"] == "full"
+        assert os.environ["REPRO_OBS_OUT"] == "a.jsonl"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
         monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
@@ -106,8 +106,6 @@ class TestRegistryHygiene:
             "REPRO_COVERAGE_CACHE",
             "REPRO_COVERAGE_CHUNK_SIZE",
             "REPRO_POOL_OVERSUBSCRIBE",
-            "REPRO_QUOTE_PRICING",
-            "REPRO_QUOTE_BATCH_WORKERS",
             "REPRO_OBS_OUT",
             "REPRO_OBS_TRACE",
             "REPRO_OBS_LEDGER",
@@ -115,13 +113,13 @@ class TestRegistryHygiene:
         ]
 
     def test_lookup_by_name(self):
-        assert env.knob("REPRO_QUOTE_PRICING") is env.QUOTE_PRICING
+        assert env.knob("REPRO_OBS_OUT") is env.OBS_OUT
         with pytest.raises(KeyError):
             env.knob("REPRO_NOT_DECLARED")
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            env._declare(env.QUOTE_PRICING)
+            env._declare(env.OBS_OUT)
 
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
