@@ -16,15 +16,22 @@ fresh baseline.
 The regression gate compares every ``*_s`` timing of the new run against the
 **best** (minimum) value recorded for the same scenario key and metric, and
 fails when any is slower than ``threshold`` (default 1.15 = >15% slower).
-With no prior baseline for the key the gate passes trivially — a fresh CI
-workspace gates nothing, while a checked-in history gates every run.
+Only runs with the same :func:`machine_stamp` (python, numpy, usable CPUs)
+count as baselines: a row from another host says nothing about this one, and
+rows recorded before the stamp carried ``cpus`` never gate.  With no prior
+baseline for the key the gate passes trivially — a fresh CI workspace gates
+nothing, while a checked-in history gates every run.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 SCHEMA = "bench-history-v1"
 
@@ -40,6 +47,25 @@ def scenario_key(report: dict) -> str:
     if report.get("smoke"):
         parts.append("smoke")
     return "|".join(parts)
+
+
+def machine_stamp() -> dict:
+    """The host facts a timing depends on, recorded as a run's ``machine``."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
+def baseline_key(report: dict) -> str | None:
+    """:func:`scenario_key` plus the run's machine stamp, or ``None`` for a
+    run whose stamp lacks ``cpus`` (it can neither gate nor be gated)."""
+    machine = report.get("machine")
+    if not isinstance(machine, dict) or "cpus" not in machine:
+        return None
+    stamp = ",".join(f"{k}={machine[k]}" for k in sorted(machine))
+    return f"{scenario_key(report)}|machine:{stamp}"
 
 
 def load_history(path: str | Path) -> dict:
@@ -89,14 +115,16 @@ def timing_metrics(report: dict, prefix: str = "") -> dict[str, float]:
     return metrics
 
 
-def best_baselines(history: dict, key: str) -> dict[str, tuple[float, str]]:
+def best_baselines(history: dict, key: str | None) -> dict[str, tuple[float, str]]:
     """Best (minimum) recorded ``(value, commit)`` per timing metric for one
-    scenario key.  The commit is the ``commit`` stamp of the run that set the
-    best value (``"unknown"`` when the run carries none), so gate failures
-    can name the exact commit to bisect against."""
+    :func:`baseline_key`.  The commit is the ``commit`` stamp of the run that
+    set the best value (``"unknown"`` when the run carries none), so gate
+    failures can name the exact commit to bisect against."""
     best: dict[str, tuple[float, str]] = {}
+    if key is None:
+        return best
     for run in history.get("runs", []):
-        if scenario_key(run) != key:
+        if baseline_key(run) != key:
             continue
         commit = str(run.get("commit", "unknown"))
         for metric, value in timing_metrics(run).items():
@@ -112,11 +140,11 @@ def gate_regression(
 
     ``history`` should hold the *prior* runs (gate before appending, or
     accept that the new run is its own >=1.0x baseline and can never fail).
-    An empty list means the gate passes; no baseline for the scenario key
-    passes trivially.  Each failure names the commit that set the best value
-    and the regression as a percentage over it.
+    An empty list means the gate passes; no baseline for the scenario key on
+    this machine stamp passes trivially.  Each failure names the commit that
+    set the best value and the regression as a percentage over it.
     """
-    baselines = best_baselines(history, scenario_key(report))
+    baselines = best_baselines(history, baseline_key(report))
     failures = []
     for metric, value in timing_metrics(report).items():
         baseline = baselines.get(metric)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -257,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
             "lambda_m": scenario.lambda_m,
             "seed": scenario.seed,
         },
-        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "machine": _bench_history.machine_stamp(),
         "build": build,
         "influence_of_set": queries,
         "bls_cell": bls,

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import subprocess
 import sys
 import time
@@ -311,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
             "book_size": book_size,
             "seed": scenario.seed,
         },
-        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "machine": _bench_history.machine_stamp(),
         "quote_paths": quote_paths,
         "quote_latency": latency,
         "quote_many": batched,

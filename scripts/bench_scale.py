@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -230,10 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             "lambda_m": lambda_m,
             "seed": args.seed,
         },
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": _bench_history.machine_stamp(),
         "sizes": size_entries,
         "bls_cell": bls,
     }

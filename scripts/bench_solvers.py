@@ -39,13 +39,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
@@ -156,7 +153,7 @@ def collect_restricted_rows(instance: MROAMInstance) -> tuple[dict, dict]:
                 "max far below num_billboards is the restriction at work"
             ),
         }
-        phase_names = ("screen", "exchange", "release", "topup", "verify")
+        phase_names = ("screen", "exchange", "release", "topup")
         phases = {
             name: obs.get_registry().histogram(f"bls.phase.{name}").total
             for name in phase_names
@@ -389,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             "lambda_m": scenario.lambda_m,
             "seed": scenario.seed,
         },
-        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "machine": _bench_history.machine_stamp(),
         "bls_local_search": sweep_engines,
         "restricted_rows": restricted_rows,
         "bls_sweep_phases": sweep_phases,

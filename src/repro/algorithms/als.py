@@ -9,9 +9,11 @@ billboards.
 
 The sweep skips pairs where neither advertiser's set changed since the pair
 was last priced non-improving (the delta depends only on the two influence
-scalars, so it is provably unchanged), and finishes with one unrestricted
-sweep.  It accepts the identical exchange sequence as the literal
-rescan-every-pair loop, which ``tests/oracles.py`` keeps as the oracle.
+scalars, so it is provably unchanged), and stops at the first sweep that
+accepts nothing.  It accepts the identical exchange sequence as the literal
+rescan-every-pair loop, which ``tests/oracles.py`` keeps as the oracle;
+``tests/oracles.CertificateAudit`` prices every skipped pair to check the
+certificates.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def _search(
     sweeps = 0
     exchanges = 0
     evaluated = 0
-    verifying = False
-    while True:
+    improved = True
+    while improved:
         improved = False
         sweeps += 1
         for advertiser_a in range(num_advertisers):
@@ -48,10 +50,7 @@ def _search(
             # visit time, exactly like a per-pair check.
             start = advertiser_a + 1
             while start < num_advertisers:
-                if verifying:
-                    partners = range(start, num_advertisers)
-                else:
-                    partners = state.dirty_partners(advertiser_a, start)
+                partners = state.dirty_partners(advertiser_a, start)
                 start = num_advertisers
                 for advertiser_b in partners:
                     advertiser_b = int(advertiser_b)
@@ -65,12 +64,6 @@ def _search(
                         start = advertiser_b + 1
                         break
                     state.certify_pair(advertiser_a, advertiser_b)
-        if improved:
-            verifying = False
-            continue
-        if verifying:
-            break  # the unrestricted sweep found nothing: local optimum
-        verifying = True
     if stats is not None:
         _emit_stats(stats, sweeps, exchanges, evaluated)
     return allocation

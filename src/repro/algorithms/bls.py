@@ -28,10 +28,11 @@ move since nothing near them changed, and an interval screen
 already falls below the acceptance threshold.  Skipped work is
 *proof-backed*, so the loop accepts the identical move sequence as the
 literal rescan-everything loop of Algorithm 5 (kept as the test oracle in
-``tests/oracles.py``), and it still finishes with one unrestricted sweep
-before declaring local optimality (DESIGN.md §9).  Scans that survive the
-screen run *restricted* to the screened candidates via the row-restricted
-coverage kernels (DESIGN.md §10).
+``tests/oracles.py``) and, like it, stops at the first sweep that accepts
+nothing (DESIGN.md §9).  Scans that survive the screen run *restricted* to
+the screened candidates via the row-restricted coverage kernels
+(DESIGN.md §10).  ``tests/oracles.CertificateAudit`` reruns the unrestricted
+oracle at every skip to check those proofs.
 """
 
 from __future__ import annotations
@@ -256,7 +257,6 @@ def _emit_sweep_phases(
     exchange_s: float,
     release_s: float,
     topup_s: float,
-    verify: bool,
 ) -> None:
     """Record one sweep's phase split (histograms + a ``bls.sweep`` trace event).
 
@@ -271,8 +271,6 @@ def _emit_sweep_phases(
     obs.histogram_observe("bls.phase.exchange", exchange_s)
     obs.histogram_observe("bls.phase.release", release_s)
     obs.histogram_observe("bls.phase.topup", topup_s)
-    if verify:
-        obs.histogram_observe("bls.phase.verify", duration_s)
     _trace.emit_complete(
         "bls.sweep",
         started,
@@ -284,7 +282,6 @@ def _emit_sweep_phases(
             "exchange_s": exchange_s,
             "release_s": release_s,
             "topup_s": topup_s,
-            "verify": verify,
         },
     )
 
@@ -311,15 +308,14 @@ def billboard_driven_local_search(
     max_sweeps: int | None = None,
     stats: dict | None = None,
     state: BillboardSweepState | None = None,
-    final_verify: bool = True,
 ) -> Allocation:
     """Run Algorithm 5; returns the improved allocation (may be a new object).
 
     Accepts exactly the moves the literal rescan loop accepts: every skipped
     scan is backed by a version certificate or an interval-screen proof that
-    the unrestricted scan would have returned ``None`` there, and
-    termination requires one final sweep with the certificates disabled
-    (see the module docstring and DESIGN.md §9–10).
+    the unrestricted scan would have returned ``None`` there, so the first
+    sweep that accepts nothing ends the search at a local optimum (see the
+    module docstring and DESIGN.md §9–10).
 
     Parameters
     ----------
@@ -341,21 +337,11 @@ def billboard_driven_local_search(
         certificates were earned — which the journal's rollback guarantees;
         a cold run on the same allocation takes the identical move sequence
         because every warm skip is backed by a proof that the cold scan
-        would return ``None`` there.
-    final_verify:
-        When ``True`` (default) a sweep that finds nothing is followed by
-        one sweep with the certificates disabled before declaring a local
-        optimum — the mirror of the rescan loop's terminating no-op sweep.
-        ``False`` trusts the certificates and stops at the first empty
-        sweep: sound because a certificate only ever skips a scan proven to
-        return ``None``, so the verify sweep cannot accept a move the
-        restricted sweep missed.  The incremental quoting engine passes
-        ``False`` — its carried, settled state would otherwise pay one
-        full-inventory screen pass per quote for a sweep that provably does
-        nothing (DESIGN.md §15).
+        would return ``None`` there.  A carried state also switches the
+        exchange screen to eager rounds (see :func:`_search`).
     """
     with obs.span("bls.search"):
-        return _search(allocation, min_improvement, max_sweeps, stats, state, final_verify)
+        return _search(allocation, min_improvement, max_sweeps, stats, state)
 
 
 def _search(
@@ -364,10 +350,15 @@ def _search(
     max_sweeps: int | None,
     stats: dict | None,
     state: BillboardSweepState | None,
-    final_verify: bool,
 ) -> Allocation:
     """The dirty-set sweep loop behind :func:`billboard_driven_local_search`."""
     instance = allocation.instance
+    # A carried state (warm quote repairs) expects few or no moves per
+    # sweep: screen the whole frontier in one eager round instead of
+    # doubling up from one row.  Cold solves keep the adaptive doubling —
+    # their early sweeps are move-heavy and eager rounds would screen rows a
+    # move is about to invalidate.
+    eager_rounds = state is not None
     if state is None:
         state = BillboardSweepState(instance.num_advertisers, instance.num_billboards)
     journaled = bool(getattr(allocation, "journaling", False))
@@ -378,12 +369,10 @@ def _search(
     scanned = 0
     skipped = 0
     counters: dict = {}
-    verifying = False
 
     while True:
         sweeps += 1
         improved = False
-        verify_sweep = verifying
         track = obs.enabled() or obs.trace_enabled()
         sweep_start = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
 
@@ -392,18 +381,7 @@ def _search(
         # billboards the phase has yet to visit (ScreenRoundPlanner),
         # recomputed after every accepted move.
         planner = ScreenRoundPlanner(
-            allocation,
-            state,
-            min_improvement,
-            verifying,
-            track,
-            # Warm quote repairs (trusted termination on a settled state)
-            # expect few or no moves per sweep: screen the whole frontier in
-            # one eager round instead of doubling up from one row.  Cold
-            # solves keep the adaptive doubling — their early sweeps are
-            # move-heavy and eager rounds would screen rows a move is about
-            # to invalidate.
-            eager_rounds=not final_verify and not verifying,
+            allocation, state, min_improvement, track, eager_rounds=eager_rounds
         )
         for advertiser_id in range(instance.num_advertisers):
             billboard_list = sorted(allocation.billboards_of(advertiser_id))
@@ -469,7 +447,7 @@ def _search(
         # Move family 3: releases.  An advertiser's pass depends only on its
         # own set, so it is skipped while its certificate holds.
         for advertiser_id in range(instance.num_advertisers):
-            if not verifying and state.release_pass_clean(advertiser_id):
+            if state.release_pass_clean(advertiser_id):
                 continue
             owned = sorted(allocation.billboards_of(advertiser_id))
             # One restricted batch pass prices every owned billboard's
@@ -504,12 +482,11 @@ def _search(
         # Move family 4: greedy top-up (line 5.11), adopted only if it
         # strictly improves (lines 5.12-5.13).  Its adoptions mark every
         # advertiser whose set it extended.
-        if allocation.unassigned and (verify_sweep or not state.topup_clean()):
+        if allocation.unassigned and not state.topup_clean():
             # The certificate skip above is provably a rejection replay:
             # greedy is deterministic in the allocation, so an unchanged
             # state (version <= topup_version) reproduces the rejected
-            # candidate.  Verify sweeps re-run it unconditionally, exactly
-            # like the scan certificates.
+            # candidate.
             before_regret = allocation.total_regret()
             old_owners = allocation.owners.copy()
             if journaled:
@@ -551,18 +528,9 @@ def _search(
                 exchange_end - sweep_start - screen_s,
                 release_end - exchange_end,
                 time.perf_counter() - release_end,  # repro-lint: ignore[determinism] telemetry-only clock
-                verify=verify_sweep,
             )
-        if max_sweeps is not None and sweeps >= max_sweeps:
+        if not improved or (max_sweeps is not None and sweeps >= max_sweeps):
             break
-        if improved:
-            verifying = False
-            continue
-        if verifying:
-            break  # the unrestricted sweep found nothing: local optimum
-        if not final_verify:
-            break  # caller trusts the certificates: empty sweep = optimum
-        verifying = True
 
     obs.counter_add("bls.dirty.scanned", scanned)
     obs.counter_add("bls.dirty.skipped", skipped)

@@ -49,18 +49,16 @@ def bounded_repair(
     if state is not None:
         state.mark_move(advertisers=(newcomer_id,))
     if sweeps:
-        # A carried (settled) state trusts its certificates and skips the
-        # terminating verify sweep — the from-scratch path keeps it, so the
-        # warm quote pays O(delta) where the cold quote pays O(book).  The
-        # accepted moves are identical either way (every certificate skip is
-        # backed by a proof the scan returns ``None``).
+        # A carried (settled) state skips every scan its certificates cover,
+        # so the warm quote pays O(delta) where the cold quote pays O(book).
+        # The accepted moves are identical either way (every certificate
+        # skip is backed by a proof the scan returns ``None``).
         allocation = billboard_driven_local_search(
             allocation,
             min_improvement=min_improvement,
             max_sweeps=sweeps,
             stats=stats,
             state=state,
-            final_verify=state is None,
         )
     return allocation
 
@@ -94,7 +92,6 @@ def settle_certificates(
         allocation,
         state,
         min_improvement,
-        verifying=False,
         track=False,
         # Read-only: no move is ever applied, so nothing invalidates the
         # round — one eager screen covers the whole book.

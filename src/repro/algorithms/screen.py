@@ -23,10 +23,9 @@ This module collapses the screen to *round* granularity:
   geometrically growing chunks (1, 2, 4, …) from the visit frontier, capped
   at :data:`SERIAL_CHUNK_CELLS`: move-heavy stretches, where the next
   accepted move would throw eager work away, cost one row per miss exactly
-  like the per-billboard screen, while quiescent stretches — the
-  verification sweep and the late sweeps where the screen wall actually
-  concentrates — fuse the whole remaining round within a logarithmic
-  number of dispatches.
+  like the per-billboard screen, while quiescent stretches — the late
+  sweeps where the screen wall actually concentrates — fuse the whole
+  remaining round within a logarithmic number of dispatches.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ class ScreenRoundPlanner:
 
     Moves themselves are never computed here — the sweep replays surviving
     exchanges through the exact restricted scan, which is what keeps the
-    move sequence (and the final verification sweep's guarantee) identical
-    to the per-billboard screen's.
+    move sequence identical to the per-billboard screen's.
     """
 
     def __init__(
@@ -179,14 +177,12 @@ class ScreenRoundPlanner:
         allocation,
         state,
         min_improvement: float,
-        verifying: bool,
         track: bool,
         eager_rounds: bool = False,
     ) -> None:
         self.allocation = allocation
         self.state = state
         self.min_improvement = min_improvement
-        self.verifying = verifying
         self.track = track
         self.screen_seconds = 0.0
         self._valid = False
@@ -296,7 +292,7 @@ class ScreenRoundPlanner:
     def _row_width(self) -> int:
         """Estimated candidates per row, for the cache-bound chunk cap.
 
-        A cold (or verifying) state screens full-inventory rows, so the cap
+        A cold state screens full-inventory rows, so the cap
         divides by the inventory as before.  A settled warm state screens
         only the billboards stamped since the oldest owned certificate — a
         handful per row — so the cap can admit proportionally more rows per
@@ -306,8 +302,6 @@ class ScreenRoundPlanner:
         """
         allocation = self.allocation
         inventory = allocation.instance.num_billboards
-        if self.verifying:
-            return inventory
         state = self.state
         owners = allocation.owners
         assigned = owners != UNASSIGNED
@@ -351,9 +345,7 @@ class ScreenRoundPlanner:
         allocation = self.allocation
         state = self.state
         owners = allocation.owners
-        certified = state.round_certificates(
-            advertiser_ids, billboard_ids, self.verifying
-        )
+        certified = state.round_certificates(advertiser_ids, billboard_ids)
         flags, survivors = self._screen_round(
             owners, advertiser_ids, billboard_ids, certified
         )

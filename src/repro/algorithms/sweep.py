@@ -14,10 +14,12 @@ scans are provably still valid via monotone version counters:
   is newer than the certificate, because every unchanged candidate was
   already proven non-improving at certification time.
 
-The sweeps built on top (``bls.py``, ``als.py``) still run one final
-unrestricted sweep before declaring local optimality, so Theorem 2's
-``(1+r)``-local-maximum guarantee never rests on this bookkeeping — the
-certificates only let the intermediate sweeps skip provably dead work.
+The sweeps built on top (``bls.py``, ``als.py``) stop at their first sweep
+that accepts nothing, so Theorem 2's ``(1+r)``-local-maximum guarantee rests
+on every certificate being a proof.  No runtime sweep re-checks them: the
+test-only ``tests/oracles.CertificateAudit`` reruns the unrestricted oracle
+at every skip, and ``tests/algorithms/test_local_optimality.py`` checks the
+end state by brute force (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -82,19 +84,16 @@ class BillboardSweepState:
         self,
         advertiser_ids: np.ndarray,
         billboard_ids: np.ndarray,
-        verifying: bool,
     ) -> np.ndarray:
         """Effective scan certificates for a whole screen round at once.
 
-        ``-1`` marks rows that must take the full candidate mask — verify
-        sweeps, never-certified rows, and rows whose own advertiser moved
-        since the certificate (the whole candidate set must then be
-        rescanned); other rows carry their billboard's certified scan
-        version, the value candidate stamps are compared against.  Feed the
-        result to :func:`round_candidates`.
+        ``-1`` marks rows that must take the full candidate mask —
+        never-certified rows, and rows whose own advertiser moved since the
+        certificate (the whole candidate set must then be rescanned); other
+        rows carry their billboard's certified scan version, the value
+        candidate stamps are compared against.  Feed the result to
+        :func:`round_candidates`.
         """
-        if verifying:
-            return np.full(len(billboard_ids), -1, dtype=np.int64)
         certified = self.scan_version[billboard_ids]
         stale = (certified == 0) | (
             self.advertiser_version[advertiser_ids] > certified

@@ -115,37 +115,48 @@ class NycStream:
             destinations[:, 1], self._bbox.min_y, self._bbox.max_y
         )
         # L-shaped route per trip: x-first or y-first corner, two axis-aligned
-        # legs.  Everything below is one arclength parameterization over the
-        # whole chunk — no per-trip loop.
+        # legs.
         x_first = rng.random(count) < 0.5
         corners = np.where(
             x_first[:, None],
             np.column_stack([destinations[:, 0], origins[:, 1]]),
             np.column_stack([origins[:, 0], destinations[:, 1]]),
         )
-        leg1 = np.abs(corners - origins).sum(axis=1)
-        leg2 = np.abs(destinations - corners).sum(axis=1)
-        total = leg1 + leg2
-        counts = np.maximum(
-            2, np.ceil(total / _SAMPLE_SPACING_M).astype(np.int64) + 1
-        )
-        owner = np.repeat(np.arange(count), counts)
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        position = np.arange(len(owner)) - starts[owner]
-        # Equal spacing <= _SAMPLE_SPACING_M from origin to destination,
-        # endpoints included.
-        distance = position / (counts[owner] - 1) * total[owner]
-        # Unit directions per leg (safe 1.0 denominator on zero-length legs —
-        # those legs are never stepped into because distance <= 0 there).
-        u1 = (corners - origins) / np.maximum(leg1, 1e-12)[:, None]
-        u2 = (destinations - corners) / np.maximum(leg2, 1e-12)[:, None]
-        on_leg2 = distance > leg1[owner]
-        along = np.where(
-            on_leg2[:, None],
-            corners[owner] + u2[owner] * (distance - leg1[owner])[:, None],
-            origins[owner] + u1[owner] * distance[:, None],
-        )
+        along, counts = _route_points(origins, corners, destinations)
         return TrajectoryChunk(along, counts)
+
+
+def _route_points(
+    origins: np.ndarray, corners: np.ndarray, destinations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points every <= ``_SAMPLE_SPACING_M`` along each origin → corner →
+    destination route, endpoints included, plus the per-route point counts.
+
+    One arclength parameterization over the whole chunk, no per-trip loop.
+    Each point is evaluated on its own leg only: the leg-1 and leg-2
+    expressions each run over the points that lie on that leg.
+    """
+    leg1 = np.abs(corners - origins).sum(axis=1)
+    leg2 = np.abs(destinations - corners).sum(axis=1)
+    total = leg1 + leg2
+    counts = np.maximum(2, np.ceil(total / _SAMPLE_SPACING_M).astype(np.int64) + 1)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    position = np.arange(len(owner)) - starts[owner]
+    distance = position / (counts[owner] - 1) * total[owner]
+    # Unit directions per leg (safe 1.0 denominator on zero-length legs —
+    # those legs are never stepped into because distance <= 0 there).
+    u1 = (corners - origins) / np.maximum(leg1, 1e-12)[:, None]
+    u2 = (destinations - corners) / np.maximum(leg2, 1e-12)[:, None]
+    on_leg2 = distance > leg1[owner]
+    first = np.flatnonzero(~on_leg2)
+    second = np.flatnonzero(on_leg2)
+    along = np.empty((len(owner), 2))
+    trip = owner[first]
+    along[first] = origins[trip] + u1[trip] * distance[first][:, None]
+    trip = owner[second]
+    along[second] = corners[trip] + u2[trip] * (distance[second] - leg1[trip])[:, None]
+    return along, counts
 
 
 def nyc_stream(

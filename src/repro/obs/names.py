@@ -51,6 +51,8 @@ BLS_PHASE_SCREEN = "bls.phase.screen"
 BLS_PHASE_EXCHANGE = "bls.phase.exchange"
 BLS_PHASE_RELEASE = "bls.phase.release"
 BLS_PHASE_TOPUP = "bls.phase.topup"
+# No sweep observes this since BLS stops at its first empty sweep; kept so
+# readers of older traces and perfbench's ``bls.verify_s`` read 0.
 BLS_PHASE_VERIFY = "bls.phase.verify"
 GREEDY_REPRICED = "greedy.repriced"
 

@@ -140,13 +140,12 @@ def bls_phase_breakdown(data: dict) -> dict:
         row = engines.setdefault(
             engine,
             {"sweeps": 0, "wall_s": 0.0, "screen_s": 0.0, "exchange_s": 0.0,
-             "release_s": 0.0, "topup_s": 0.0, "verify": 0},
+             "release_s": 0.0, "topup_s": 0.0},
         )
         row["sweeps"] += 1
         row["wall_s"] += event.get("dur", 0) / 1e6
         for phase in ("screen", "exchange", "release", "topup"):
             row[f"{phase}_s"] += float(args.get(f"{phase}_s", 0.0))
-        row["verify"] += int(bool(args.get("verify")))
     return engines
 
 
@@ -223,11 +222,11 @@ def trace_report(data: dict) -> str:
             rows.append(
                 (engine, row["sweeps"], f"{row['wall_s']:.4f}",
                  f"{row['screen_s']:.4f}", f"{row['exchange_s']:.4f}",
-                 f"{row['release_s']:.4f}", f"{row['topup_s']:.4f}", row["verify"])
+                 f"{row['release_s']:.4f}", f"{row['topup_s']:.4f}")
             )
         lines.extend(
             _table(rows, ("engine", "sweeps", "wall_s", "screen_s", "exchange_s",
-                          "release_s", "topup_s", "verified"))
+                          "release_s", "topup_s"))
         )
 
     kernels = kernel_dispatch_table(data)

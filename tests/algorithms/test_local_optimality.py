@@ -122,10 +122,10 @@ class TestBLS:
         assert_bls_local_optimum(result)
 
     def test_carried_state_trusted_termination(self, dataset, gamma):
-        """``final_verify=False`` stops at the first empty sweep on the
-        strength of the certificates alone; the result must still be a local
-        optimum — cold, and again after a perturbation recorded in the
-        carried state."""
+        """The search stops at the first empty sweep on the strength of the
+        certificates alone; the result must still be a local optimum — cold
+        on a caller-provided state, and again after a perturbation recorded
+        in the carried state."""
         instance = tiny_instance(dataset, gamma)
         state = BillboardSweepState(instance.num_advertisers, instance.num_billboards)
         allocation = billboard_driven_local_search(
@@ -133,7 +133,6 @@ class TestBLS:
             MIN_IMPROVEMENT,
             max_sweeps=None,
             state=state,
-            final_verify=False,
         )
         assert_bls_local_optimum(allocation)
 
@@ -149,7 +148,6 @@ class TestBLS:
             MIN_IMPROVEMENT,
             max_sweeps=None,
             state=state,
-            final_verify=False,
         )
         assert_bls_local_optimum(allocation)
 

@@ -71,7 +71,12 @@ class TestRoundCandidates:
         state = _mixed_state(instance, allocation)
         advertiser_ids, billboard_ids = _assigned_rows(allocation)
         owners = allocation.owners
-        certified = state.round_certificates(advertiser_ids, billboard_ids, False)
+        certified = state.round_certificates(advertiser_ids, billboard_ids)
+        # The round mixes all three regimes: never-certified rows and rows
+        # whose owner moved take the full mask, the rest restrict.
+        never = state.scan_version[billboard_ids] == 0
+        assert never.any() and (certified[never] == -1).all()
+        assert (certified == -1).any() and (certified > 0).any()
         flat, lengths = round_candidates(
             owners,
             advertiser_ids,
@@ -93,28 +98,6 @@ class TestRoundCandidates:
             offset += lengths[k]
         assert offset == len(flat)
 
-    def test_verifying_certificates_take_the_full_mask(self, instance):
-        allocation = _greedy_allocation(instance)
-        state = _mixed_state(instance, allocation)
-        advertiser_ids, billboard_ids = _assigned_rows(allocation)
-        certified = state.round_certificates(advertiser_ids, billboard_ids, True)
-        assert (certified == -1).all()
-        flat, lengths = round_candidates(
-            allocation.owners,
-            advertiser_ids,
-            billboard_ids,
-            certified,
-            state.advertiser_version,
-            state.freed_version,
-        )
-        offset = 0
-        for k in range(len(billboard_ids)):
-            expected = all_exchange_candidates(
-                allocation.owners, int(advertiser_ids[k]), int(billboard_ids[k])
-            )
-            assert np.array_equal(flat[offset : offset + lengths[k]], expected)
-            offset += lengths[k]
-
 
 class TestRoundFlags:
     def test_matches_scalar_and_batch_screens(self, instance):
@@ -122,7 +105,7 @@ class TestRoundFlags:
         state = _mixed_state(instance, allocation)
         advertiser_ids, billboard_ids = _assigned_rows(allocation)
         owners = allocation.owners
-        certified = state.round_certificates(advertiser_ids, billboard_ids, False)
+        certified = state.round_certificates(advertiser_ids, billboard_ids)
         flat, lengths = round_candidates(
             owners,
             advertiser_ids,

@@ -1,10 +1,10 @@
 """Dirty-set sweep equivalence: the production BLS/ALS loops == the rescan oracles.
 
 The production sweeps skip provably-dead scans via version-counter
-certificates but run one final unrestricted verification sweep before
-declaring local optimality, so they must land on bit-identical allocations
-to the literal rescan loops of ``tests/oracles.py`` — same owners, same
-total regret, same accepted-move counts — on every instance.
+certificates and, like the literal rescan loops of ``tests/oracles.py``,
+stop at the first sweep that accepts nothing, so they must land on
+bit-identical allocations — same owners, same total regret, same
+accepted-move and sweep counts — on every instance.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class TestDirtyMatchesFull:
         assert dirty.total_regret() == full.total_regret()
         assert dirty.assignment_map() == full.assignment_map()
         # Identical move sequence, not just the same fixed point.
-        for key in ("bls_exchanges", "bls_releases", "bls_topups"):
+        for key in ("bls_exchanges", "bls_releases", "bls_topups", "bls_sweeps"):
             assert dirty_stats[key] == full_stats[key], key
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -69,6 +69,7 @@ class TestDirtyMatchesFull:
         assert np.array_equal(dirty.owners, full.owners)
         assert dirty.total_regret() == full.total_regret()
         assert dirty_stats["als_exchanges"] == full_stats["als_exchanges"]
+        assert dirty_stats["als_sweeps"] == full_stats["als_sweeps"]
 
     def test_dirty_skips_work_on_the_bench_shape(self):
         """The certificates must actually prune: from a greedy start (the

@@ -45,12 +45,12 @@ def trace_data():
         complete(
             "bls.sweep", 30_000, 4_000, pid=100,
             args={"engine": "dirty", "screen_s": 0.001, "exchange_s": 0.002,
-                  "release_s": 0.0005, "topup_s": 0.0005, "verify": False},
+                  "release_s": 0.0005, "topup_s": 0.0005},
         ),
         complete(
             "bls.sweep", 35_000, 2_000, pid=100,
             args={"engine": "dirty", "screen_s": 0.001, "exchange_s": 0.0005,
-                  "release_s": 0.0003, "topup_s": 0.0002, "verify": True},
+                  "release_s": 0.0003, "topup_s": 0.0002},
         ),
         {"name": "kernel.dispatch", "ph": "i", "s": "p", "ts": 40_000, "pid": 100,
          "tid": 100, "args": {"engine": "dirty", "influence.dispatch.batch": 7}},
@@ -117,7 +117,6 @@ class TestBlsPhases:
         assert row["exchange_s"] == pytest.approx(0.0025)
         assert row["release_s"] == pytest.approx(0.0008)
         assert row["topup_s"] == pytest.approx(0.0007)
-        assert row["verify"] == 1
 
 
 class TestKernelsAndRss:

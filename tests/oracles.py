@@ -3,14 +3,17 @@
 Each function here is a literal, unoptimized form of something the library
 computes faster: the rescan-everything BLS and ALS loops of Algorithms 5 and
 4, the scalar per-billboard exchange screen and candidate helpers that the
-round-fused screen (``repro.algorithms.screen``) replaced, and the eager
+round-fused screen (``repro.algorithms.screen``) replaced, the eager
 full-pass greedy pricing that lazy-bound pricing (``repro.algorithms._marginal``)
-replaced, and the grid-over-points radius join that the billboard cell table
-(``repro.spatial.grid.CellTable``) replaced, next to a brute-force join over
-every (point, site) pair.  :class:`SetCoverage` re-derives every coverage
-kernel answer from Python ``set``s, one per billboard.  None of them is imported by ``src/``; they exist
-so the equivalence tests compare the production paths against code that
-skips nothing.
+replaced, the both-legs route synthesis that per-leg evaluation
+(``repro.datasets.stream``) replaced, and the grid-over-points radius join
+that the billboard cell table (``repro.spatial.grid.CellTable``) replaced,
+next to a brute-force join over every (point, site) pair.
+:class:`SetCoverage` re-derives every coverage kernel answer from Python
+``set``s, one per billboard, and :class:`CertificateAudit` reruns the
+rescan oracles at every certificate-backed skip of the BLS and ALS sweeps.
+None of them is imported by ``src/``; they exist so the equivalence tests
+compare the production paths against code that skips nothing.
 """
 
 from __future__ import annotations
@@ -264,6 +267,176 @@ def rescan_als(
     return allocation
 
 
+# ------------------------------------------------------- certificate audit
+
+
+class CertificateAudit:
+    """Reruns the unrestricted oracle at every certificate-backed skip.
+
+    The production sweeps stop at their first sweep that accepts nothing,
+    so a certificate that wrongly skips an improving move would end the
+    search early instead of failing.  :meth:`install` wraps, with
+    ``monkeypatch`` only, each point where a sweep trusts a certificate or a
+    screen, and checks the skip against code that skips nothing:
+
+    * ``exchange``: a BLS row the round planner clears
+      (``ScreenRoundPlanner.lookup`` returns ``False``, or ``clear_run``
+      certifies it) — :func:`rescan_exchange` must return ``None``;
+    * ``scan``: a restricted exact scan (``bls._find_improving_exchange``
+      over the screened changed candidates) — it must return the partner
+      :func:`rescan_exchange` returns over every legal candidate;
+    * ``release``: a clean or batch-screened release pass
+      (``release_pass_clean``, ``_release_pass_improves`` returning
+      ``False``) — no owned billboard's ``delta_release`` may improve;
+    * ``topup``: a clean top-up (``topup_clean``) — a greedy top-up on a
+      clone must not be adopted;
+    * ``pair``: every ALS pair ``PairSweepState.dirty_partners`` omits —
+      ``delta_exchange_sets`` must not improve.
+
+    Every check runs against the allocation state at the moment of the skip,
+    on a clone where the oracle mutates.  ``checks`` counts the checks per
+    kind and ``violations`` lists each failed one.
+    """
+
+    KINDS = ("exchange", "scan", "release", "topup", "pair")
+
+    def __init__(self) -> None:
+        self.checks = dict.fromkeys(self.KINDS, 0)
+        self.violations: list[tuple] = []
+        # The allocation the running sweep reads: BLS builds one planner per
+        # sweep over its current allocation, ALS mutates one object in place.
+        self._allocation = None
+        self._min_improvement = 0.0
+
+    def install(self, monkeypatch) -> "CertificateAudit":
+        from repro.algorithms import als, bls
+        from repro.algorithms.screen import ScreenRoundPlanner
+        from repro.algorithms.sweep import BillboardSweepState, PairSweepState
+
+        audit = self
+        planner_init = ScreenRoundPlanner.__init__
+        lookup = ScreenRoundPlanner.lookup
+        clear_run = ScreenRoundPlanner.clear_run
+        release_pass_clean = BillboardSweepState.release_pass_clean
+        topup_clean = BillboardSweepState.topup_clean
+        dirty_partners = PairSweepState.dirty_partners
+        find_exchange = bls._find_improving_exchange
+        release_improves = bls._release_pass_improves
+        als_search = als._search
+
+        def audited_planner_init(planner, allocation, state, min_improvement, *args, **kwargs):
+            planner_init(planner, allocation, state, min_improvement, *args, **kwargs)
+            audit._allocation = allocation
+            audit._min_improvement = min_improvement
+
+        def audited_lookup(planner, advertiser_id, position, billboard_list):
+            survived, screen_ids = lookup(planner, advertiser_id, position, billboard_list)
+            if not survived:
+                audit._check_exchange(
+                    planner.allocation,
+                    advertiser_id,
+                    billboard_list[position],
+                    planner.min_improvement,
+                )
+            return survived, screen_ids
+
+        def audited_clear_run(planner, advertiser_id, position, billboard_list):
+            consumed, cleared = clear_run(planner, advertiser_id, position, billboard_list)
+            for billboard_id in cleared:
+                audit._check_exchange(
+                    planner.allocation, advertiser_id, billboard_id, planner.min_improvement
+                )
+            return consumed, cleared
+
+        def audited_find_exchange(
+            allocation, advertiser_id, billboard_id, candidate_ids, min_improvement, counters=None
+        ):
+            partner = find_exchange(
+                allocation, advertiser_id, billboard_id, candidate_ids, min_improvement, counters
+            )
+            expected = rescan_exchange(
+                allocation.clone(), advertiser_id, billboard_id, min_improvement
+            )
+            audit._record("scan", partner == expected, (advertiser_id, billboard_id, partner, expected))
+            return partner
+
+        def audited_release_improves(allocation, advertiser_id, owned, min_improvement):
+            improves = release_improves(allocation, advertiser_id, owned, min_improvement)
+            if not improves:
+                audit._check_release(allocation, advertiser_id, min_improvement)
+            return improves
+
+        def audited_release_pass_clean(state, advertiser_id):
+            clean = release_pass_clean(state, advertiser_id)
+            if clean:
+                audit._check_release(audit._allocation, advertiser_id, audit._min_improvement)
+            return clean
+
+        def audited_topup_clean(state):
+            clean = topup_clean(state)
+            if clean:
+                allocation = audit._allocation
+                candidate = allocation.clone()
+                synchronous_greedy(candidate)
+                adopted = (
+                    candidate.total_regret()
+                    < allocation.total_regret() - audit._min_improvement
+                )
+                audit._record("topup", not adopted, ())
+            return clean
+
+        def audited_dirty_partners(state, advertiser_a, start):
+            partners = dirty_partners(state, advertiser_a, start)
+            allocation = audit._allocation
+            omitted = sorted(
+                set(range(start, allocation.instance.num_advertisers))
+                - {int(b) for b in partners}
+            )
+            for advertiser_b in omitted:
+                delta = delta_exchange_sets(allocation, advertiser_a, advertiser_b)
+                audit._record(
+                    "pair",
+                    not delta < -audit._min_improvement,
+                    (advertiser_a, advertiser_b, delta),
+                )
+            return partners
+
+        def audited_als_search(allocation, min_improvement, stats):
+            audit._allocation = allocation
+            audit._min_improvement = min_improvement
+            return als_search(allocation, min_improvement, stats)
+
+        monkeypatch.setattr(ScreenRoundPlanner, "__init__", audited_planner_init)
+        monkeypatch.setattr(ScreenRoundPlanner, "lookup", audited_lookup)
+        monkeypatch.setattr(ScreenRoundPlanner, "clear_run", audited_clear_run)
+        monkeypatch.setattr(BillboardSweepState, "release_pass_clean", audited_release_pass_clean)
+        monkeypatch.setattr(BillboardSweepState, "topup_clean", audited_topup_clean)
+        monkeypatch.setattr(PairSweepState, "dirty_partners", audited_dirty_partners)
+        monkeypatch.setattr(bls, "_find_improving_exchange", audited_find_exchange)
+        monkeypatch.setattr(bls, "_release_pass_improves", audited_release_improves)
+        monkeypatch.setattr(als, "_search", audited_als_search)
+        return self
+
+    def _record(self, kind: str, ok: bool, detail: tuple) -> None:
+        self.checks[kind] += 1
+        if not ok:
+            self.violations.append((kind, *detail))
+
+    def _check_exchange(self, allocation, advertiser_id, billboard_id, min_improvement) -> None:
+        partner = rescan_exchange(
+            allocation.clone(), advertiser_id, billboard_id, min_improvement
+        )
+        self._record("exchange", partner is None, (advertiser_id, billboard_id, partner))
+
+    def _check_release(self, allocation, advertiser_id, min_improvement) -> None:
+        improving = [
+            billboard_id
+            for billboard_id in sorted(allocation.billboards_of(advertiser_id))
+            if delta_release(allocation, billboard_id) < -min_improvement
+        ]
+        self._record("release", not improving, (advertiser_id, improving))
+
+
 # ------------------------------------------------------- greedy pricing
 
 
@@ -309,6 +482,35 @@ def literal_pick(allocation, advertiser_id, candidate_ids):
         if best is None or ratio > best[0]:
             best = (ratio, billboard_id)
     return None if best is None else best[1]
+
+
+# ------------------------------------------------------------ trip routes
+
+
+def where_route_points(
+    origins: np.ndarray, corners: np.ndarray, destinations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``repro.datasets.stream._route_points`` with both legs evaluated over
+    every point and the applicable one picked by ``np.where``."""
+    from repro.datasets.nyc import _SAMPLE_SPACING_M
+
+    leg1 = np.abs(corners - origins).sum(axis=1)
+    leg2 = np.abs(destinations - corners).sum(axis=1)
+    total = leg1 + leg2
+    counts = np.maximum(2, np.ceil(total / _SAMPLE_SPACING_M).astype(np.int64) + 1)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    position = np.arange(len(owner)) - starts[owner]
+    distance = position / (counts[owner] - 1) * total[owner]
+    u1 = (corners - origins) / np.maximum(leg1, 1e-12)[:, None]
+    u2 = (destinations - corners) / np.maximum(leg2, 1e-12)[:, None]
+    on_leg2 = distance > leg1[owner]
+    along = np.where(
+        on_leg2[:, None],
+        corners[owner] + u2[owner] * (distance - leg1[owner])[:, None],
+        origins[owner] + u1[owner] * distance[:, None],
+    )
+    return along, counts
 
 
 # ----------------------------------------------------------- radius joins

@@ -2,9 +2,9 @@
 
 ``scripts/_bench_history.py`` turns the BENCH_*.json files into commit-keyed
 time series; the gate compares a new run's timings against the best recorded
-run of the same scenario.  These tests pin the schema, the legacy-file
-migration, the scenario keying (smoke never gates against full), and the
-pass/fail arithmetic.
+run of the same scenario on the same machine stamp.  These tests pin the
+schema, the legacy-file migration, the scenario keying (smoke never gates
+against full), the machine matching, and the pass/fail arithmetic.
 """
 
 import json
@@ -17,11 +17,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import _bench_history  # noqa: E402
 
 
-def report(benchmark="bench", smoke=False, scenario=None, commit=None, **timings):
+MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "cpus": 2}
+
+
+def report(
+    benchmark="bench", smoke=False, scenario=None, commit=None, machine=MACHINE, **timings
+):
     entry = {
         "benchmark": benchmark,
         "smoke": smoke,
         "scenario": scenario or {"n": 100, "seed": 7},
+        "machine": machine,
         "results": dict(timings),
     }
     if commit is not None:
@@ -139,7 +145,7 @@ class TestGate:
                 report(build_s=3.0, commit="newer"),
             ]
         }
-        key = _bench_history.scenario_key(history["runs"][0])
+        key = _bench_history.baseline_key(history["runs"][0])
         best = _bench_history.best_baselines(history, key)
         assert best["results.build_s"] == (1.0, "best")
 
@@ -156,3 +162,34 @@ class TestGate:
             _bench_history.gate_regression(history, report(build_s=1.9), 2.0) == []
         )
         assert _bench_history.gate_regression(history, report(build_s=2.1), 2.0)
+
+
+class TestMachineStamp:
+    def test_stamp_records_python_numpy_and_cpus(self):
+        stamp = _bench_history.machine_stamp()
+        assert set(stamp) == {"python", "numpy", "cpus"}
+        assert stamp["cpus"] >= 1
+
+    def test_same_stamp_gates(self):
+        history = {"runs": [report(build_s=1.0)]}
+        assert _bench_history.gate_regression(history, report(build_s=1.5))
+
+    def test_other_stamp_never_gates(self):
+        for other in (
+            dict(MACHINE, cpus=1),
+            dict(MACHINE, numpy="1.26.4"),
+            dict(MACHINE, python="3.12.1"),
+        ):
+            history = {"runs": [report(build_s=0.1, machine=other)]}
+            assert _bench_history.gate_regression(history, report(build_s=5.0)) == []
+
+    def test_rows_without_cpus_never_gate(self):
+        legacy = {"python": "3.11.7", "numpy": "2.4.6"}
+        history = {"runs": [report(build_s=0.1, machine=legacy)]}
+        assert _bench_history.gate_regression(history, report(build_s=5.0)) == []
+        # Nor is a run without the stamp gated by anything.
+        history = {"runs": [report(build_s=0.1)]}
+        assert (
+            _bench_history.gate_regression(history, report(build_s=5.0, machine=legacy))
+            == []
+        )
