@@ -283,6 +283,38 @@ def bench_parallel_restarts(
     }
 
 
+def check_parallel_speedup(required: float, measured: float) -> str | None:
+    """The ``--assert-parallel-speedup`` gate: a failure message, or ``None``.
+
+    Skips (with a stderr note) when this process may run on fewer than two
+    CPUs — the affinity count the pool caps its workers at and
+    :func:`_bench_history.machine_stamp` records, not ``os.cpu_count()``.
+    There the pool either collapses to one worker or, with
+    ``REPRO_POOL_OVERSUBSCRIBE`` (e.g. under ``--trace-out``), time-slices
+    two workers on one core; asserting would only flake.
+    """
+    cpus = _bench_history.machine_stamp()["cpus"]
+    if cpus < 2:
+        mode = (
+            "oversubscribed pool"
+            if env.POOL_OVERSUBSCRIBE.is_set()
+            else "affinity-capped pool"
+        )
+        print(
+            f"skipping --assert-parallel-speedup {required}: {cpus} CPU in "
+            f"this process's affinity mask ({mode}) — it cannot produce a "
+            f"parallel speedup (measured {measured:.3f}x)",
+            file=sys.stderr,
+        )
+        return None
+    if measured < required:
+        return (
+            f"warm-pool parallel speedup {measured:.3f} below the required "
+            f"{required}"
+        )
+    return None
+
+
 def traced_engine_passes(instance: MROAMInstance) -> None:
     """One fully-instrumented BLS pass, for the trace artifact.
 
@@ -361,18 +393,26 @@ def main(argv: list[str] | None = None) -> int:
         scenario = Scenario(
             dataset="nyc", n_billboards=200, n_trajectories=2_000, seed=args.seed
         )
-        repeats, restarts, workers = 2, 6, 2
+        # The restart section takes best-of-10 interleaved pairs: on a
+        # shared 2-vCPU host, bursts of stolen CPU time last seconds, and
+        # best-of-2 failed the CI speedup gate in 2 of 12 runs (best-of-5
+        # in 2 of 22).
+        repeats, restart_repeats, restarts, workers = 2, 10, 6, 2
     else:
         scenario = Scenario(
             dataset="nyc", n_billboards=800, n_trajectories=8_000, seed=args.seed
         )
-        repeats, restarts, workers = 5, 4, 2
+        repeats, restart_repeats, restarts, workers = 5, 5, 4, 2
 
     instance = scenario.build_instance()
     sweep_engines = bench_sweep_engines(instance, repeats=repeats)
     restricted_rows, sweep_phases = collect_restricted_rows(instance)
     parallel = bench_parallel_restarts(
-        instance, restarts=restarts, workers=workers, seed=args.seed, repeats=repeats
+        instance,
+        restarts=restarts,
+        workers=workers,
+        seed=args.seed,
+        repeats=restart_repeats,
     )
 
     report = {
@@ -443,29 +483,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"regression gate passed (threshold {args.gate_regression:.2f}x)")
     if args.assert_parallel_speedup is not None:
-        cpus = os.cpu_count() or 1
-        if cpus < 2:
-            # A 1-CPU runner cannot produce a parallel speedup: either the
-            # affinity cap collapses the pool to one worker, or (with
-            # REPRO_POOL_OVERSUBSCRIBE, e.g. under --trace-out) two workers
-            # time-slice one core.  Asserting would only flake.
-            mode = (
-                "oversubscribed pool"
-                if env.POOL_OVERSUBSCRIBE.is_set()
-                else "affinity-capped pool"
-            )
-            print(
-                f"skipping --assert-parallel-speedup "
-                f"{args.assert_parallel_speedup}: os.cpu_count()={cpus} "
-                f"({mode}) — this hardware cannot produce a parallel "
-                f"speedup (measured {parallel['speedup']:.3f}x)",
-                file=sys.stderr,
-            )
-        else:
-            assert parallel["speedup"] >= args.assert_parallel_speedup, (
-                f"warm-pool parallel speedup {parallel['speedup']:.3f} below "
-                f"the required {args.assert_parallel_speedup}"
-            )
+        failure = check_parallel_speedup(
+            args.assert_parallel_speedup, parallel["speedup"]
+        )
+        if failure:
+            print(f"\nPARALLEL SPEEDUP GATE FAILED: {failure}")
+            return 1
     return 0
 
 

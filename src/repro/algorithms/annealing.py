@@ -8,11 +8,11 @@ Included to let users check whether MROAM's landscape rewards the paper's
 choice (the ablation bench compares the two at matched budgets).
 
 ``restarts > 1`` runs that many independent chains (seeds spawned from the
-solver seed) and keeps the best plan seen across them; ``restart_workers``
-fans the chains out over processes that attach the coverage index through
-shared memory (:mod:`repro.parallel`).  The serial and parallel paths run
-the same chains from the same spawned seeds, so they return the identical
-best allocation.
+solver seed) and keeps the best plan seen across them.  Every chain runs
+through :func:`repro.parallel.restarts.run_restarts`: in this process with
+``restart_workers`` unset or ``1``, otherwise over processes that attach the
+coverage index through shared memory.  Both run the same chains from the
+same seeds, so they return the identical best allocation.
 """
 
 from __future__ import annotations
@@ -64,22 +64,21 @@ def anneal_chain(
     initial_temperature: float | None,
     cooling: float,
     rng,
-) -> dict:
+) -> tuple:
     """One Metropolis chain from the greedy start.
 
-    Returns a plain dict (picklable, modulo the allocation) with the best
-    plan, its regret, the acceptance count, the final temperature, and the
-    telemetry samples ``(best_regret, proposed, accepted_delta)`` — the chain
-    itself records nothing, so it runs identically inside a worker process
-    and in the solver's own process.
+    Returns ``(best_regret, best plan, outcome)`` for
+    :func:`repro.parallel.restarts.run_restarts`; the picklable ``outcome``
+    dict holds the best regret, the acceptance count, the final temperature,
+    and the telemetry samples ``(best_regret, proposed, accepted_delta)`` —
+    the chain itself records nothing, so it runs identically inside a worker
+    process and in the solver's own process.
     """
     rng = as_generator(rng)
-    chain_span = obs.span("anneal.chain", steps=int(steps))
-    chain_span.__enter__()
-    try:
-        return _anneal_chain_body(instance, steps, initial_temperature, cooling, rng)
-    finally:
-        chain_span.__exit__(None, None, None)
+    with obs.span("anneal.chain", steps=int(steps)):
+        outcome = _anneal_chain_body(instance, steps, initial_temperature, cooling, rng)
+    best = outcome.pop("best")
+    return outcome["best_regret"], best, outcome
 
 
 def _anneal_chain_body(
@@ -152,8 +151,8 @@ class SimulatedAnnealingSolver(Solver):
         single-chain behaviour bit-for-bit.
     restart_workers:
         Fan chains out over this many processes attached to a shared-memory
-        coverage index; ``None``/``1`` runs them serially.  Same result
-        either way (one wave of chains per pool task, DESIGN.md §13).
+        coverage index; ``None``/``1`` runs them in this process.  Same
+        result either way (one wave of chains per task, DESIGN.md §13).
     """
 
     name = "SA"
@@ -185,49 +184,28 @@ class SimulatedAnnealingSolver(Solver):
         self.restart_workers = restart_workers
 
     def _solve(self, instance: MROAMInstance, stats: dict) -> Allocation:
+        from repro.parallel.restarts import allocation_from_owners, run_restarts
+
+        # One chain keeps the classic single-chain seed; several chains draw
+        # spawned child seeds.
         if self.restarts == 1:
-            chains = [
-                anneal_chain(
-                    instance,
-                    self.steps,
-                    self.initial_temperature,
-                    self.cooling,
-                    as_generator(self.seed),
-                )
-            ]
+            seeds = [self.seed]
         else:
             seeds = spawn_children(self.seed, self.restarts)
-            if self.restart_workers is not None and self.restart_workers > 1:
-                from repro.parallel.restarts import run_annealing_chains
+        chains = run_restarts(
+            instance,
+            anneal_chain,
+            (self.steps, self.initial_temperature, self.cooling),
+            seeds,
+            self.restart_workers or 1,
+        )
 
-                chains = run_annealing_chains(
-                    instance,
-                    seeds,
-                    steps=self.steps,
-                    initial_temperature=self.initial_temperature,
-                    cooling=self.cooling,
-                    workers=self.restart_workers,
-                )
-            else:
-                chains = [
-                    anneal_chain(
-                        instance,
-                        self.steps,
-                        self.initial_temperature,
-                        self.cooling,
-                        chain_seed,
-                    )
-                    for chain_seed in seeds
-                ]
-
-        # Track the winning chain *index* and fetch its plan once at the end:
-        # pool tasks ship only their in-task winner's plan, and the global
-        # winner is always its own task's winner (strict < at both levels),
-        # so chains[best_index]["best"] is always present.
-        best_index = -1
+        # Strict < in chain order: the winner is always its own task's
+        # winner, so its owner vector is always present.
+        best_owners = None
         best_regret = math.inf
         accepted = 0
-        for index, chain in enumerate(chains):
+        for index, (chain, owners) in enumerate(chains):
             for best_so_far, proposed, accepted_delta in chain["samples"]:
                 self.record_iteration(
                     min(best_regret, best_so_far),
@@ -237,13 +215,13 @@ class SimulatedAnnealingSolver(Solver):
             accepted += chain["accepted"]
             if chain["best_regret"] < best_regret:
                 best_regret = chain["best_regret"]
-                best_index = index
+                best_owners = owners
                 stats["sa_best_restart"] = index
-        best = chains[best_index]["best"]
+        best = allocation_from_owners(instance, best_owners)
 
         stats["sa_steps"] = self.steps * self.restarts
         stats["sa_accepted"] = accepted
-        stats["sa_final_temperature"] = chains[-1]["final_temperature"]
+        stats["sa_final_temperature"] = chains[-1][0]["final_temperature"]
         if self.restarts > 1:
             stats["sa_restarts"] = self.restarts
         return best

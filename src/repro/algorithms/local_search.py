@@ -11,17 +11,15 @@ seeding is what lets the framework escape the greedy's poor local minima
 The two neighbourhoods are the paper's ALS (Algorithm 4, advertiser-set
 exchanges) and BLS (Algorithm 5, billboard-level moves).
 
-``restart_workers > 1`` fans the restarts out over worker processes that
-attach the coverage index through shared memory (:mod:`repro.parallel`).
-The restart seed plans are pre-drawn from the same sequential RNG stream the
-serial loop consumes, and the best-plan reduction applies the same strict
-``<`` in restart order, so serial and parallel runs return the identical
-best allocation.
+Every restart runs through :func:`repro.parallel.restarts.run_restarts`:
+in this process with ``restart_workers`` unset or ``1``, otherwise over
+worker processes that attach the coverage index through shared memory.
+The restart seed plans are pre-drawn from one sequential RNG stream and the
+best-plan reduction applies the same strict ``<`` in restart order either
+way, so serial and parallel runs return the identical best allocation.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +33,38 @@ from repro.algorithms.base import Solver
 from repro.utils.rng import as_generator
 
 NEIGHBORHOODS = ("als", "bls")
+
+
+def _neighborhood_search(
+    plan: Allocation,
+    stats: dict,
+    neighborhood: str,
+    min_improvement: float,
+    max_sweeps: int | None,
+) -> Allocation:
+    if neighborhood == "als":
+        return advertiser_driven_local_search(plan, min_improvement, stats)
+    return billboard_driven_local_search(plan, min_improvement, max_sweeps, stats)
+
+
+def _restart(instance: MROAMInstance, params: tuple, seed_ids: np.ndarray) -> tuple:
+    """Lines 3.3-3.8: one billboard per advertiser from ``seed_ids``, the
+    synchronous greedy completion, then the neighbourhood search.
+
+    Returns ``(regret, plan, outcome)`` for
+    :func:`repro.parallel.restarts.run_restarts`; ``outcome`` carries the
+    regret and this restart's own stats counters.
+    """
+    stats: dict = {}
+    plan = Allocation(instance)
+    with obs.span("restart.greedy"):
+        for advertiser_id, billboard_id in enumerate(seed_ids):
+            plan.assign(int(billboard_id), int(advertiser_id))
+        synchronous_greedy(plan, stats=stats)
+    with obs.span("restart.local_search", neighborhood=params[0]):
+        plan = _neighborhood_search(plan, stats, *params)
+    regret = plan.total_regret()
+    return regret, plan, {"total_regret": regret, "stats": stats}
 
 
 class RandomizedLocalSearch(Solver):
@@ -55,9 +85,10 @@ class RandomizedLocalSearch(Solver):
         Optional sweep cap forwarded to the BLS neighbourhood.
     restart_workers:
         Fan the random restarts out over this many worker processes attached
-        to a shared-memory coverage index; ``None``/``1`` runs them serially.
-        Each pool task runs one wave of ``ceil(restarts / restart_workers)``
-        restarts (DESIGN.md §13).  Same best allocation either way.
+        to a shared-memory coverage index; ``None``/``1`` runs them in this
+        process.  Each task runs one wave of ``ceil(restarts /
+        restart_workers)`` restarts (DESIGN.md §13).  Same best allocation
+        either way.
     """
 
     def __init__(
@@ -87,15 +118,6 @@ class RandomizedLocalSearch(Solver):
         self.restart_workers = restart_workers
         self.name = neighborhood.upper()
 
-    def _local_search(self) -> Callable[[Allocation, dict], Allocation]:
-        if self.neighborhood == "als":
-            return lambda allocation, stats: advertiser_driven_local_search(
-                allocation, self.min_improvement, stats
-            )
-        return lambda allocation, stats: billboard_driven_local_search(
-            allocation, self.min_improvement, self.max_sweeps, stats
-        )
-
     def _random_seed_ids(
         self, instance: MROAMInstance, rng: np.random.Generator
     ) -> np.ndarray:
@@ -103,13 +125,6 @@ class RandomizedLocalSearch(Solver):
         pool = np.arange(instance.num_billboards)
         rng.shuffle(pool)
         return pool[: min(instance.num_advertisers, len(pool))].copy()
-
-    def _random_seed_plan(self, instance: MROAMInstance, rng: np.random.Generator) -> Allocation:
-        """Lines 3.3-3.7: one uniformly random billboard per advertiser."""
-        allocation = Allocation(instance)
-        for advertiser_id, billboard_id in enumerate(self._random_seed_ids(instance, rng)):
-            allocation.assign(int(billboard_id), int(advertiser_id))
-        return allocation
 
     # Cumulative stats counters the restart telemetry reports as deltas.
     _EVALUATED_KEYS = (
@@ -147,83 +162,36 @@ class RandomizedLocalSearch(Solver):
             if isinstance(value, (int, float)):
                 stats[key] = stats.get(key, 0) + value
 
-    def _parallel_restarts(
-        self,
-        instance: MROAMInstance,
-        rng: np.random.Generator,
-        best: Allocation,
-        best_regret: float,
-        stats: dict,
-    ) -> tuple[Allocation, float]:
-        """Fan the restarts out over processes; identical reduction to serial.
-
-        The seed-id arrays are pre-drawn here from the same ``rng`` stream
-        (and in the same order) the serial loop would consume, so the workers
-        run the exact restarts the serial path runs.  The reduction tracks
-        the winning restart *index* and rebuilds one allocation at the end —
-        pool tasks only ship their in-task winner's owner vector, and the
-        global winner is always its own task's winner (strict ``<`` both
-        levels), so that vector is always present.
-        """
-        from repro.parallel.restarts import (
-            allocation_from_owners,
-            run_local_search_restarts,
-        )
-
-        seed_ids = [
-            self._random_seed_ids(instance, rng) for _ in range(self.restarts)
-        ]
-        outcomes = run_local_search_restarts(
-            instance,
-            seed_ids,
-            neighborhood=self.neighborhood,
-            min_improvement=self.min_improvement,
-            max_sweeps=self.max_sweeps,
-            workers=self.restart_workers,
-        )
-        with obs.span("restart.reduce", restarts=len(outcomes)):
-            best_index = -1
-            for restart, outcome in enumerate(outcomes):
-                before = dict(stats)
-                self._merge_stats(stats, outcome["stats"])
-                if outcome["total_regret"] < best_regret:
-                    best_regret = outcome["total_regret"]
-                    best_index = restart
-                    stats["best_restart"] = restart
-                self._record_restart(best_regret, before, stats)
-            if best_index >= 0:
-                best = allocation_from_owners(
-                    instance, outcomes[best_index]["owners"]
-                )
-        return best, best_regret
-
     def _solve(self, instance: MROAMInstance, stats: dict) -> Allocation:
+        from repro.parallel.restarts import allocation_from_owners, run_restarts
+
         rng = as_generator(self.seed)
-        local_search = self._local_search()
+        params = (self.neighborhood, self.min_improvement, self.max_sweeps)
 
         # Line 3.1: incumbent from the synchronous greedy, then refined.
         before = dict(stats)
         best = Allocation(instance)
         synchronous_greedy(best, stats=stats)
-        best = local_search(best, stats)
+        best = _neighborhood_search(best, stats, *params)
         best_regret = best.total_regret()
         stats["best_restart"] = -1  # -1 = the deterministic greedy start
         self._record_restart(best_regret, before, stats)
 
-        if self.restarts > 0 and (self.restart_workers or 1) > 1:
-            best, best_regret = self._parallel_restarts(
-                instance, rng, best, best_regret, stats
-            )
-        else:
-            for restart in range(self.restarts):
+        seed_ids = [self._random_seed_ids(instance, rng) for _ in range(self.restarts)]
+        outcomes = run_restarts(
+            instance, _restart, (params,), seed_ids, self.restart_workers or 1
+        )
+        with obs.span("restart.reduce", restarts=len(outcomes)):
+            best_owners = None
+            for restart, (outcome, owners) in enumerate(outcomes):
                 before = dict(stats)
-                plan = self._random_seed_plan(instance, rng)
-                synchronous_greedy(plan, stats=stats)
-                plan = local_search(plan, stats)
-                plan_regret = plan.total_regret()
-                if plan_regret < best_regret:
-                    best, best_regret = plan, plan_regret
+                self._merge_stats(stats, outcome["stats"])
+                if outcome["total_regret"] < best_regret:
+                    best_regret = outcome["total_regret"]
+                    best_owners = owners
                     stats["best_restart"] = restart
                 self._record_restart(best_regret, before, stats)
+            if best_owners is not None:
+                best = allocation_from_owners(instance, best_owners)
         stats["restarts"] = self.restarts
         return best

@@ -73,14 +73,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=positive_int,
         default=None,
-        help="worker processes for the methods × values task grid (default serial)",
-    )
-    parser.add_argument(
-        "--restart-workers",
-        type=positive_int,
-        default=None,
-        help="worker processes for ALS/BLS random restarts (shared-memory "
-        "coverage, same result as serial; ignored with --workers > 1)",
+        help="worker processes sharing one coverage index: a grid of several "
+        "methods × values tasks fans out over them, a lone ALS/BLS cell fans "
+        "out its random restarts; same results as serial (default 1)",
     )
     parser.add_argument(
         "--obs-out",
@@ -192,7 +187,6 @@ def _cmd_cell(args: argparse.Namespace) -> int:
         methods=methods,
         restarts=args.restarts,
         workers=args.workers,
-        restart_workers=args.restart_workers,
     )
     print(f"cell: {scenario}")
     for method, cell in metrics.items():
@@ -219,7 +213,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         methods=methods,
         restarts=args.restarts,
         workers=args.workers,
-        restart_workers=args.restart_workers,
     )
     fmt = _SWEEP_FORMATS[args.parameter]
     print(format_regret_table(result, f"{args.dataset.upper()} — sweep over {args.parameter}", fmt))

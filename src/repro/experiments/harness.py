@@ -5,21 +5,22 @@
 values, reusing a single generated city across the sweep (so coverage is
 recomputed only when λ changes, exactly as a real host's data would be).
 
-Both accept ``workers=N`` to fan the (sweep value × method) task grid out
-across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
-process receives the city once (pool initializer), keeps its own per-λ
-coverage cache across tasks, and — with ``REPRO_COVERAGE_CACHE`` set —
-shares one on-disk coverage cache with every other worker.  Solvers are
-deterministic given ``(instance, solver_seed)`` and tasks are reassembled in
-sweep order, so the parallel path returns exactly the serial path's regret
-metrics; only the measured wall-clock times differ.
+Both run one task per ``(cell, method)`` through
+:func:`repro.parallel.pool.run_tasks`, with one ``workers`` count: a grid of
+several tasks fans out over the city's persistent worker pool (workers
+attach the first cell's coverage through shared memory and build any other
+λ locally); a lone task runs in this process and, for ALS/BLS, fans its
+random restarts out instead.  With ``workers=1`` every task runs here
+through the same runner.  Solvers are deterministic given ``(instance,
+solver_seed)`` and results come back in task order, so every regret metric
+is independent of ``workers``; only measured wall-clock times differ.
 
 When observability is enabled (see :mod:`repro.obs`), every
 ``(cell, method)`` execution runs inside a ``harness.cell`` span and each
 worker ships a snapshot of its metrics registry back with the task result;
-the parent merges snapshots in task-submission order, so counter totals for
+the parent merges snapshots in task order, so counter totals for
 deterministic per-task work (solver counters, influence dispatch) are equal
-between ``workers=N`` and serial runs.
+for every ``workers`` count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Sequence
 from repro import obs
 from repro.algorithms.registry import PAPER_METHODS, make_solver
 from repro.obs import ledger
-from repro.core.problem import MROAMInstance
 from repro.datasets.synthetic import CityDataset
 from repro.experiments.configs import BENCH_RESTARTS
 from repro.experiments.metrics import CellMetrics
@@ -53,30 +53,26 @@ class ExperimentResult:
         return [getattr(self.cells[value][method], attribute) for value in self.values]
 
 
-def _solver_kwargs(
-    method: str,
-    restarts: int,
-    restart_workers: int | None = None,
-) -> dict:
+def _solver_kwargs(method: str, restarts: int, restart_workers: int) -> dict:
     if method in ("als", "bls"):
-        kwargs: dict = {"restarts": restarts}
-        if restart_workers is not None:
-            kwargs["restart_workers"] = restart_workers
-        return kwargs
+        return {"restarts": restarts, "restart_workers": restart_workers}
     return {}
 
 
-def _run_method(
-    method: str,
-    instance: MROAMInstance,
-    restarts: int,
-    solver_seed: int,
-    runtime_repeats: int,
-    span_attrs: dict | None = None,
-    restart_workers: int | None = None,
-) -> CellMetrics:
-    """One (instance, method) execution — the unit of parallel work."""
-    with obs.span("harness.cell", method=method, **(span_attrs or {})):
+def _run_task(city: CityDataset, task: tuple) -> CellMetrics:
+    """One ``(cell, method)`` execution against ``city`` — the unit of
+    harness work, run here or in a pool worker."""
+    (
+        scenario,
+        span_attrs,
+        method,
+        restarts,
+        solver_seed,
+        runtime_repeats,
+        restart_workers,
+    ) = task
+    instance = scenario.build_instance(city)
+    with obs.span("harness.cell", method=method, **span_attrs):
         if obs.enabled():
             # One union query per cell: reports the reachable-audience
             # ceiling on the run log.
@@ -110,146 +106,65 @@ def _run_method(
             restart_workers=restart_workers,
             regret=float(metrics.total_regret),
             wall_s=float(metrics.runtime_s),
-            **(span_attrs or {}),
+            **span_attrs,
         )
     return metrics
 
 
-# Worker-process state, populated once per process by the pool initializer so
-# the city (and its coverage caches) ship to each worker exactly once.
-_WORKER_STATE: dict = {}
+def _attached_city(coverage, city: CityDataset) -> CityDataset:
+    """A worker's copy of ``city`` whose coverage at ``coverage``'s λ is the
+    attached index; other λ build locally on first use and stay cached.
 
-
-def _worker_init(
-    city: CityDataset,
-    base_lambda: float,
-    obs_enabled: bool = False,
-    coverage_spec=None,
-    trace_enabled: bool = False,
-) -> None:
-    from repro.parallel.pool import _freeze_worker_heap, _sync_worker_obs
-
-    _WORKER_STATE["city"] = city
-    _sync_worker_obs(obs_enabled, trace_enabled)
-    # With a fork start method the child inherits the parent's registry
-    # contents; clear them so per-task snapshots hold only this worker's work.
-    # The reset runs before the attach so the one shm.attach this worker ever
-    # performs lands in its first task snapshot.  The inherited trace buffer
-    # belongs to the parent and is dropped the same way.
-    obs.reset()
-    obs.trace_reset()
-    obs.register_worker_flush()
-    if coverage_spec is not None:
-        # Zero-copy: attach the parent's coverage index at the pool-creating
-        # scenario's base λ instead of re-running the radius join (or
-        # unpickling a copy) here.  Tasks at a *different* λ still build
-        # locally on first use and stay cached for the pool's lifetime.
-        from repro.billboard.influence import CoverageIndex
-
-        with obs.span("pool.attach"):
-            attached = CoverageIndex.attach_shared(coverage_spec)
-        key = (float(base_lambda), False)
-        _WORKER_STATE["city"]._coverage_cache[key] = attached
-    _freeze_worker_heap()
-
-
-def _worker_run(task: tuple) -> tuple:
-    from repro.parallel.pool import _sync_worker_obs
-
-    (
-        scenario,
-        parameter,
-        value,
-        method,
-        restarts,
-        solver_seed,
-        runtime_repeats,
-        obs_enabled,
-        trace_enabled,
-    ) = task
-    _sync_worker_obs(obs_enabled, trace_enabled)
-    city: CityDataset = _WORKER_STATE["city"]
-    span_attrs = {} if parameter is None else {"parameter": parameter, "value": value}
-    if parameter is not None:
-        scenario = scenario.with_params(**{parameter: value})
-    instance = scenario.build_instance(city)
-    with obs.span("pool.task"):
-        metrics = _run_method(
-            method, instance, restarts, solver_seed, runtime_repeats, span_attrs
-        )
-    if obs_enabled or trace_enabled:
-        snapshot = obs.take_snapshot(reset_after=True)
-    else:
-        snapshot = None
-    return (value, method, metrics), snapshot
-
-
-def _harness_pool(city: CityDataset, scenario: Scenario, workers: int):
-    """The persistent harness pool of ``(city, workers)``.
-
-    The first call exports the city's base-λ coverage to shared memory and
-    forks the workers; later calls — other sweeps, other scenarios on the
-    same city — reuse the warm pool, and the scenario rides in each task
-    instead of the initializer so reuse is keyed by the city alone.
+    The copy starts without the parent's coverage cache: indices reach the
+    workers through shared segments, never the pickle stream.
     """
-    from repro.parallel.pool import PersistentPool, pool_for
-
-    def spawn() -> PersistentPool:
-        shared = city.coverage(scenario.lambda_m).to_shared()
-        # Workers receive a copy without the coverage cache: the index
-        # travels through the shared segments, not the pickle stream.
-        worker_city = CityDataset(
-            name=city.name, billboards=city.billboards, trajectories=city.trajectories
-        )
-        return PersistentPool(
-            workers,
-            initializer=_worker_init,
-            initargs=(
-                worker_city,
-                float(scenario.lambda_m),
-                obs.enabled(),
-                shared.spec,
-                obs.trace_enabled(),
-            ),
-            shared=shared,
-        )
-
-    return pool_for(city, workers, spawn)
-
-
-def _run_parallel(
-    scenario: Scenario,
-    city: CityDataset | None,
-    tasks: list[tuple],
-    workers: int,
-) -> dict[tuple, CellMetrics]:
-    """Fan tasks out across worker processes; results keyed ``(value, method)``.
-
-    ``Executor.map`` preserves submission order, so assembly is deterministic
-    regardless of completion order — including the order worker metric
-    snapshots are merged into the parent registry.
-
-    The pool persists across calls (see :func:`_harness_pool`): the city and
-    its base-λ coverage ship to each worker exactly once per pool, not once
-    per ``sweep``/``run_cell`` call.
-    """
-    if city is None:
-        city = scenario.build_city()
-    pool = _harness_pool(city, scenario, workers)
-    obs_enabled = obs.enabled()
-    trace_enabled = obs.trace_enabled()
-    results = pool.map(
-        _worker_run, [(scenario, *task, obs_enabled, trace_enabled) for task in tasks]
+    worker_city = CityDataset(
+        name=city.name, billboards=city.billboards, trajectories=city.trajectories
     )
-    return {(value, method): metrics for value, method, metrics in results}
+    worker_city._coverage_cache[(float(coverage.lambda_m), False)] = coverage
+    return worker_city
 
 
-def _check_workers(workers: int | None) -> int:
-    if workers is None:
-        return 1
+def _run_grid(
+    city: CityDataset,
+    cells: list[tuple[Scenario, dict]],
+    methods: Sequence[str],
+    restarts: int,
+    solver_seed: int,
+    runtime_repeats: int,
+    workers: int | None,
+) -> list[dict[str, CellMetrics]]:
+    """Every method on every ``(scenario, span_attrs)`` cell of ``city``;
+    one ``{method: CellMetrics}`` per cell, in cell and method order.
+
+    The pool is the city's persistent one (:func:`repro.parallel.pool.
+    pool_for`): the city and the first cell's coverage ship to each worker
+    once per pool, not once per ``sweep``/``run_cell`` call.
+    """
+    from repro.parallel.pool import run_tasks
+
+    if runtime_repeats < 1:
+        raise ValueError(f"runtime_repeats must be >= 1, got {runtime_repeats}")
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
+    # One count: a grid fans out its tasks, a lone task fans out its restarts.
+    grid_workers, restart_workers = (
+        (workers, 1) if len(cells) * len(methods) > 1 else (1, workers)
+    )
+    settings = (restarts, solver_seed, runtime_repeats, restart_workers)
+    tasks = [
+        (scenario, span_attrs, method, *settings)
+        for scenario, span_attrs in cells
+        for method in methods
+    ]
+    export = lambda: (
+        city.coverage(cells[0][0].lambda_m),
+        _attached_city,
+        (city,),
+    )
+    results = iter(run_tasks(city, _run_task, tasks, grid_workers, export))
+    return [{method: next(results) for method in methods} for _ in cells]
 
 
 def run_cell(
@@ -258,47 +173,22 @@ def run_cell(
     methods: Sequence[str] = PAPER_METHODS,
     restarts: int = BENCH_RESTARTS,
     solver_seed: int = 0,
-    instance: MROAMInstance | None = None,
     runtime_repeats: int = 1,
     workers: int | None = None,
-    restart_workers: int | None = None,
-    _span_attrs: dict | None = None,
 ) -> dict[str, CellMetrics]:
     """Run each method on one cell; returns ``{method: CellMetrics}``.
 
     ``runtime_repeats > 1`` re-runs each solver and reports the mean
     wall-clock time (the paper's efficiency study averages five runs); the
-    regret metrics come from the first run.  ``workers > 1`` fans the methods
-    out across processes (regret metrics identical to the serial path); a
-    pre-built ``instance`` pins the cell to the serial path since workers
-    rebuild the instance from the scenario.  ``restart_workers`` fans the
-    ALS/BLS random restarts out inside each serial method run (ignored on
-    the ``workers > 1`` path — no nested pools).
+    regret metrics come from the first run.  ``workers > 1`` fans several
+    methods out across processes, or a lone ALS/BLS method's random
+    restarts; regret metrics are identical to ``workers=1``.
     """
-    if runtime_repeats < 1:
-        raise ValueError(f"runtime_repeats must be >= 1, got {runtime_repeats}")
-    workers = _check_workers(workers)
-    if workers > 1 and instance is None and len(methods) > 1:
-        tasks = [
-            (None, None, method, restarts, solver_seed, runtime_repeats)
-            for method in methods
-        ]
-        by_key = _run_parallel(scenario, city, tasks, workers)
-        return {method: by_key[(None, method)] for method in methods}
-    if instance is None:
-        instance = scenario.build_instance(city)
-    return {
-        method: _run_method(
-            method,
-            instance,
-            restarts,
-            solver_seed,
-            runtime_repeats,
-            _span_attrs,
-            restart_workers=restart_workers,
-        )
-        for method in methods
-    }
+    if city is None:
+        city = scenario.build_city()
+    return _run_grid(
+        city, [(scenario, {})], methods, restarts, solver_seed, runtime_repeats, workers
+    )[0]
 
 
 def sweep(
@@ -311,7 +201,6 @@ def sweep(
     city: CityDataset | None = None,
     runtime_repeats: int = 1,
     workers: int | None = None,
-    restart_workers: int | None = None,
 ) -> ExperimentResult:
     """Vary one scenario field across ``values``; other fields stay fixed.
 
@@ -329,35 +218,22 @@ def sweep(
         scenario otherwise.
     workers:
         Fan the ``values × methods`` task grid out over this many worker
-        processes.  Regret metrics are identical to the serial path on the
-        same seed; results are assembled in sweep order either way.
+        processes (a lone ALS/BLS task fans out its restarts instead).
+        Regret metrics are identical to ``workers=1``; results are
+        assembled in sweep order either way.
     """
-    workers = _check_workers(workers)
     if city is None:
         city = scenario.build_city()
-    result = ExperimentResult(parameter=parameter, values=list(values))
-    if workers > 1:
-        tasks = [
-            (parameter, value, method, restarts, solver_seed, runtime_repeats)
-            for value in values
-            for method in methods
-        ]
-        by_key = _run_parallel(scenario, city, tasks, workers)
-        for value in values:
-            result.cells[value] = {
-                method: by_key[(value, method)] for method in methods
-            }
-        return result
-    for value in values:
-        cell_scenario = scenario.with_params(**{parameter: value})
-        result.cells[value] = run_cell(
-            cell_scenario,
-            city=city,
-            methods=methods,
-            restarts=restarts,
-            solver_seed=solver_seed,
-            runtime_repeats=runtime_repeats,
-            restart_workers=restart_workers,
-            _span_attrs={"parameter": parameter, "value": value},
+    cells = [
+        (
+            scenario.with_params(**{parameter: value}),
+            {"parameter": parameter, "value": value},
         )
-    return result
+        for value in values
+    ]
+    per_cell = _run_grid(
+        city, cells, methods, restarts, solver_seed, runtime_repeats, workers
+    )
+    return ExperimentResult(
+        parameter=parameter, values=list(values), cells=dict(zip(values, per_cell))
+    )

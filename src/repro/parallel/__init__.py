@@ -1,26 +1,22 @@
-"""Zero-copy process parallelism: shared-memory coverage + restart fan-out.
+"""Zero-copy process parallelism: shared-memory coverage + one task protocol.
 
 ``repro.parallel.shared`` owns shared-memory segment lifecycle
-(create/attach/unlink with atexit cleanup); ``repro.parallel.pool`` keeps
-worker pools alive across driver calls (spawn once per ``(owner, workers)``
-pair, reuse until the owner dies); ``repro.parallel.restarts`` drives
-multi-restart local search and multi-chain annealing over those pools,
-whose workers attach the coverage index instead of unpickling a copy.
+(create/attach/unlink with atexit cleanup); ``repro.parallel.pool`` runs
+``runner(context, payload)`` tasks in-process or on persistent worker pools
+(spawn once per ``(owner, workers)`` pair, reuse until the owner dies),
+whose workers attach the coverage index instead of unpickling a copy;
+``repro.parallel.restarts`` packs restarts and annealing chains into
+one-wave tasks with a strict-``<`` in-task reduction.
 """
 
 from repro.parallel.pool import (
     PersistentPool,
-    SharedInstancePool,
     close_all_pools,
     effective_workers,
-    instance_pool,
     pool_for,
+    run_tasks,
 )
-from repro.parallel.restarts import (
-    allocation_from_owners,
-    run_annealing_chains,
-    run_local_search_restarts,
-)
+from repro.parallel.restarts import allocation_from_owners, run_restarts
 from repro.parallel.shared import (
     SharedArraySpec,
     SharedCoverage,
@@ -33,13 +29,11 @@ __all__ = [
     "SharedArraySpec",
     "SharedCoverage",
     "SharedCoverageSpec",
-    "SharedInstancePool",
     "allocation_from_owners",
     "attach_array",
     "close_all_pools",
     "effective_workers",
-    "instance_pool",
     "pool_for",
-    "run_annealing_chains",
-    "run_local_search_restarts",
+    "run_restarts",
+    "run_tasks",
 ]

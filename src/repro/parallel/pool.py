@@ -1,25 +1,26 @@
-"""Persistent shared-memory worker pools.
+"""Persistent shared-memory worker pools: one task protocol for every fan-out.
 
-``ProcessPoolExecutor`` spawn cost (fork + interpreter warm-up + one
-``shm.attach`` per worker) dwarfs a restart batch at benchmark scale, so a
-pool created per call makes ``restart_workers > 1`` *slower* than serial.
-This module keeps pools alive instead:
+Every parallel job in the package — ALS/BLS random restarts, annealing
+chains, harness sweep cells — is a list of independent ``runner(context,
+payload)`` tasks over one coverage index.  :func:`run_tasks` runs them:
 
-* :class:`PersistentPool` — a kept-alive executor plus the shared-memory
-  segments its workers attached at spawn.  ``map`` preserves task order and
-  folds each worker's observability snapshot into the parent registry.
-* :class:`SharedInstancePool` — a :class:`PersistentPool` whose workers hold
-  one attached :class:`~repro.core.problem.MROAMInstance`; the restart and
-  annealing drivers (:mod:`repro.parallel.restarts`) run on these.
-* :func:`pool_for` — the per-``(owner, workers)`` cache: the first call
-  spawns (``pool.spawn``), later calls reuse the live pool (``pool.reuse``),
-  and the pool is closed when its owner is garbage-collected or at exit.
+* ``workers == 1``: in this process, against the caller's own context (the
+  instance, the city) — no pool, no export, no executor import;
+* ``workers > 1``: on the owner's :class:`PersistentPool`.  The pool exports
+  one coverage index to shared memory; each worker attaches it once and
+  builds its context from it with the setup function the caller passed in
+  (``MROAMInstance`` for restarts, a city copy for sweep cells).
+
+The same runners, in the same order, feed the same reductions either way,
+so in-process and pooled runs are bit-identical by construction.
 
 Lifecycle rules (DESIGN.md §10):
 
 * a pool belongs to its *owner* object (the instance or city whose coverage
   its workers attached) and never outlives it — a ``weakref.finalize`` on
   the owner closes the pool, and an ``atexit`` hook is the safety net;
+* the first call for an ``(owner, workers)`` pair spawns (``pool.spawn``),
+  later calls reuse the live pool (``pool.reuse``);
 * workers are forked once with observability matching the parent *at spawn*;
   every task carries the parent's current obs flag and the worker re-syncs
   (enable/disable + registry reset) on transition, so a pool spawned during
@@ -29,11 +30,10 @@ Lifecycle rules (DESIGN.md §10):
 * workers freeze their post-attach heap (``gc.freeze``) so the attached
   coverage never pays collection passes during solver work.
 
-Task *grain*: one ``map`` payload is one ``pool.task`` span.  Callers that
-need fatter grains (the batched restart drivers, DESIGN.md §13) pack
-several work items into a single payload and record the packing on the
-``pool.task.batch`` histogram — the pool itself never merges payloads, so
-the span count stays an exact task count for trace attribution.
+Task *grain*: one payload is one ``pool.task`` span.  Callers that need
+fatter grains (the restart runs, DESIGN.md §13) pack several work items
+into a single payload — the pool itself never merges payloads, so the span
+count stays an exact task count for trace attribution.
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ import atexit
 import gc
 import os
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro import env, obs
 from repro.billboard.influence import CoverageIndex
-from repro.core.problem import MROAMInstance
 
 
 #: Environment variable lifting the CPU-affinity cap on worker counts.
@@ -90,23 +87,12 @@ def _sync_worker_obs(want_enabled: bool, want_trace: bool = False) -> None:
         obs.set_trace_collection(want_trace)
 
 
-def _freeze_worker_heap() -> None:
-    """Collect then freeze the worker's heap (runs inside the worker).
-
-    Everything allocated so far — the interpreter, numpy, the attached
-    coverage views — is long-lived by construction; freezing it takes the
-    whole block out of every future collection pass.
-    """
-    gc.collect()
-    gc.freeze()
-
-
-# Worker-process state for instance pools, populated by the initializer.
+# The worker's task context, built once per process by the initializer.
 _WORKER_STATE: dict = {}
 
 
-def _instance_worker_init(
-    coverage_spec, advertisers, gamma, obs_enabled: bool, trace_enabled: bool = False
+def _worker_init(
+    coverage_spec, setup, setup_args: tuple, obs_enabled: bool, trace_enabled: bool
 ) -> None:
     _sync_worker_obs(obs_enabled, trace_enabled)
     # With a fork start method the child inherits the parent's registry
@@ -118,15 +104,19 @@ def _instance_worker_init(
     obs.register_worker_flush()
     with obs.span("pool.attach"):
         coverage = CoverageIndex.attach_shared(coverage_spec)
-        _WORKER_STATE["instance"] = MROAMInstance(coverage, list(advertisers), gamma)
-    _freeze_worker_heap()
+        _WORKER_STATE["context"] = setup(coverage, *setup_args)
+    # Everything allocated so far — the interpreter, numpy, the attached
+    # coverage views — is long-lived by construction; freezing it takes the
+    # whole block out of every future collection pass.
+    gc.collect()
+    gc.freeze()
 
 
-def _instance_worker_call(task: tuple) -> tuple:
+def _worker_call(task: tuple) -> tuple:
     runner, payload, obs_enabled, trace_enabled = task
     _sync_worker_obs(obs_enabled, trace_enabled)
     with obs.span("pool.task"):
-        result = runner(_WORKER_STATE["instance"], payload)
+        result = runner(_WORKER_STATE["context"], payload)
     if obs_enabled or trace_enabled:
         snapshot = obs.take_snapshot(reset_after=True)
     else:
@@ -135,23 +125,35 @@ def _instance_worker_call(task: tuple) -> tuple:
 
 
 class PersistentPool:
-    """A kept-alive worker pool plus the shared segments its workers use.
+    """A kept-alive worker pool attached to one exported coverage index.
 
-    ``initializer``/``initargs`` run once per worker at spawn, exactly like
-    ``ProcessPoolExecutor``'s; ``shared`` (optional) is a
-    :class:`~repro.parallel.shared.SharedCoverage` whose lifetime this pool
-    owns — it is closed (segments unlinked) when the pool closes.
+    The pool exports ``coverage`` to shared memory (closed, segments
+    unlinked, when the pool closes); each worker attaches it once and builds
+    its task context as ``setup(attached_coverage, *setup_args)``, then
+    serves ``runner(context, payload)`` tasks until the pool closes.
     """
 
-    def __init__(self, workers: int, initializer, initargs: tuple, shared=None) -> None:
-        self.requested_workers = int(workers)
+    def __init__(
+        self, workers: int, coverage: CoverageIndex, setup, setup_args: tuple = ()
+    ) -> None:
+        # The executor machinery loads on the first spawn only, so
+        # in-process runs (``workers == 1``) never import it.
+        from concurrent.futures import ProcessPoolExecutor
+
         self.workers = effective_workers(workers)
-        self._shared = shared
+        with obs.span("pool.export"):
+            self._shared = coverage.to_shared()
         with obs.span("pool.spawn", workers=self.workers):
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_worker_init,
+                initargs=(
+                    self._shared.spec,
+                    setup,
+                    tuple(setup_args),
+                    obs.enabled(),
+                    obs.trace_enabled(),
+                ),
             )
         self._closed = False
         self._maps = 0
@@ -161,24 +163,28 @@ class PersistentPool:
     def closed(self) -> bool:
         return self._closed
 
-    def map(self, func, tasks: list) -> list:
-        """Run ``func(task)`` for every task; results in task order.
+    def run(self, runner, payloads: list) -> list:
+        """``[runner(context, payload) for payload in payloads]`` on the workers.
 
-        ``func`` must return ``(result, snapshot)`` pairs (the worker-call
-        convention); snapshots are merged into the parent registry in task
-        order, so counter totals match a serial run of the same tasks.
-        Tasks are dispatched in contiguous chunks — one slice per worker —
-        to amortize the pickle/IPC round trips.
+        Results come back in payload order, and each task's observability
+        snapshot is merged into the parent registry in the same order, so
+        counter totals match an in-process run of the same tasks.  Tasks
+        are dispatched in contiguous chunks — one slice per worker — to
+        amortize the pickle/IPC round trips.
 
-        A worker that dies mid-map breaks the executor for good: the pool
+        A worker that dies mid-run breaks the executor for good: the pool
         then closes itself (unlinking its segments) before re-raising, so
         :func:`pool_for` spawns a fresh pool on the next call.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._closed:
             raise RuntimeError("pool is closed")
-        tasks = list(tasks)
-        if not tasks:
+        if not payloads:
             return []
+        obs_enabled = obs.enabled()
+        trace_enabled = obs.trace_enabled()
+        tasks = [(runner, payload, obs_enabled, trace_enabled) for payload in payloads]
         self._maps += 1
         chunksize = -(-len(tasks) // self.workers)  # ceil division
         results = []
@@ -187,7 +193,7 @@ class PersistentPool:
         ):
             try:
                 for result, snapshot in self._executor.map(
-                    func, tasks, chunksize=chunksize
+                    _worker_call, tasks, chunksize=chunksize
                 ):
                     obs.merge_snapshot(snapshot)
                     results.append(result)
@@ -202,50 +208,13 @@ class PersistentPool:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        if self._shared is not None:
-            self._shared.close()
+        self._shared.close()
         atexit.unregister(self.close)
-
-
-class SharedInstancePool(PersistentPool):
-    """A :class:`PersistentPool` whose workers hold one attached instance.
-
-    Workers attach the instance's coverage through shared memory once, build
-    their :class:`MROAMInstance` around the attached views, and then serve
-    ``runner(instance, payload)`` tasks until the pool closes — restart
-    batches, annealing chains, and repeated solver calls all reuse the same
-    warm processes.
-    """
-
-    def __init__(self, instance: MROAMInstance, workers: int) -> None:
-        with obs.span("pool.export"):
-            shared = instance.coverage.to_shared()
-        super().__init__(
-            workers,
-            initializer=_instance_worker_init,
-            initargs=(
-                shared.spec,
-                list(instance.advertisers),
-                instance.gamma,
-                obs.enabled(),
-                obs.trace_enabled(),
-            ),
-            shared=shared,
-        )
-
-    def run(self, runner, payloads: list) -> list:
-        """``[runner(instance, payload) for payload in payloads]``, fanned out."""
-        obs_enabled = obs.enabled()
-        trace_enabled = obs.trace_enabled()
-        return self.map(
-            _instance_worker_call,
-            [(runner, payload, obs_enabled, trace_enabled) for payload in payloads],
-        )
 
 
 # ---------------------------------------------------------------- pool cache
 
-#: Live pools keyed by ``(id(owner), requested_workers)``.  Entries are
+#: Live pools keyed by ``(id(owner), workers requested)``.  Entries are
 #: evicted (and the pool closed) by a ``weakref.finalize`` when the owner is
 #: collected, so a recycled ``id`` can never alias a dead owner's pool.
 _POOLS: dict = {}
@@ -257,25 +226,39 @@ def _evict_pool(key: tuple) -> None:
         pool.close()
 
 
-def pool_for(owner, workers: int, factory) -> PersistentPool:
-    """The persistent pool of ``(owner, workers)``, spawning via ``factory``.
+def pool_for(owner, workers: int, export) -> PersistentPool:
+    """The persistent pool of ``(owner, workers)``, spawning on first use.
 
-    ``owner`` is the object whose shared state the pool's workers hold (an
-    instance for restart pools, a city for harness pools); the pool lives
-    until the owner is garbage-collected, the pool is explicitly closed, or
-    the process exits.  Spawns and reuses are counted (``pool.spawn`` /
-    ``pool.reuse``) so benchmarks can assert the pool actually persisted.
+    ``export()`` returns the ``(coverage, setup, setup_args)`` of a new
+    :class:`PersistentPool`; it is called only when a pool spawns.  The pool lives until the owner is garbage-collected, the pool
+    is explicitly closed, or the process exits.  Spawns and reuses are
+    counted (``pool.spawn`` / ``pool.reuse``) so benchmarks can assert the
+    pool actually persisted.
     """
     key = (id(owner), int(workers))
     pool = _POOLS.get(key)
     if pool is not None and not pool.closed:
         obs.counter_add("pool.reuse")
         return pool
-    pool = factory()
+    pool = PersistentPool(workers, *export())
     _POOLS[key] = pool
     obs.counter_add("pool.spawn")
     weakref.finalize(owner, _evict_pool, key)
     return pool
+
+
+def run_tasks(owner, runner, payloads: list, workers: int, export) -> list:
+    """``[runner(owner, payload) for payload in payloads]``, results in order.
+
+    ``workers == 1`` runs the tasks here, with ``owner`` itself as the
+    context.  Otherwise they run on ``owner``'s persistent pool
+    (:func:`pool_for` with ``export``), whose workers hold a context built
+    from the attached coverage that must answer every task exactly as
+    ``owner`` would.
+    """
+    if workers == 1 or not payloads:
+        return [runner(owner, payload) for payload in payloads]
+    return pool_for(owner, workers, export).run(runner, payloads)
 
 
 def close_all_pools() -> None:
@@ -285,8 +268,3 @@ def close_all_pools() -> None:
     """
     for key in list(_POOLS):
         _evict_pool(key)
-
-
-def instance_pool(instance: MROAMInstance, workers: int) -> SharedInstancePool:
-    """The persistent :class:`SharedInstancePool` of ``(instance, workers)``."""
-    return pool_for(instance, workers, lambda: SharedInstancePool(instance, workers))

@@ -67,16 +67,15 @@ class TestRandomSeedPlan:
 
         instance = make_random_instance(9, num_billboards=10, num_advertisers=4)
         solver = RandomizedLocalSearch(seed=0)
-        plan = solver._random_seed_plan(instance, np.random.default_rng(0))
-        for advertiser_id in range(instance.num_advertisers):
-            assert len(plan.billboards_of(advertiser_id)) == 1
-        validate_allocation(plan)
+        seed_ids = solver._random_seed_ids(instance, np.random.default_rng(0))
+        assert len(seed_ids) == instance.num_advertisers
+        assert len(set(seed_ids.tolist())) == len(seed_ids)
+        assert all(0 <= b < instance.num_billboards for b in seed_ids)
 
     def test_more_advertisers_than_billboards(self):
         import numpy as np
 
         instance = make_random_instance(10, num_billboards=2, num_advertisers=4)
         solver = RandomizedLocalSearch(seed=0)
-        plan = solver._random_seed_plan(instance, np.random.default_rng(0))
-        assigned = sum(len(plan.billboards_of(i)) for i in range(4))
-        assert assigned == 2
+        seed_ids = solver._random_seed_ids(instance, np.random.default_rng(0))
+        assert sorted(seed_ids.tolist()) == [0, 1]

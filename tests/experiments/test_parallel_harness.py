@@ -20,6 +20,7 @@ import pytest
 from repro import obs
 from repro.experiments.harness import run_cell, sweep
 from repro.market.scenario import Scenario
+from repro.parallel.pool import close_all_pools
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -35,22 +36,32 @@ def strip_runtimes(metrics):
     return {method: replace(cell, runtime_s=0.0) for method, cell in metrics.items()}
 
 
+def assert_sweep_workers_match_serial(scenario, parameter, values):
+    kwargs = dict(
+        parameter=parameter,
+        values=values,
+        methods=["g-global", "bls"],
+        restarts=1,
+    )
+    serial = sweep(scenario, **kwargs)
+    parallel = sweep(scenario, workers=2, **kwargs)
+    assert parallel.parameter == serial.parameter
+    assert parallel.values == serial.values
+    for value in serial.values:
+        assert strip_runtimes(parallel.cells[value]) == strip_runtimes(
+            serial.cells[value]
+        )
+        assert list(parallel.cells[value]) == list(serial.cells[value])
+
+
 class TestParallelEqualsSerial:
     def test_sweep_workers_match_serial(self, scenario):
-        kwargs = dict(
-            parameter="alpha",
-            values=(0.4, 0.8),
-            methods=["g-global", "bls"],
-            restarts=1,
-        )
-        serial = sweep(scenario, **kwargs)
-        parallel = sweep(scenario, workers=2, **kwargs)
-        assert parallel.parameter == serial.parameter
-        assert parallel.values == serial.values
-        for value in serial.values:
-            assert strip_runtimes(parallel.cells[value]) == strip_runtimes(
-                serial.cells[value]
-            )
+        assert_sweep_workers_match_serial(scenario, "alpha", (0.4, 0.8))
+
+    def test_lambda_sweep_workers_match_serial(self, scenario):
+        # Neither value is the scenario's base λ: the pool exports the first
+        # cell's coverage and a worker builds the other λ locally.
+        assert_sweep_workers_match_serial(scenario, "lambda_m", (50.0, 150.0))
 
     def test_run_cell_workers_match_serial(self, scenario):
         kwargs = dict(methods=["g-order", "g-global"], restarts=1)
@@ -60,9 +71,28 @@ class TestParallelEqualsSerial:
         assert list(parallel) == list(serial)  # method order preserved
 
     def test_single_method_stays_serial(self, scenario):
-        # Nothing to fan out: one method on one cell takes the serial path.
-        metrics = run_cell(scenario, methods=["g-order"], restarts=1, workers=4)
-        assert set(metrics) == {"g-order"}
+        """A lone cell has no grid to fan out: a lone G-Order cell runs in
+        this process, and a lone BLS cell fans its restarts out over the
+        same ``workers`` count instead, with the metrics of ``workers=1``."""
+        close_all_pools()
+        obs.enable()
+        try:
+            obs.reset()
+            lone = run_cell(scenario, methods=["g-order"], restarts=1, workers=4)
+            serial = run_cell(scenario, methods=["bls"], restarts=3, workers=1)
+            in_process_spawns = obs.counter_value("pool.spawn")
+            parallel = run_cell(scenario, methods=["bls"], restarts=3, workers=2)
+            spawns = obs.counter_value("pool.spawn")
+            tasks = obs.get_registry().histogram("span.pool.task").count
+        finally:
+            obs.disable()
+            obs.reset()
+            close_all_pools()
+        assert set(lone) == {"g-order"}
+        assert in_process_spawns == 0
+        assert strip_runtimes(parallel) == strip_runtimes(serial)
+        assert spawns == 1  # the lone cell's instance pool
+        assert tasks == 2  # one wave of restarts per worker
 
 
 class TestSharedCoverageInWorkers:

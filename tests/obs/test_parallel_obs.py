@@ -33,38 +33,48 @@ def scenario():
     )
 
 
+def assert_merged_totals_match_serial(scenario, parameter, values):
+    kwargs = dict(
+        parameter=parameter,
+        values=values,
+        methods=["g-global", "bls"],
+        restarts=1,
+    )
+    obs.enable()
+    serial_result = sweep(scenario, **kwargs)
+    serial = compared_counters()
+    serial_cells = len(
+        [e for e in obs.get_registry().events if e["event"] == "solver"]
+    )
+    obs.reset()
+
+    parallel_result = sweep(scenario, workers=2, **kwargs)
+    parallel = compared_counters()
+    parallel_cells = len(
+        [e for e in obs.get_registry().events if e["event"] == "solver"]
+    )
+
+    assert serial  # the comparison is not vacuous
+    assert serial["solver.solves"] == 4
+    assert parallel == serial
+    assert parallel_cells == serial_cells == 4
+    for value in serial_result.values:
+        assert list(parallel_result.cells[value]) == ["g-global", "bls"]
+        for method in ("g-global", "bls"):
+            assert (
+                parallel_result.cells[value][method].total_regret
+                == serial_result.cells[value][method].total_regret
+            )
+
+
 class TestParallelMergeEqualsSerial:
     def test_sweep_workers_2_matches_serial_counters(self, scenario):
-        kwargs = dict(
-            parameter="gamma",
-            values=(0.25, 0.75),
-            methods=["g-global", "bls"],
-            restarts=1,
-        )
-        obs.enable()
-        serial_result = sweep(scenario, **kwargs)
-        serial = compared_counters()
-        serial_cells = len(
-            [e for e in obs.get_registry().events if e["event"] == "solver"]
-        )
-        obs.reset()
+        assert_merged_totals_match_serial(scenario, "gamma", (0.25, 0.75))
 
-        parallel_result = sweep(scenario, workers=2, **kwargs)
-        parallel = compared_counters()
-        parallel_cells = len(
-            [e for e in obs.get_registry().events if e["event"] == "solver"]
-        )
-
-        assert serial  # the comparison is not vacuous
-        assert serial["solver.solves"] == 4
-        assert parallel == serial
-        assert parallel_cells == serial_cells == 4
-        for value in serial_result.values:
-            for method in ("g-global", "bls"):
-                assert (
-                    parallel_result.cells[value][method].total_regret
-                    == serial_result.cells[value][method].total_regret
-                )
+    def test_lambda_sweep_workers_2_matches_serial_counters(self, scenario):
+        # Workers build the non-exported λ's coverage locally; the solver
+        # and kernel-dispatch totals must still equal the serial run's.
+        assert_merged_totals_match_serial(scenario, "lambda_m", (50.0, 150.0))
 
     def test_harness_cell_span_counts_match(self, scenario):
         kwargs = dict(parameter="gamma", values=(0.5,), methods=["g-global"], restarts=0)
@@ -73,7 +83,7 @@ class TestParallelMergeEqualsSerial:
         serial = obs.get_registry().histograms["span.harness.cell"].count
         obs.reset()
         sweep(scenario, workers=2, **kwargs)
-        # One value × one method does fan out (grid size 1); the span name
-        # keys the histogram in both paths, so counts line up.
+        # A grid of one task runs in this process under any ``workers``
+        # count; the span name keys the histogram either way.
         parallel = obs.get_registry().histograms["span.harness.cell"].count
         assert parallel == serial == 1

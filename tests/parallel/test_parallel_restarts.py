@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.algorithms.annealing import SimulatedAnnealingSolver
+from repro.algorithms.annealing import SimulatedAnnealingSolver, anneal_chain
 from repro.algorithms.local_search import RandomizedLocalSearch
 from tests.conftest import make_random_instance
 
@@ -90,6 +90,19 @@ class TestAnnealingRestarts:
         assert parallel.total_regret == serial.total_regret
         assert parallel.stats["sa_best_restart"] == serial.stats["sa_best_restart"]
         assert parallel.stats["sa_accepted"] == serial.stats["sa_accepted"]
+
+    def test_single_chain_is_the_classic_chain(self, instance):
+        """``restarts=1`` runs one chain on the solver seed itself (not a
+        spawned child), in-process or on a pool, bit for bit."""
+        regret, best, outcome = anneal_chain(instance, 300, None, 0.9995, 2)
+        for workers in (None, 2):
+            result = SimulatedAnnealingSolver(
+                steps=300, seed=2, restart_workers=workers
+            ).solve(instance)
+            assert result.allocation.assignment_map() == best.assignment_map()
+            assert result.stats["sa_accepted"] == outcome["accepted"]
+            assert result.stats["sa_final_temperature"] == outcome["final_temperature"]
+            assert result.total_regret == best.total_regret()
 
     def test_single_restart_keeps_legacy_stats(self, instance):
         result = SimulatedAnnealingSolver(steps=300, seed=2).solve(instance)

@@ -1,31 +1,55 @@
 """Persistent pool lifecycle: spawn once, reuse forever, same answers.
 
-The pool cache (`repro.parallel.pool.pool_for`) is the tentpole of the
-parallel layer: the first driver call for an ``(owner, workers)`` pair pays
-the fork+attach cost, every later call reuses the warm processes.  These
-tests pin the reuse behavior (counters), the determinism contract (two
-consecutive pool uses equal the serial loop), and the small API edges
-(worker capping, closed-pool errors, explicit teardown).
+The pool cache (`repro.parallel.pool.pool_for`) is the core of the parallel
+layer: the first call for an ``(owner, workers)`` pair pays the
+fork+attach cost, every later call reuses the warm processes, and
+``workers == 1`` never touches a pool at all.  These tests pin the reuse
+behavior (counters), the determinism contract (two consecutive pool uses
+equal the in-process run), the import hygiene of the solver modules, and
+the small API edges (worker capping, closed-pool errors, explicit teardown).
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.algorithms.annealing import SimulatedAnnealingSolver
 from repro.algorithms.local_search import RandomizedLocalSearch
+from repro.core.problem import MROAMInstance
+from repro.experiments.harness import sweep
+from repro.market.scenario import Scenario
 from repro.parallel.pool import (
     OVERSUBSCRIBE_ENV,
     PersistentPool,
     close_all_pools,
     effective_workers,
-    instance_pool,
+    pool_for,
 )
 from tests.conftest import make_random_instance
 from tests.parallel.test_shared_memory import shm_entries
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def instance_pool(instance, workers):
+    """The restart pool of ``(instance, workers)``: workers rebuild the
+    instance around the attached coverage, as restart runs do."""
+    return pool_for(
+        instance,
+        workers,
+        lambda: (
+            instance.coverage,
+            MROAMInstance,
+            (list(instance.advertisers), instance.gamma),
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +164,12 @@ class TestPoolReuseDeterminism:
             obs.reset()
 
 
-def _echo(task):
-    return (task, None)
+def _echo(context, payload):
+    return payload
+
+
+def _bare_context(coverage):
+    return coverage
 
 
 class TestPersistentPoolEdges:
@@ -152,21 +180,88 @@ class TestPersistentPoolEdges:
         assert effective_workers(10_000) == available
         assert 1 <= effective_workers(2) <= 2
 
-    def test_map_on_closed_pool_raises(self):
-        pool = PersistentPool(1, initializer=None, initargs=())
+    def test_map_on_closed_pool_raises(self, instance):
+        pool = PersistentPool(1, instance.coverage, _bare_context)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.map(_echo, [1])
+            pool.run(_echo, [1])
 
-    def test_map_empty_tasks_is_noop(self):
-        pool = PersistentPool(1, initializer=None, initargs=())
+    def test_map_empty_tasks_is_noop(self, instance):
+        pool = PersistentPool(1, instance.coverage, _bare_context)
         try:
-            assert pool.map(_echo, []) == []
+            assert pool.run(_echo, []) == []
         finally:
             pool.close()
 
-    def test_close_is_idempotent(self):
-        pool = PersistentPool(1, initializer=None, initargs=())
+    def test_close_is_idempotent(self, instance):
+        pool = PersistentPool(1, instance.coverage, _bare_context)
+        spec = pool._shared.spec
         pool.close()
         pool.close()
         assert pool.closed
+        assert shm_entries(spec) == []
+
+
+class TestInProcess:
+    def test_solver_imports_load_no_pool(self):
+        """What perfbench imports must load neither the pool nor the
+        executor, and a ``workers=1`` restart run must not load the
+        executor either."""
+        code = (
+            "import sys\n"
+            "import repro.algorithms, repro.market.online, "
+            "repro.market.incremental, repro.datasets.stream\n"
+            "print(sorted(m for m in ('repro.parallel.pool', 'concurrent.futures')"
+            " if m in sys.modules))\n"
+            "from repro.algorithms.local_search import RandomizedLocalSearch\n"
+            "from tests.conftest import make_random_instance\n"
+            "RandomizedLocalSearch('bls', restarts=2, seed=1, restart_workers=1)"
+            ".solve(make_random_instance(3, num_billboards=12))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        path = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            timeout=120,
+        ).stdout
+        assert out.split() == ["[]", "False"]
+
+    def test_one_worker_never_spawns(self, instance):
+        """``workers == 1`` runs the same task runners in this process: no
+        restart, chain or sweep cell spawns a pool."""
+        scenario = Scenario(
+            dataset="nyc", n_billboards=30, n_trajectories=120, alpha=0.8, seed=3
+        )
+        obs.enable()
+        try:
+            obs.reset()
+            for workers in (None, 1):
+                RandomizedLocalSearch(
+                    "bls", restarts=3, seed=5, restart_workers=workers
+                ).solve(instance)
+                SimulatedAnnealingSolver(
+                    steps=200, seed=5, restarts=3, restart_workers=workers
+                ).solve(instance)
+                sweep(
+                    scenario,
+                    "alpha",
+                    (0.4, 0.8),
+                    methods=["g-global", "bls"],
+                    restarts=1,
+                    workers=workers,
+                )
+            spawns = obs.counter_value("pool.spawn")
+            attaches = obs.counter_value("shm.attach")
+            tasks = obs.get_registry().histogram("span.pool.task").count
+        finally:
+            obs.disable()
+            obs.reset()
+        assert spawns == 0
+        assert attaches == 0
+        assert tasks == 0

@@ -58,6 +58,8 @@ class TestBatchedBitIdentity:
                         restarts,
                         key,
                     )
+                # Every merged counter and telemetry point, not only moves.
+                assert batched.stats == serial.stats, restarts
         finally:
             close_all_pools()
 
@@ -84,6 +86,7 @@ class TestBatchedBitIdentity:
                 assert batched.stats.get("sa_accepted") == serial.stats.get(
                     "sa_accepted"
                 ), restarts
+                assert batched.stats == serial.stats, restarts
         finally:
             close_all_pools()
 

@@ -193,3 +193,28 @@ class TestMachineStamp:
             _bench_history.gate_regression(history, report(build_s=5.0, machine=legacy))
             == []
         )
+
+
+class TestParallelSpeedupGate:
+    """``bench_solvers.py --assert-parallel-speedup`` decides from the CPUs in
+    this process's affinity mask — the count the pool caps its workers at —
+    not from ``os.cpu_count()``."""
+
+    @pytest.fixture
+    def bench_solvers(self):
+        import bench_solvers
+
+        return bench_solvers
+
+    def test_one_cpu_mask_on_a_big_box_skips(self, bench_solvers, monkeypatch, capsys):
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        assert bench_solvers.check_parallel_speedup(1.2, 0.95) is None
+        assert "skipping --assert-parallel-speedup" in capsys.readouterr().err
+
+    def test_two_cpu_mask_gates(self, bench_solvers, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        failure = bench_solvers.check_parallel_speedup(1.2, 0.95)
+        assert failure is not None and "0.950" in failure
+        assert bench_solvers.check_parallel_speedup(1.2, 1.5) is None
