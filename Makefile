@@ -27,8 +27,9 @@ bench-e2e-smoke:
 	$(PYTHON) -m pytest perfbench -q
 
 ## Full benchmarks; append a run to BENCH_coverage.json / BENCH_solvers.json
-## at the root and fail when any timing regresses >15% against the best
-## recorded run of the same scenario.
+## at the root and fail when any timing of at least 0.1 s regresses >15%
+## against the median recorded run of the same scenario (a failing run is
+## marked and never becomes a baseline).
 bench:
 	$(PYTHON) scripts/bench_coverage.py --output BENCH_coverage.json --gate-regression
 	$(PYTHON) scripts/bench_solvers.py --output BENCH_solvers.json --gate-regression
@@ -70,8 +71,10 @@ lint:
 lint-canary:
 	$(PYTHON) scripts/lint_canary.py
 
-## Small instrumented sweep: two workers, a shared coverage cache, the JSONL
-## run log, and the end-of-run summary table (see README "Inspecting a run").
+## Small instrumented sweep: two workers, a shared coverage cache, the run's
+## trace, the end-of-run summary table, and the report rendered from the
+## trace (see README "Inspecting a run").  Both coverage-cache hits and misses
+## show in the counters.
 OBS_DEMO_DIR ?= /tmp/mroam-obs-demo
 obs-demo:
 	mkdir -p $(OBS_DEMO_DIR)
@@ -85,8 +88,9 @@ obs-demo:
 	$(PYTHON) -m repro.cli sweep \
 		--billboards 60 --trajectories 400 --p-avg 0.1 --seed 2 \
 		--parameter lambda_m --methods g-global,bls --restarts 1 --workers 2 \
-		--obs-out $(OBS_DEMO_DIR)/run.jsonl --obs-summary
-	@echo "run log: $(OBS_DEMO_DIR)/run.jsonl"
+		--trace-out $(OBS_DEMO_DIR)/trace.json --obs-summary
+	$(PYTHON) -m repro.cli obs report --validate $(OBS_DEMO_DIR)/trace.json
+	@echo "trace: $(OBS_DEMO_DIR)/trace.json"
 
 ## Tracing + ledger end-to-end: the solver bench in smoke mode with a Chrome
 ## trace and a run ledger, the trace schema-validated (clock-aligned,

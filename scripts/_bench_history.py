@@ -13,14 +13,26 @@ keyed by a *scenario key* — benchmark name + scenario parameters — so a
 smoke run never gates against a full run and a resized scenario starts a
 fresh baseline.
 
-The regression gate compares every ``*_s`` timing of the new run against the
-**best** (minimum) value recorded for the same scenario key and metric, and
-fails when any is slower than ``threshold`` (default 1.15 = >15% slower).
-Only runs with the same :func:`machine_stamp` (python, numpy, usable CPUs)
-count as baselines: a row from another host says nothing about this one, and
-rows recorded before the stamp carried ``cpus`` never gate.  With no prior
-baseline for the key the gate passes trivially — a fresh CI workspace gates
-nothing, while a checked-in history gates every run.
+The regression gate compares every ``*_s`` timing of the new run (rates
+ending ``_per_s`` excluded) against the **median** value recorded for the
+same scenario key and metric (the lower median, so the baseline is a real
+run whose commit can be named), and fails when any is slower than
+``threshold`` (default 1.15 = >15% slower).  The median, not the best,
+because each row is one run on a shared host: the best row is the luckiest
+draw, and unchanged code lands above it by more than 15% routinely.  A run
+that fails the gate is recorded with ``"gate_failed": true`` and never
+becomes a baseline, so a sustained regression cannot raise its own bar.
+Timings whose baseline is under ``min_gated_s`` (default
+:data:`MIN_GATED_S`) are not gated: a wall measured once that short swings
+by several times between runs of the same code.  A bench whose timings are
+per-operation means or quantiles over many operations passes
+``min_gated_s=0``, since its measured wall is long however small the
+reported figure.  Only runs with the same
+:func:`machine_stamp` (python, numpy, usable CPUs) count as baselines: a
+row from another host says nothing about this one, and rows recorded
+before the stamp carried ``cpus`` never gate.  With no prior baseline for
+the key the gate passes trivially — a fresh CI workspace gates nothing,
+while a checked-in history gates every run.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -35,8 +48,13 @@ import numpy as np
 
 SCHEMA = "bench-history-v1"
 
-#: Fail when a timing exceeds best-recorded × this factor.
+#: Fail when a timing exceeds its median recorded value × this factor.
 DEFAULT_THRESHOLD = 1.15
+
+#: One-shot walls whose baseline is shorter than this many seconds are not
+#: gated (``influence_of_set.mark_s`` read 0.012–0.070 s across runs of one
+#: commit).
+MIN_GATED_S = 0.1
 
 
 def scenario_key(report: dict) -> str:
@@ -100,7 +118,9 @@ def append_run(path: str | Path, report: dict) -> dict:
 
 
 def timing_metrics(report: dict, prefix: str = "") -> dict[str, float]:
-    """Every ``*_s`` timing in a report, flattened to dotted paths."""
+    """Every ``*_s`` timing in a report, flattened to dotted paths.
+
+    Rates (``*_per_s``) are not timings: higher is better for them."""
     metrics: dict[str, float] = {}
     for key, value in report.items():
         dotted = f"{prefix}{key}"
@@ -110,52 +130,76 @@ def timing_metrics(report: dict, prefix: str = "") -> dict[str, float]:
             isinstance(value, (int, float))
             and not isinstance(value, bool)
             and key.endswith("_s")
+            and not key.endswith("_per_s")
         ):
             metrics[dotted] = float(value)
     return metrics
 
 
-def best_baselines(history: dict, key: str | None) -> dict[str, tuple[float, str]]:
-    """Best (minimum) recorded ``(value, commit)`` per timing metric for one
-    :func:`baseline_key`.  The commit is the ``commit`` stamp of the run that
-    set the best value (``"unknown"`` when the run carries none), so gate
-    failures can name the exact commit to bisect against."""
-    best: dict[str, tuple[float, str]] = {}
+def median_baselines(history: dict, key: str | None) -> dict[str, tuple[float, str]]:
+    """Lower-median recorded ``(value, commit)`` per timing metric for one
+    :func:`baseline_key`, over the runs that did not fail the gate.  The
+    commit is the ``commit`` stamp of the run that recorded the median value
+    (``"unknown"`` when the run carries none), so gate failures can name a
+    commit to bisect against."""
+    recorded: dict[str, list[tuple[float, str]]] = {}
     if key is None:
-        return best
+        return {}
     for run in history.get("runs", []):
-        if baseline_key(run) != key:
+        if baseline_key(run) != key or run.get("gate_failed"):
             continue
         commit = str(run.get("commit", "unknown"))
         for metric, value in timing_metrics(run).items():
-            if value > 0 and (metric not in best or value < best[metric][0]):
-                best[metric] = (value, commit)
-    return best
+            if value > 0:
+                recorded.setdefault(metric, []).append((value, commit))
+    return {metric: statistics.median_low(rows) for metric, rows in recorded.items()}
 
 
 def gate_regression(
-    history: dict, report: dict, threshold: float = DEFAULT_THRESHOLD
+    history: dict,
+    report: dict,
+    threshold: float = DEFAULT_THRESHOLD,
+    min_gated_s: float = MIN_GATED_S,
 ) -> list[str]:
-    """Messages for every timing of ``report`` slower than best × threshold.
+    """Messages for every timing of ``report`` slower than median × threshold.
 
     ``history`` should hold the *prior* runs (gate before appending, or
-    accept that the new run is its own >=1.0x baseline and can never fail).
-    An empty list means the gate passes; no baseline for the scenario key on
-    this machine stamp passes trivially.  Each failure names the commit that
-    set the best value and the regression as a percentage over it.
+    accept that the new run shifts its own baseline).  An empty list means
+    the gate passes; no baseline for the scenario key on this machine stamp
+    passes trivially, and timings with a baseline under ``min_gated_s``
+    never gate.  Each failure names the commit that recorded the median
+    value and the regression as a percentage over it.
     """
-    baselines = best_baselines(history, baseline_key(report))
+    baselines = median_baselines(history, baseline_key(report))
     failures = []
     for metric, value in timing_metrics(report).items():
         baseline = baselines.get(metric)
-        if baseline is None:
+        if baseline is None or baseline[0] < min_gated_s:
             continue
-        best, commit = baseline
-        if value > best * threshold:
+        median, commit = baseline
+        if value > median * threshold:
             failures.append(
-                f"{metric}: {value:.4f}s is {value / best:.2f}x "
-                f"(+{(value / best - 1.0) * 100:.1f}%) the best recorded "
-                f"{best:.4f}s from commit {commit} "
+                f"{metric}: {value:.4f}s is {value / median:.2f}x "
+                f"(+{(value / median - 1.0) * 100:.1f}%) the median recorded "
+                f"{median:.4f}s from commit {commit} "
                 f"(threshold {threshold:.2f}x)"
             )
     return failures
+
+
+def append_gated_run(
+    path: str | Path,
+    report: dict,
+    threshold: float | None,
+    min_gated_s: float = MIN_GATED_S,
+) -> tuple[dict, list[str]]:
+    """Gate ``report`` against the history at ``path`` (skipped when
+    ``threshold`` is ``None``), then append it.  A failing run is appended
+    with ``"gate_failed": true`` so it never counts as a baseline.  Returns
+    the new history and the gate's failure messages."""
+    failures = []
+    if threshold is not None:
+        failures = gate_regression(load_history(path), report, threshold, min_gated_s)
+    if failures:
+        report["gate_failed"] = True
+    return append_run(path, report), failures

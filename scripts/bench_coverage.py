@@ -12,8 +12,8 @@ Times, on the default NYC-scale benchmark city:
 
 Appends to ``BENCH_coverage.json`` — an append-only, commit-stamped time
 series (see ``scripts/_bench_history.py``); ``--gate-regression 1.15`` fails
-the run when any timing is >15% slower than the best recorded run of the
-same scenario.
+the run when any timing is >15% slower than the median recorded run of the
+same scenario (timings under 0.1 s are not gated).
 
 Usage::
 
@@ -224,8 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         const=_bench_history.DEFAULT_THRESHOLD,
         metavar="X",
-        help="fail when any timing exceeds X times the best recorded run of "
-        f"the same scenario (default X={_bench_history.DEFAULT_THRESHOLD})",
+        help="fail when any timing of at least 0.1 s exceeds X times the "
+        "median recorded run of the same scenario "
+        f"(default X={_bench_history.DEFAULT_THRESHOLD})",
     )
     args = parser.parse_args(argv)
 
@@ -263,12 +264,12 @@ def main(argv: list[str] | None = None) -> int:
         "obs": obs_columns,
     }
     path = Path(args.output)
-    prior = _bench_history.load_history(path)
-    history = _bench_history.append_run(path, report)
+    history, failures = _bench_history.append_gated_run(
+        path, report, args.gate_regression
+    )
     print(json.dumps(report, indent=2))
     print(f"\nappended run {len(history['runs'])} to {path}")
     if args.gate_regression is not None:
-        failures = _bench_history.gate_regression(prior, report, args.gate_regression)
         if failures:
             print("\nREGRESSION GATE FAILED:")
             for failure in failures:

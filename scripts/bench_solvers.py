@@ -23,8 +23,8 @@ start was never beaten by a random restart; restart indices count from 0.
 
 Appends to ``BENCH_solvers.json`` — an append-only, commit-stamped time
 series (see ``scripts/_bench_history.py``); ``--gate-regression 1.15`` fails
-the run when any timing is >15% slower than the best recorded run of the
-same scenario.
+the run when any timing is >15% slower than the median recorded run of the
+same scenario (timings under 0.1 s are not gated).
 
 Usage::
 
@@ -318,10 +318,10 @@ def check_parallel_speedup(required: float, measured: float) -> str | None:
 def traced_engine_passes(instance: MROAMInstance) -> None:
     """One fully-instrumented BLS pass, for the trace artifact.
 
-    Runs with collection *and* tracing on (outside the timed sections): the
-    pass contributes per-sweep ``bls.sweep`` phase events, and its kernel
+    Runs with collection on (outside the timed sections): the pass
+    contributes per-sweep ``bls.sweep`` phase events, and its kernel
     dispatch counter deltas are stamped as a ``kernel.dispatch`` instant
-    event so the report can attribute kernel choice to the pass.
+    event so the report can attribute kernel dispatches to the pass.
     """
     attributed = "influence.dispatch."
     before = dict(obs.get_registry().counters)
@@ -334,7 +334,7 @@ def traced_engine_passes(instance: MROAMInstance) -> None:
         for name in after
         if name.startswith(attributed) and after[name] != before.get(name, 0)
     }
-    obs.emit_instant("kernel.dispatch", {"engine": "dirty", **delta})
+    obs.emit_instant("kernel.dispatch", delta)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -348,8 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="write a clock-aligned Chrome trace of the whole bench (worker "
-        "pids included) to this JSON file; implies pool oversubscription so "
+        help="write a clock-aligned Chrome trace of the bench's sections "
+        "run with collection on (worker pids included) to this JSON file; "
+        "implies pool oversubscription so "
         f"multi-worker traces exist even on 1-CPU runners; ${obs.TRACE_ENV} "
         "is the default",
     )
@@ -374,8 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         const=_bench_history.DEFAULT_THRESHOLD,
         metavar="X",
-        help="fail when any timing exceeds X times the best recorded run of "
-        f"the same scenario (default X={_bench_history.DEFAULT_THRESHOLD})",
+        help="fail when any timing of at least 0.1 s exceeds X times the "
+        "median recorded run of the same scenario "
+        f"(default X={_bench_history.DEFAULT_THRESHOLD})",
     )
     args = parser.parse_args(argv)
 
@@ -387,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         # oversubscription knob lifts the affinity cap for this (non-timing)
         # run.  Must be exported before the first pool spawns.
         os.environ.setdefault(OVERSUBSCRIBE_ENV, "1")
-        obs.trace_enable(out=trace_out)
+        obs.enable(out=trace_out)
 
     if args.smoke:
         scenario = Scenario(
@@ -433,8 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         "parallel_restarts": parallel,
     }
     path = Path(args.output)
-    prior = _bench_history.load_history(path)
-    history = _bench_history.append_run(path, report)
+    history, failures = _bench_history.append_gated_run(
+        path, report, args.gate_regression
+    )
     print(json.dumps(report, indent=2))
     print(f"\nappended run {len(history['runs'])} to {path}")
 
@@ -462,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"appended ledger records to {ledger.ledger_path()}")
 
-    if obs.trace_enabled():
+    if obs.configured_out() is not None:
         # One instrumented BLS pass for the trace artifact, then retire
         # the pools so every worker's teardown spill is on disk before the
         # trace is assembled.
@@ -471,11 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         close_all_pools()
         trace_path = obs.write_trace()
         print(f"wrote Chrome trace to {trace_path}")
-        obs.trace_disable()
         obs.disable()
 
     if args.gate_regression is not None:
-        failures = _bench_history.gate_regression(prior, report, args.gate_regression)
         if failures:
             print("\nREGRESSION GATE FAILED:")
             for failure in failures:

@@ -95,7 +95,7 @@ from repro import obs
 
 def sweep(rows):
     for row in rows:
-        obs.record_event("solver.row", row=row)
+        obs.emit_instant("solver.row", {"row": row})
 """,
     ),
 }

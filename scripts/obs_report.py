@@ -1,16 +1,15 @@
 """Bottleneck report over an observability artifact.
 
-Accepts any of the three artifact kinds the repo's tooling writes and
-prints the matching human-readable report:
+Accepts either artifact kind the repo's tooling writes and prints the
+matching human-readable report:
 
-* a **Chrome trace** (``--trace-out`` / ``REPRO_OBS_TRACE``) — restart-bench
-  time attribution (spawn / export / attach / warm-up / compute / reduce),
-  per-engine BLS sweep-phase breakdowns, kernel-dispatch tables, and
-  peak-RSS per process;
+* a run's **Chrome trace** (``--trace-out`` / ``REPRO_OBS_TRACE``) —
+  restart-bench time attribution (spawn / export / attach / warm-up /
+  compute / reduce), the BLS sweep-phase breakdown, kernel-dispatch deltas,
+  RSS per process, and the run's metrics: span p50/p95/p99, histograms,
+  counters and gauges;
 * a **run ledger** (``--ledger`` / ``REPRO_OBS_LEDGER``) — per-kind outcome
-  summaries with instance features;
-* an **obs run log** (``--obs-out`` JSONL) — span / counter / histogram
-  tables.
+  summaries with instance features.
 
 Usage::
 
@@ -18,60 +17,23 @@ Usage::
     python scripts/obs_report.py t.json
     python scripts/obs_report.py --validate t.json
 
-Equivalent to ``repro obs report`` for environments where the package is on
-the path; this wrapper bootstraps ``src`` itself so it runs from a bare
-checkout.
+Runs ``repro obs report`` with the same arguments and flags; this wrapper
+bootstraps ``src`` itself so it runs from a bare checkout.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import obs
+from repro.cli import main as cli_main
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("path", help="trace JSON, ledger JSONL, or obs run log")
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="check Chrome-trace schema conformance (clock alignment, "
-        "required fields) and exit non-zero on problems",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="with --validate: emit the shared findings JSON schema (the "
-        "same shape `repro lint --json` prints) instead of text",
-    )
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        import json
-
-        from repro.lint.findings import findings_payload, problems_to_findings
-
-        with open(args.path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        problems = obs.validate_chrome_trace(data)
-        if args.as_json:
-            findings = problems_to_findings("trace-schema", args.path, problems)
-            print(json.dumps(findings_payload("repro-obs-validate", findings), indent=2))
-            return 1 if problems else 0
-        if problems:
-            print(f"{args.path}: {len(problems)} schema problem(s)")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"{args.path}: valid Chrome trace")
-    print(obs.render_report(args.path))
-    return 0
+    args = sys.argv[1:] if argv is None else argv
+    return cli_main(["obs", "report", *args])
 
 
 if __name__ == "__main__":

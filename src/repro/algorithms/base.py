@@ -95,7 +95,7 @@ class Solver(abc.ABC):
     once per iteration / restart / sampling window to populate the
     convergence curve and move counters that land in
     ``stats["telemetry"]`` (and, when observability is enabled, in the
-    JSONL run log).
+    run's ``solver`` trace event).
     """
 
     #: Paper name of the method (e.g. ``"G-Order"``); set by subclasses.
@@ -125,12 +125,14 @@ class Solver(abc.ABC):
         stats["telemetry"] = self._telemetry.as_dict()
         obs.counter_add("solver.solves")
         obs.counter_add("solver.iterations", stats["telemetry"]["iterations"])
-        obs.record_event(
+        obs.emit_instant(
             "solver",
-            method=self.name,
-            total_regret=float(total_regret),
-            runtime_s=watch.elapsed,
-            telemetry=stats["telemetry"],
+            {
+                "method": self.name,
+                "total_regret": float(total_regret),
+                "runtime_s": watch.elapsed,
+                "telemetry": stats["telemetry"],
+            },
         )
         return SolverResult(
             allocation=allocation,

@@ -42,7 +42,6 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.obs import trace as _trace
 from repro.algorithms._marginal import _regret_values_unchecked
 from repro.algorithms.greedy_global import synchronous_greedy
 
@@ -260,24 +259,21 @@ def _emit_sweep_phases(
 ) -> None:
     """Record one sweep's phase split (histograms + a ``bls.sweep`` trace event).
 
-    Only called when collection or tracing is on — the loop samples the
-    clock per phase boundary, not per move, so the instrumented sweep costs a
-    handful of ``perf_counter`` reads.  The event's ``engine`` field is
-    always ``"dirty"``; ``repro obs report`` groups sweep phases by it, so
-    older traces that recorded other engines still read.
+    Only called when collection is on — the loop samples the clock per phase
+    boundary, not per move, so the instrumented sweep costs a handful of
+    ``perf_counter`` reads.
     """
     duration_s = time.perf_counter() - started  # repro-lint: ignore[determinism] telemetry-only clock
     obs.histogram_observe("bls.phase.screen", screen_s)
     obs.histogram_observe("bls.phase.exchange", exchange_s)
     obs.histogram_observe("bls.phase.release", release_s)
     obs.histogram_observe("bls.phase.topup", topup_s)
-    _trace.emit_complete(
+    obs.emit_complete(
         "bls.sweep",
         started,
         duration_s,
         cat="bls",
         args={
-            "engine": "dirty",
             "screen_s": screen_s,
             "exchange_s": exchange_s,
             "release_s": release_s,
@@ -373,7 +369,7 @@ def _search(
     while True:
         sweeps += 1
         improved = False
-        track = obs.enabled() or obs.trace_enabled()
+        track = obs.enabled()
         sweep_start = time.perf_counter() if track else 0.0  # repro-lint: ignore[determinism] telemetry-only clock
 
         # Move families 1 & 2: pairwise and assigned↔free exchanges.  Screens

@@ -78,13 +78,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "out its random restarts; same results as serial (default 1)",
     )
     parser.add_argument(
-        "--obs-out",
-        default=None,
-        metavar="PATH",
-        help="write the observability run log (spans, counters, solver "
-        f"telemetry) to this JSONL file; ${obs.OBS_OUT_ENV} is the default",
-    )
-    parser.add_argument(
         "--obs-summary",
         action="store_true",
         help="print a human-readable metrics summary after the run",
@@ -93,9 +86,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="write a clock-aligned Chrome/Perfetto trace (pid/tid spans "
-        "across worker pools) to this JSON file; "
-        f"${obs.TRACE_ENV} is the default",
+        help="write the run's Chrome/Perfetto trace (clock-aligned spans "
+        "across worker pools, solver telemetry, final counters, gauges and "
+        f"histograms) to this JSON file; ${obs.TRACE_ENV} is the default",
     )
     parser.add_argument(
         "--ledger",
@@ -145,36 +138,28 @@ def _obs_begin(args: argparse.Namespace) -> bool:
     if ledger is not None:
         os.environ[obs.LEDGER_ENV] = ledger
     trace_out = getattr(args, "trace_out", None) or env.OBS_TRACE.raw()
-    out = args.obs_out or env.OBS_OUT.raw()
-    if trace_out is not None:
-        obs.trace_enable(out=trace_out)
-    if out is None and trace_out is None and not args.obs_summary:
+    if trace_out is None and not args.obs_summary:
         return False
-    obs.enable(out=out)
+    obs.enable(out=trace_out)
     return True
 
 
 def _obs_finish(args: argparse.Namespace) -> None:
-    """Write the run log / trace, print the summary, then reset obs."""
+    """Write the trace, print the summary, then reset obs."""
     try:
-        from repro.parallel.pool import close_all_pools
+        if obs.configured_out() is not None:
+            from repro.parallel.pool import close_all_pools
 
-        if obs.trace_enabled():
             # Retire the pools first so every worker's teardown spill (the
             # events recorded after its last shipped snapshot) is on disk
             # before the trace is assembled.
             close_all_pools()
             path = obs.write_trace()
             print(f"\nwrote Chrome trace to {path}")
-        path = obs.configured_out()
-        if path is not None:
-            obs.write_jsonl(path)
-            print(f"\nwrote obs run log to {path}")
         if args.obs_summary:
             print()
             print(obs.summary_table())
     finally:
-        obs.trace_disable()
         obs.disable()
 
 
@@ -354,7 +339,11 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             return 1
         print(f"{args.path}: valid Chrome trace "
               f"({len(data.get('traceEvents', []))} events)")
-    print(obs.render_report(args.path))
+    try:
+        print(obs.render_report(args.path))
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 1
     return 0
 
 
@@ -434,13 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "book grows as the stream is priced",
     )
     quotes.add_argument(
-        "--obs-out",
-        default=None,
-        metavar="PATH",
-        help="write the observability run log (quote.price spans, journal "
-        f"counters) to this JSONL file; ${obs.OBS_OUT_ENV} is the default",
-    )
-    quotes.add_argument(
         "--obs-summary",
         action="store_true",
         help="print a human-readable metrics summary after the run",
@@ -451,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
     report = obs_sub.add_parser(
         "report",
-        help="bottleneck report over a trace JSON, run-log JSONL, or ledger",
+        help="bottleneck report over a run's trace JSON or a ledger",
     )
-    report.add_argument("path", help="trace/run-log/ledger file to analyze")
+    report.add_argument("path", help="trace or ledger file to analyze")
     report.add_argument(
         "--validate",
         action="store_true",

@@ -48,7 +48,7 @@ class EnvKnob:
     default: object
     parser: Callable[[str], object]
     doc: str
-    #: Where the knob surfaces besides the environment ("--obs-out PATH",
+    #: Where the knob surfaces besides the environment ("--trace-out PATH",
     #: "constructor argument", ...) — documentation only.
     cli: str = field(default="", compare=False)
 
@@ -159,24 +159,14 @@ POOL_OVERSUBSCRIBE = _declare(
 # ----------------------------------------------------------- observability
 
 
-OBS_OUT = _declare(
-    EnvKnob(
-        name="REPRO_OBS_OUT",
-        default=None,
-        parser=parse_nonempty,
-        doc="Write the observability run log (spans, counters, solver "
-        "telemetry) to this JSONL path; setting it enables collection.",
-        cli="--obs-out PATH",
-    )
-)
-
 OBS_TRACE = _declare(
     EnvKnob(
         name="REPRO_OBS_TRACE",
         default=None,
         parser=parse_nonempty,
-        doc="Write a clock-aligned Chrome/Perfetto trace (pid-attributed "
-        "spans across worker pools) to this JSON path.",
+        doc="Write the run's Chrome/Perfetto trace (pid-attributed spans "
+        "across worker pools, solver telemetry, final counters, gauges and "
+        "histograms) to this JSON path; setting it enables collection.",
         cli="--trace-out PATH",
     )
 )
@@ -189,16 +179,5 @@ OBS_LEDGER = _declare(
         doc="Append one JSONL record per harness cell / bench section "
         "(commit, instance features, outcome) to this ledger path.",
         cli="--ledger PATH",
-    )
-)
-
-OBS_SPILL_DIR = _declare(
-    EnvKnob(
-        name="REPRO_OBS_SPILL_DIR",
-        default=None,
-        parser=parse_nonempty,
-        doc="Directory where pool workers spill their final unshipped obs "
-        "snapshot at teardown; exported automatically next to the "
-        "configured output, not meant to be set by hand.",
     )
 )

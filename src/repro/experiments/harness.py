@@ -75,7 +75,7 @@ def _run_task(city: CityDataset, task: tuple) -> CellMetrics:
     with obs.span("harness.cell", method=method, **span_attrs):
         if obs.enabled():
             # One union query per cell: reports the reachable-audience
-            # ceiling on the run log.
+            # ceiling in the run's metrics.
             obs.gauge_set(
                 "coverage.total_reachable",
                 float(instance.coverage.total_reachable()),

@@ -224,7 +224,6 @@ _OBS_NAMED_CALLS = {
     "gauge_set",
     "histogram_observe",
     "span",
-    "record_event",
     "emit_instant",
     "emit_counter",
     "emit_complete",
@@ -391,13 +390,13 @@ def kernel_contract(context: LintContext, source: SourceFile) -> Iterator:
 
 # --------------------------------------------------------------- obs-guard
 
-_GUARDED_CALLS = {"span", "record_event"}
+_GUARDED_CALLS = {"span", "emit_instant", "emit_complete", "emit_counter"}
 
 
 @rule(
     "obs-guard",
-    "no unconditional obs.span/obs.record_event in loop bodies of "
-    "algorithms/ — per-row emission turns telemetry into the hot path",
+    "no unconditional obs.span/obs.emit_* in loop bodies of algorithms/ — "
+    "per-row emission turns telemetry into the hot path",
 )
 def obs_guard(context: LintContext, source: SourceFile) -> Iterator:
     if not _in_package(source, "src/repro/algorithms/"):

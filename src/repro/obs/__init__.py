@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, spans, and the JSONL run sink.
+"""Observability layer: metrics registry, spans, and the run's trace.
 
 Instrumented code imports this package and records unconditionally::
 
@@ -10,9 +10,11 @@ Instrumented code imports this package and records unconditionally::
 
 Collection is **off by default**: every recording call exits on one boolean
 test, so the instrumentation is safe to leave in the hottest paths.  It is
-turned on by the CLI's ``--obs-out`` / ``--obs-summary`` flags, the
-``REPRO_OBS_OUT`` environment variable (read by the CLI and the benchmark
-script), or programmatically via :func:`enable`.
+turned on by the CLI's ``--trace-out`` / ``--obs-summary`` flags, the
+``REPRO_OBS_TRACE`` environment variable (read by the CLI and the benchmark
+script), or programmatically via :func:`enable`.  A run's one output file
+is its Chrome trace (:func:`write_trace`): spans, solver telemetry, and the
+final counters, gauges and histogram summaries.
 
 See ``DESIGN.md`` §8 for the metric naming scheme and merge semantics.
 """
@@ -26,8 +28,6 @@ from repro.obs.ledger import (
     record_run,
 )
 from repro.obs.registry import (
-    OBS_OUT_ENV,
-    SPILL_DIR_ENV,
     Histogram,
     MetricsRegistry,
     configured_out,
@@ -41,34 +41,29 @@ from repro.obs.registry import (
     get_registry,
     histogram_observe,
     merge_snapshot,
-    record_event,
+    metrics,
     reset,
+    sync_worker_state,
     take_snapshot,
+    worker_state,
 )
-from repro.obs.report import render_report
-from repro.obs.sink import read_jsonl, summary_table, write_jsonl
+from repro.obs.report import render_report, summary_table
 from repro.obs.spans import Span, span
 from repro.obs.trace import (
     TRACE_ENV,
     collect_spills,
+    emit_complete,
     emit_counter,
     emit_instant,
     flush_worker_spill,
     register_worker_flush,
-    set_trace_collection,
     take_trace,
-    trace_disable,
-    trace_enable,
-    trace_enabled,
-    trace_reset,
     validate_chrome_trace,
     write_trace,
 )
 
 __all__ = [
     "LEDGER_ENV",
-    "OBS_OUT_ENV",
-    "SPILL_DIR_ENV",
     "TRACE_ENV",
     "Histogram",
     "MetricsRegistry",
@@ -78,6 +73,7 @@ __all__ = [
     "counter_add",
     "counter_value",
     "disable",
+    "emit_complete",
     "emit_counter",
     "emit_instant",
     "enable",
@@ -91,22 +87,18 @@ __all__ = [
     "instance_features",
     "ledger_path",
     "merge_snapshot",
-    "read_jsonl",
+    "metrics",
     "read_ledger",
-    "record_event",
     "record_run",
     "register_worker_flush",
     "render_report",
     "reset",
-    "set_trace_collection",
     "span",
     "summary_table",
+    "sync_worker_state",
     "take_snapshot",
     "take_trace",
-    "trace_disable",
-    "trace_enable",
-    "trace_enabled",
-    "trace_reset",
     "validate_chrome_trace",
+    "worker_state",
     "write_trace",
 ]

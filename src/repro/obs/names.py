@@ -51,9 +51,6 @@ BLS_PHASE_SCREEN = "bls.phase.screen"
 BLS_PHASE_EXCHANGE = "bls.phase.exchange"
 BLS_PHASE_RELEASE = "bls.phase.release"
 BLS_PHASE_TOPUP = "bls.phase.topup"
-# No sweep observes this since BLS stops at its first empty sweep; kept so
-# readers of older traces and perfbench's ``bls.verify_s`` read 0.
-BLS_PHASE_VERIFY = "bls.phase.verify"
 GREEDY_REPRICED = "greedy.repriced"
 
 # ---------------------------------------------------------------- spans
@@ -75,11 +72,11 @@ SPAN_QUOTE_PRICE = "quote.price"
 SPAN_QUOTE_ACCEPT = "quote.accept"
 SPAN_QUOTE_BATCH = "quote.batch"
 
-# ------------------------------------------------- run-event / trace kinds
+# ------------------------------------------------------- trace events
 
-EVENT_SOLVER = "solver"  # per-solve telemetry record (convergence, moves)
+EVENT_SOLVER = "solver"  # per-solve telemetry instant (convergence, moves)
 TRACE_BLS_SWEEP = "bls.sweep"  # per-sweep phase-split complete event
-TRACE_KERNEL_DISPATCH_INSTANT = "kernel.dispatch"  # per-engine-pass deltas
+TRACE_KERNEL_DISPATCH_INSTANT = "kernel.dispatch"  # per-pass counter deltas
 TRACE_KERNEL_DISPATCH_TRACK = "kernel_dispatch"  # sampled counter track
 TRACE_RSS_TRACK = "rss_mb"
 

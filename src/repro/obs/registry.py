@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms, events.
+"""Process-local metrics registry and the run's event buffer.
 
 The registry is a single module-level object so instrumentation anywhere in
 the codebase can record into it without threading handles through every
@@ -16,44 +16,29 @@ Three metric families:
   p50/p95/p99 quantile estimates; also fed by completed spans with their
   durations.
 
-Plus an ordered **event log**: arbitrary JSON-serializable records
-(completed spans, per-solver telemetry) that the JSONL sink writes out.
+Plus one ordered **event buffer** of Chrome-trace-shaped dicts (completed
+spans, solver telemetry instants, RSS/kernel counter samples; see
+:mod:`repro.obs.trace`), which :func:`repro.obs.trace.write_trace` writes
+out with the final metrics as the run's one trace file.
 
 Worker processes collect into their own registry and ship
 :func:`take_snapshot` dicts back to the parent, which
 :func:`merge_snapshot`-s them — counter totals, histogram summaries, and
 bucket counts are associative, so ``workers=N`` telemetry aggregates to
-exactly the serial totals for work that is deterministic per task.
+exactly the serial totals for work that is deterministic per task; events
+arrive with the worker's pid and timestamps intact.
 
-The registry also hosts the *trace* buffer consumed by
-:mod:`repro.obs.trace`: Chrome-trace-shaped span/counter events with
-pid/tid attribution and epoch-aligned microsecond timestamps.  The buffer
-lives here (not in the trace module) so snapshots carry trace events across
-process boundaries through the same merge path as metrics, but it has its
-own lifecycle — :func:`reset` and :func:`disable` leave it alone so a trace
-can span benchmark sections that toggle collection on and off; only
-:func:`repro.obs.trace.trace_disable`/``trace_reset`` drop it.
+One flag, :func:`enable`/:func:`disable`, turns all collection on and off.
+:func:`reset` and :func:`disable` drop the metrics, and the event buffer
+with them unless an output file is configured: a configured run keeps its
+events across the benchmark scripts' enable/disable toggles until
+:func:`repro.obs.trace.write_trace` writes them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import time
-
-from repro import env
-
-#: Environment variable naming the JSONL run-event output path.  Read by the
-#: CLI and the benchmark script (not at import time): setting it enables
-#: collection and directs :func:`repro.obs.sink.write_jsonl` output.
-OBS_OUT_ENV = env.OBS_OUT.name
-
-#: Environment variable naming the directory where pool worker processes
-#: spill their final unshipped snapshot at teardown (see
-#: :func:`repro.obs.trace.flush_worker_spill`).  Exported automatically when
-#: an output path is configured, so forked workers inherit it.
-SPILL_DIR_ENV = env.OBS_SPILL_DIR.name
 
 #: Histogram bucket width: 8 log-scale buckets per octave (ratio 2^(1/8) ≈
 #: 1.09), bounding quantile estimates to within ~9% of the true value.
@@ -157,13 +142,12 @@ class Histogram:
 class MetricsRegistry:
     """All metrics of one process, in insertion order."""
 
-    __slots__ = ("counters", "gauges", "histograms", "events")
+    __slots__ = ("counters", "gauges", "histograms")
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.events: list[dict] = []
 
     def histogram(self, name: str) -> Histogram:
         found = self.histograms.get(name)
@@ -173,49 +157,22 @@ class MetricsRegistry:
 
 
 class _ObsState:
-    __slots__ = (
-        "enabled",
-        "active",
-        "registry",
-        "out_path",
-        "span_stack",
-        "trace_enabled",
-        "trace_events",
-        "trace_out",
-        "trace_last_sample",
-    )
+    __slots__ = ("enabled", "registry", "events", "out_path", "span_stack", "last_sample")
 
     def __init__(self) -> None:
         self.enabled = False
-        # ``enabled or trace_enabled``, precomputed at the (rare) toggles so
-        # the disabled span() path stays a single attribute test.
-        self.active = False
         self.registry = MetricsRegistry()
+        # Chrome-trace-shaped event dicts (see repro.obs.trace).
+        self.events: list[dict] = []
+        # The trace file this process's events are bound for.  In a pool
+        # worker it names the parent's file, next to which the worker
+        # spills what it never shipped.
         self.out_path: str | None = None
         self.span_stack: list[str] = []
-        # Trace buffer (see repro.obs.trace): Chrome-trace-shaped dicts with
-        # their own lifecycle — reset()/disable() leave them alone.
-        self.trace_enabled = False
-        self.trace_events: list[dict] = []
-        self.trace_out: str | None = None
-        self.trace_last_sample = 0.0
+        self.last_sample = 0.0
 
 
 _STATE = _ObsState()
-
-
-def _update_spill_env() -> None:
-    """Export (or clear) the worker spill directory for forked children.
-
-    The spill directory rides next to whichever output is configured — the
-    trace path wins over the run-log path — so pool workers forked while an
-    output is configured know where to flush unshipped events at teardown.
-    """
-    out = _STATE.trace_out or _STATE.out_path
-    if out is not None:
-        os.environ[SPILL_DIR_ENV] = f"{out}.spill"
-    else:
-        os.environ.pop(SPILL_DIR_ENV, None)
 
 
 # ------------------------------------------------------------- lifecycle
@@ -227,41 +184,58 @@ def enabled() -> bool:
 
 
 def enable(out: str | None = None) -> None:
-    """Turn collection on; ``out`` optionally names the JSONL sink path."""
+    """Turn collection on; ``out`` optionally names the trace output path."""
     _STATE.enabled = True
-    _STATE.active = True
     if out is not None:
         _STATE.out_path = str(out)
-        _update_spill_env()
 
 
 def disable() -> None:
-    """Turn collection off and drop all recorded metrics/events.
-
-    The trace buffer is left intact (traces deliberately span enable/disable
-    cycles, e.g. benchmark warm-up vs timed sections); drop it with
-    :func:`repro.obs.trace.trace_disable`.
-    """
+    """Turn collection off and drop the recorded metrics (see :func:`reset`)."""
     _STATE.enabled = False
-    _STATE.active = _STATE.trace_enabled
-    _STATE.out_path = None
-    _update_spill_env()
     reset()
 
 
 def reset() -> None:
-    """Clear all recorded metrics and events (collection state unchanged)."""
+    """Clear all recorded metrics (collection state unchanged).
+
+    The event buffer is cleared too unless an output file is configured:
+    a traced run's events outlive the benchmark sections that toggle
+    collection, until :func:`repro.obs.trace.write_trace` writes them.
+    """
     _STATE.registry = MetricsRegistry()
     _STATE.span_stack = []
+    if _STATE.out_path is None:
+        _STATE.events = []
 
 
 def configured_out() -> str | None:
-    """The JSONL output path configured via :func:`enable`, if any."""
+    """The trace output path configured via :func:`enable`, if any."""
     return _STATE.out_path
 
 
 def get_registry() -> MetricsRegistry:
     return _STATE.registry
+
+
+def worker_state() -> tuple[bool, str | None]:
+    """The obs state every pool task carries to its worker: the collection
+    flag and the output path (the worker spills next to it at teardown)."""
+    return _STATE.enabled, _STATE.out_path
+
+
+def sync_worker_state(state: tuple[bool, str | None]) -> None:
+    """Match this (worker) process to the parent's :func:`worker_state`.
+
+    An enable/disable transition resets the registry so snapshots never mix
+    work from before and after the toggle; under a configured output the
+    pending events survive it and ship with the next snapshot or the
+    teardown spill.
+    """
+    want_enabled, _STATE.out_path = state
+    if _STATE.enabled != want_enabled:
+        _STATE.enabled = want_enabled
+        reset()
 
 
 # ------------------------------------------------------------- recording
@@ -294,40 +268,33 @@ def histogram_observe(name: str, value: float) -> None:
     _STATE.registry.histogram(name).observe(value)
 
 
-def record_event(kind: str, **payload) -> None:
-    """Append one run event (no-op when disabled).
-
-    Events are JSON-serialized by the sink; payload values should be plain
-    Python / numpy scalars, strings, lists, or dicts.
-    """
-    if not _STATE.enabled:
-        return
-    _STATE.registry.events.append({"event": kind, "ts": time.time(), **payload})
-
-
 # ------------------------------------------------------- snapshot / merge
 
 
-def take_snapshot(reset_after: bool = False) -> dict:
-    """A picklable dict of everything recorded so far.
-
-    ``reset_after=True`` atomically clears the registry, which is how the
-    parallel harness workers ship per-task deltas back to the parent
-    without double counting across tasks.
-    """
+def metrics() -> dict:
+    """The registry as plain JSON-ready dicts: counters, gauges, and the
+    histogram summaries (with their p50/p95/p99 estimates)."""
     registry = _STATE.registry
-    snapshot = {
+    return {
         "counters": dict(registry.counters),
         "gauges": dict(registry.gauges),
         "histograms": {
             name: histogram.as_dict() for name, histogram in registry.histograms.items()
         },
-        "events": list(registry.events),
-        "trace": list(_STATE.trace_events),
     }
+
+
+def take_snapshot(reset_after: bool = False) -> dict:
+    """A picklable dict of everything recorded so far (metrics and events).
+
+    ``reset_after=True`` atomically clears the registry and the event
+    buffer, which is how pool workers ship per-task deltas back to the
+    parent without double counting across tasks.
+    """
+    snapshot = {**metrics(), "events": list(_STATE.events)}
     if reset_after:
         reset()
-        _STATE.trace_events = []
+        _STATE.events = []
     return snapshot
 
 
@@ -335,11 +302,11 @@ def merge_snapshot(snapshot: dict | None, force: bool = False) -> None:
     """Fold a :func:`take_snapshot` dict into this process's registry.
 
     Counters add, gauges last-write-wins, histogram summaries merge, events
-    and trace events append in call order.  No-op when disabled or for
-    ``None`` snapshots; ``force=True`` bypasses the enabled gate (used when
-    folding worker spill files into a run being written out).
+    append in call order.  No-op when disabled or for ``None`` snapshots;
+    ``force=True`` bypasses the enabled gate (used when folding worker
+    spill files into a run being written out).
     """
-    if (not _STATE.enabled and not _STATE.trace_enabled and not force) or not snapshot:
+    if (not _STATE.enabled and not force) or not snapshot:
         return
     registry = _STATE.registry
     for name, value in snapshot.get("counters", {}).items():
@@ -347,8 +314,7 @@ def merge_snapshot(snapshot: dict | None, force: bool = False) -> None:
     registry.gauges.update(snapshot.get("gauges", {}))
     for name, summary in snapshot.get("histograms", {}).items():
         registry.histogram(name).merge_dict(summary)
-    registry.events.extend(snapshot.get("events", []))
-    _STATE.trace_events.extend(snapshot.get("trace", ()))
+    _STATE.events.extend(snapshot.get("events", ()))
 
 
 # --------------------------------------------------------------- logging

@@ -1,19 +1,19 @@
-"""Bottleneck reports over traces, run logs, and ledgers.
+"""Bottleneck reports over traces and ledgers, and the live run summary.
 
 :func:`render_report` sniffs the file format — Chrome trace JSON
-(``traceEvents``), obs run-log JSONL, or ledger JSONL — and renders the
-matching fixed-width report:
+(``traceEvents``) or ledger JSONL — and renders the matching fixed-width
+report:
 
 * **trace** — restart-bench time attribution (spawn / export / attach /
-  warm-up / compute / reduce, against the pool-map wall time), the
-  per-engine BLS sweep-phase breakdown, the kernel dispatch table, and
-  per-pid RSS ranges.  This is the artifact that quantifies *why* parallel
-  restarts do or don't pay at a given scale.
-* **run log** — span timings with p50/p95/p99 plus the final counters.
+  warm-up / compute / reduce, against the pool-map wall time), the BLS
+  sweep-phase breakdown, the kernel dispatch table, per-pid RSS ranges,
+  and the run's metrics from ``otherData``: span timings with p50/p95/p99,
+  counters, gauges and the other histograms.
 * **ledger** — per-(kind, engine) outcome summary across recorded runs.
 
-Exposed on the CLI as ``repro obs report`` and as
-``scripts/obs_report.py``.
+:func:`summary_table` renders the same metric tables from the live
+registry (the CLI's ``--obs-summary``).  Exposed on the CLI as
+``repro obs report`` and as ``scripts/obs_report.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import json
 import os
 from collections import defaultdict
 from pathlib import Path
+
+from repro.obs import registry as _registry
 
 #: Span names whose total duration forms the restart-bench attribution.
 _ATTRIBUTION_SPANS = (
@@ -34,24 +36,23 @@ _ATTRIBUTION_SPANS = (
 
 
 def detect_format(path: str | os.PathLike) -> str:
-    """``"trace"``, ``"ledger"``, or ``"runlog"`` for the file at ``path``."""
+    """``"trace"`` or ``"ledger"`` for the file at ``path``; raises
+    :class:`ValueError` for anything else."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        first_line = stripped.splitlines()[0] if stripped else ""
-        try:
-            whole = json.loads(text)
-        except json.JSONDecodeError:
-            whole = None
-        if isinstance(whole, dict) and "traceEvents" in whole:
-            return "trace"
-        try:
-            first = json.loads(first_line)
-        except json.JSONDecodeError:
-            first = None
-        if isinstance(first, dict) and first.get("schema", "").startswith("obs-ledger"):
-            return "ledger"
-    return "runlog"
+    try:
+        whole = json.loads(text)
+    except json.JSONDecodeError:
+        whole = None
+    if isinstance(whole, dict) and "traceEvents" in whole:
+        return "trace"
+    first_line = text.lstrip().split("\n", 1)[0]
+    try:
+        first = json.loads(first_line)
+    except json.JSONDecodeError:
+        first = None
+    if isinstance(first, dict) and str(first.get("schema", "")).startswith("obs-ledger"):
+        return "ledger"
+    raise ValueError(f"{path}: neither a Chrome trace nor an obs ledger")
 
 
 def _table(rows: list[tuple], headers: tuple) -> list[str]:
@@ -130,42 +131,28 @@ def restart_attribution(data: dict) -> dict:
 
 
 def bls_phase_breakdown(data: dict) -> dict:
-    """Per-engine sums of the BLS sweep phases from ``bls.sweep`` events."""
-    engines: dict[str, dict] = {}
+    """Sums of the BLS sweep phases over the ``bls.sweep`` events."""
+    phases = ("screen", "exchange", "release", "topup")
+    row = {"sweeps": 0, "wall_s": 0.0, **{f"{phase}_s": 0.0 for phase in phases}}
     for event in _complete_events(data):
         if event.get("name") != "bls.sweep":
             continue
         args = event.get("args", {})
-        engine = str(args.get("engine", "?"))
-        row = engines.setdefault(
-            engine,
-            {"sweeps": 0, "wall_s": 0.0, "screen_s": 0.0, "exchange_s": 0.0,
-             "release_s": 0.0, "topup_s": 0.0},
-        )
         row["sweeps"] += 1
         row["wall_s"] += event.get("dur", 0) / 1e6
-        for phase in ("screen", "exchange", "release", "topup"):
+        for phase in phases:
             row[f"{phase}_s"] += float(args.get(f"{phase}_s", 0.0))
-    return engines
+    return row
 
 
 def kernel_dispatch_table(data: dict) -> dict:
-    """Kernel/dispatch counts: final totals plus per-engine instant deltas."""
-    other = data.get("otherData", {})
-    totals = {
-        name: value
-        for name, value in other.get("counters", {}).items()
-        if name.startswith("influence.dispatch.")
-    }
-    per_engine: dict[str, dict] = {}
+    """Summed ``kernel.dispatch`` instant deltas (the instrumented passes)."""
+    passes: dict[str, float] = defaultdict(float)
     for event in data.get("traceEvents", []):
         if event.get("ph") == "i" and event.get("name") == "kernel.dispatch":
-            args = dict(event.get("args", {}))
-            engine = str(args.pop("engine", "?"))
-            row = per_engine.setdefault(engine, defaultdict(float))
-            for name, value in args.items():
-                row[name] += float(value)
-    return {"totals": totals, "per_engine": {k: dict(v) for k, v in per_engine.items()}}
+            for name, value in event.get("args", {}).items():
+                passes[name] += float(value)
+    return dict(passes)
 
 
 def rss_by_pid(data: dict) -> dict:
@@ -213,37 +200,19 @@ def trace_report(data: dict) -> str:
             "   first map's wall minus its per-lane compute — fork/import cost)"
         )
 
-    engines = bls_phase_breakdown(data)
-    if engines:
+    phases = bls_phase_breakdown(data)
+    if phases["sweeps"]:
         lines.append("")
-        lines.append("-- BLS sweep phases per engine --")
-        rows = []
-        for engine, row in sorted(engines.items()):
-            rows.append(
-                (engine, row["sweeps"], f"{row['wall_s']:.4f}",
-                 f"{row['screen_s']:.4f}", f"{row['exchange_s']:.4f}",
-                 f"{row['release_s']:.4f}", f"{row['topup_s']:.4f}")
-            )
-        lines.extend(
-            _table(rows, ("engine", "sweeps", "wall_s", "screen_s", "exchange_s",
-                          "release_s", "topup_s"))
-        )
+        lines.append("-- BLS sweep phases --")
+        keys = ("wall_s", "screen_s", "exchange_s", "release_s", "topup_s")
+        row = (phases["sweeps"], *(f"{phases[key]:.4f}" for key in keys))
+        lines.extend(_table([row], ("sweeps", *keys)))
 
     kernels = kernel_dispatch_table(data)
-    if kernels["per_engine"]:
+    if kernels:
         lines.append("")
-        lines.append("-- kernel dispatch per engine pass --")
-        names = sorted({name for row in kernels["per_engine"].values() for name in row})
-        rows = [
-            (engine, *(f"{row.get(name, 0.0):.0f}" for name in names))
-            for engine, row in sorted(kernels["per_engine"].items())
-        ]
-        short = [name.replace("influence.", "") for name in names]
-        lines.extend(_table(rows, ("engine", *short)))
-    if kernels["totals"]:
-        lines.append("")
-        lines.append("-- kernel dispatch totals --")
-        rows = [(name, f"{value:.0f}") for name, value in sorted(kernels["totals"].items())]
+        lines.append("-- kernel dispatch in instrumented passes --")
+        rows = [(name, f"{value:.0f}") for name, value in sorted(kernels.items())]
         lines.extend(_table(rows, ("counter", "count")))
 
     rss = rss_by_pid(data)
@@ -256,49 +225,68 @@ def trace_report(data: dict) -> str:
         ]
         lines.extend(_table(rows, ("pid", "min", "max")))
 
+    lines.extend(metrics_tables(other))
+
     if len(lines) <= 2:
         lines.append("(no attributable events in trace)")
     return "\n".join(lines)
 
 
-# -------------------------------------------------------------- run log
+# -------------------------------------------------------------- metrics
 
 
-def runlog_report(events: list[dict]) -> str:
-    lines = ["== run-log report =="]
-    histograms = {}
-    counters = {}
-    for event in events:
-        if event.get("event") == "histograms":
-            histograms = event.get("histograms", {})
-        elif event.get("event") == "counters":
-            counters = event.get("counters", {})
+def _number(value) -> str:
+    return f"{value:.0f}" if float(value).is_integer() else f"{value:.3f}"
+
+
+def metrics_tables(metrics: dict) -> list[str]:
+    """Span, histogram, counter and gauge tables of one run's metrics.
+
+    ``metrics`` is :func:`repro.obs.registry.metrics` output — the live
+    registry, or a trace's ``otherData``.  Each section opens with a blank
+    line.  Spans sort by total time; the p50/p95/p99 columns are the
+    histograms' own bucket estimates.
+    """
+    lines: list[str] = []
+    histograms = metrics.get("histograms", {})
     spans = {
         name[len("span."):]: summary
         for name, summary in histograms.items()
         if name.startswith("span.")
     }
     if spans:
-        lines.append("-- spans (by total time) --")
-        rows = []
-        ordered = sorted(spans.items(), key=lambda item: -item[1].get("total", 0.0))
-        for name, summary in ordered:
-            rows.append(
-                (name, summary.get("count", 0), f"{summary.get('total', 0.0):.4f}",
-                 f"{summary.get('p50', 0.0):.4f}", f"{summary.get('p95', 0.0):.4f}",
-                 f"{summary.get('p99', 0.0):.4f}", f"{summary.get('max', 0.0):.4f}")
-            )
+        lines += ["", "-- spans --"]
+        rows = [
+            (name, summary["count"], *(f"{summary[key]:.4f}"
+                                       for key in ("total", "p50", "p95", "p99", "max")))
+            for name, summary in sorted(spans.items(), key=lambda item: -item[1]["total"])
+        ]
         lines.extend(
             _table(rows, ("span", "count", "total_s", "p50_s", "p95_s", "p99_s", "max_s"))
         )
-    if counters:
-        lines.append("")
-        lines.append("-- counters --")
-        rows = [(name, f"{value:g}") for name, value in sorted(counters.items())]
-        lines.extend(_table(rows, ("counter", "value")))
-    if len(lines) == 1:
-        lines.append("(no summary lines found — was the run log truncated?)")
-    return "\n".join(lines)
+    others = {name: summary for name, summary in histograms.items()
+              if not name.startswith("span.")}
+    if others:
+        lines += ["", "-- histograms --"]
+        rows = [
+            (name, summary["count"], *(f"{summary[key]:.6g}"
+                                       for key in ("total", "p50", "p95", "p99", "max")))
+            for name, summary in sorted(others.items())
+        ]
+        lines.extend(_table(rows, ("histogram", "count", "total", "p50", "p95", "p99", "max")))
+    for kind in ("counters", "gauges"):
+        values = metrics.get(kind, {})
+        if values:
+            lines += ["", f"-- {kind} --"]
+            rows = [(name, _number(value)) for name, value in sorted(values.items())]
+            lines.extend(_table(rows, (kind[:-1], "value")))
+    return lines
+
+
+def summary_table() -> str:
+    """The CLI's end-of-run summary: :func:`metrics_tables` of the registry."""
+    lines = metrics_tables(_registry.metrics()) or ["(nothing recorded)"]
+    return "\n".join(["== observability summary ==", *lines])
 
 
 # --------------------------------------------------------------- ledger
@@ -336,13 +324,8 @@ def ledger_report(records: list[dict]) -> str:
 
 def render_report(path: str | os.PathLike) -> str:
     """Sniff the file format and render the matching report."""
-    kind = detect_format(path)
-    if kind == "trace":
+    if detect_format(path) == "trace":
         return trace_report(json.loads(Path(path).read_text()))
-    if kind == "ledger":
-        from repro.obs.ledger import read_ledger
+    from repro.obs.ledger import read_ledger
 
-        return ledger_report(read_ledger(path))
-    from repro.obs.sink import read_jsonl
-
-    return runlog_report(read_jsonl(path))
+    return ledger_report(read_ledger(path))

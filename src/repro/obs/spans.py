@@ -1,11 +1,11 @@
 """Lightweight nesting spans.
 
 ``with span("coverage.build", lambda_m=100.0):`` times a region, records the
-completed span as a run event (with its dotted nesting path and attributes)
-and feeds its duration into the ``span.<name>`` histogram.  When
-observability is disabled, :func:`span` returns a shared no-op context
-manager — no allocation, no clock reads — so instrumented regions cost one
-boolean test.
+completed span once, as a Chrome complete event in the run's event buffer
+(with its dotted nesting path and attributes as ``args``), and feeds its
+duration into the ``span.<name>`` histogram.  When observability is
+disabled, :func:`span` returns a shared no-op context manager — no
+allocation, no clock reads — so instrumented regions cost one boolean test.
 
 Spans nest via a process-local stack (the instrumented code is
 single-threaded per process; worker processes each have their own stack).
@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 
 from repro.obs import registry as _registry
+from repro.obs import trace as _trace
 from repro.obs.registry import _STATE
 
 
@@ -70,30 +71,16 @@ class Span:
             stack.pop()
         if _STATE.enabled:
             _registry.histogram_observe(f"span.{self.name}", self.duration_s)
-            event: dict = {
-                "name": self.name,
-                "path": self.path,
-                "duration_s": self.duration_s,
-            }
-            if self.attrs:
-                event["attrs"] = dict(self.attrs)
+            args = {"path": self.path, **self.attrs}
             if exc_type is not None:
-                event["error"] = exc_type.__name__
-            _registry.record_event("span", **event)
-        if _STATE.trace_enabled:
-            from repro.obs import trace as _trace
-
-            _trace.record_span(self)
+                args["error"] = exc_type.__name__
+            _trace.emit_complete(self.name, self._started, self.duration_s, args=args)
+            _trace.maybe_sample()
         return False
 
 
 def span(name: str, **attrs):
-    """A context manager timing one named region (no-op when disabled).
-
-    A live span is returned when either metric collection *or* tracing is
-    on: traces deliberately span benchmark sections that toggle metric
-    collection off, and ``Span.__exit__`` gates each output on its own flag.
-    """
-    if not _STATE.active:
+    """A context manager timing one named region (no-op when disabled)."""
+    if not _STATE.enabled:
         return _NULL_SPAN
     return Span(name, attrs)

@@ -1,10 +1,13 @@
-"""Cross-process tracing: clock-aligned Chrome/Perfetto trace events.
+"""The run's one trace: clock-aligned Chrome/Perfetto events.
 
 Completed :mod:`repro.obs.spans` become Chrome-trace *complete* events
 (``"ph": "X"``) attributed with the recording process id and native thread
 id, so one run that fans restarts or harness cells out over persistent
 worker pools (:mod:`repro.parallel.pool`) renders as a per-process timeline
-in ``chrome://tracing`` / `Perfetto <https://ui.perfetto.dev>`_.
+in ``chrome://tracing`` / `Perfetto <https://ui.perfetto.dev>`_.  Solver
+telemetry rides as *instant* events (``"ph": "i"``), and :func:`write_trace`
+puts the final counters, gauges and histogram summaries in the file's
+``otherData``, so the trace is the whole record of a run.
 
 **Clock alignment.**  Span durations come from ``time.perf_counter()``
 (``CLOCK_MONOTONIC``), which on Linux is a *system-wide* clock: every forked
@@ -16,26 +19,24 @@ a process, timestamps are therefore strictly monotone; across processes
 they align to well under a millisecond — a worker's task event lands inside
 the parent's ``pool.map`` window.
 
-**Transport.**  Trace events accumulate in the registry's trace buffer and
-ride the same :func:`~repro.obs.registry.take_snapshot` /
-``merge_snapshot`` path worker metrics already use, so a worker's events
-arrive in the parent with the worker's pid/tid/timestamps intact.  Events a
-worker never got to ship (a pool torn down right after spawn, work recorded
-after its last task) are flushed by :func:`flush_worker_spill` — registered
-via ``atexit`` *and* ``multiprocessing.util.Finalize`` in every pool worker
-— into the spill directory next to the configured output file, and
-:func:`write_trace` / :func:`~repro.obs.sink.write_jsonl` fold the spill
-files back in before writing.
+**Transport.**  Events accumulate in the registry's event buffer and ride
+the same :func:`~repro.obs.registry.take_snapshot` / ``merge_snapshot``
+path worker metrics already use, so a worker's events arrive in the parent
+with the worker's pid/tid/timestamps intact.  Events a worker never got to
+ship (a pool torn down right after spawn, work recorded after its last
+task) are flushed by :func:`flush_worker_spill` — registered via
+``atexit`` *and* ``multiprocessing.util.Finalize`` in every pool worker —
+into the spill directory next to the output file named in the obs state
+each task carries, and :func:`write_trace` folds the spill files back in
+(and removes the directory) before writing.
 
-**Sampling.**  On span boundaries (throttled to one sample per ~50 ms) the
-tracer emits Chrome *counter* events (``"ph": "C"``) for the process RSS
-and the kernel dispatch counters, so the timeline shows memory and kernel
-activity alongside the spans.
+**Sampling.**  While an output file is configured, span boundaries
+(throttled to one sample per ~50 ms) also emit Chrome *counter* events
+(``"ph": "C"``) for the process RSS and the kernel dispatch counters, so
+the timeline shows memory and kernel activity alongside the spans.
 
 Enable with ``--trace-out`` on the CLI / bench scripts or by exporting
-``REPRO_OBS_TRACE=/path/to/trace.json``.  Tracing implies metric
-collection; with tracing off the only cost at a span boundary is one
-attribute test.
+``REPRO_OBS_TRACE=/path/to/trace.json``.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from pathlib import Path
 
 from repro import env
 from repro.obs import registry as _registry
-from repro.obs.registry import SPILL_DIR_ENV, _STATE
+from repro.obs.registry import _STATE
 
-#: Environment variable naming the Chrome-trace output path; setting it
-#: enables tracing (read by the CLI and the bench scripts, not at import).
+#: Environment variable naming the trace output path; setting it enables
+#: collection (read by the CLI and the bench scripts, not at import).
 TRACE_ENV = env.OBS_TRACE.name
 
 #: Minimum seconds between two boundary samples of the RSS/kernel counters.
@@ -82,64 +83,14 @@ def _ts_us(perf_t: float) -> int:
     return int((perf_t + _epoch_offset()) * 1e6)
 
 
-# ------------------------------------------------------------- lifecycle
-
-
-def trace_enabled() -> bool:
-    """Whether trace-event collection is on in this process."""
-    return _STATE.trace_enabled
-
-
-def trace_enable(out: str | None = None) -> None:
-    """Turn tracing on; ``out`` optionally names the Chrome JSON path.
-
-    Tracing implies metric collection (spans must run to be traced), so this
-    also enables the registry.
-    """
-    _STATE.trace_enabled = True
-    _STATE.active = True
-    if out is not None:
-        _STATE.trace_out = str(out)
-    if not _STATE.enabled:
-        _registry.enable()
-    _registry._update_spill_env()
-
-
-def trace_disable() -> None:
-    """Turn tracing off and drop the trace buffer (metrics untouched)."""
-    _STATE.trace_enabled = False
-    _STATE.active = _STATE.enabled
-    _STATE.trace_out = None
-    _STATE.trace_events = []
-    _registry._update_spill_env()
-
-
-def trace_reset() -> None:
-    """Clear the trace buffer (tracing state unchanged)."""
-    _STATE.trace_events = []
-
-
-def set_trace_collection(flag: bool) -> None:
-    """Flip event collection without touching the buffer or the out path.
-
-    The worker-side sync uses this on obs on/off transitions so pending
-    events recorded before the transition still ship with the next snapshot
-    or the teardown spill.
-    """
-    _STATE.trace_enabled = bool(flag)
-    _STATE.active = _STATE.enabled or _STATE.trace_enabled
-
-
-def configured_trace_out() -> str | None:
-    """The trace output path configured via :func:`trace_enable`, if any."""
-    return _STATE.trace_out
+# ------------------------------------------------------------- buffer
 
 
 def take_trace(reset_after: bool = False) -> list[dict]:
-    """The buffered trace events (optionally draining the buffer)."""
-    events = list(_STATE.trace_events)
+    """The buffered events (optionally draining the buffer)."""
+    events = list(_STATE.events)
     if reset_after:
-        _STATE.trace_events = []
+        _STATE.events = []
     return events
 
 
@@ -154,7 +105,7 @@ def emit_complete(
     args: dict | None = None,
 ) -> None:
     """Record one Chrome *complete* event from perf-counter coordinates."""
-    if not _STATE.trace_enabled:
+    if not _STATE.enabled:
         return
     event = {
         "name": name,
@@ -167,14 +118,14 @@ def emit_complete(
     }
     if args:
         event["args"] = args
-    _STATE.trace_events.append(event)
+    _STATE.events.append(event)
 
 
 def emit_counter(name: str, values: dict) -> None:
     """Record one Chrome *counter* sample (one track per dict key)."""
-    if not _STATE.trace_enabled:
+    if not _STATE.enabled:
         return
-    _STATE.trace_events.append(
+    _STATE.events.append(
         {
             "name": name,
             "ph": "C",
@@ -189,7 +140,7 @@ def emit_counter(name: str, values: dict) -> None:
 
 def emit_instant(name: str, args: dict | None = None) -> None:
     """Record one Chrome *instant* event (process scope)."""
-    if not _STATE.trace_enabled:
+    if not _STATE.enabled:
         return
     event = {
         "name": name,
@@ -202,7 +153,7 @@ def emit_instant(name: str, args: dict | None = None) -> None:
     }
     if args:
         event["args"] = args
-    _STATE.trace_events.append(event)
+    _STATE.events.append(event)
 
 
 def read_rss_mb() -> float | None:
@@ -217,21 +168,18 @@ def read_rss_mb() -> float | None:
     return None
 
 
-def record_span(span) -> None:
-    """Emit a completed :class:`~repro.obs.spans.Span` as a trace event,
-    then maybe sample the RSS / kernel-dispatch counters.
+def maybe_sample() -> None:
+    """Sample the RSS / kernel-dispatch counters at a span boundary.
 
-    Called from ``Span.__exit__`` behind the ``trace_enabled`` test; the
-    boundary sample is throttled to one per ~50 ms so deep span nests don't
-    flood the timeline.
+    Only while an output file is configured (an in-process consumer of the
+    registry has no use for the samples), and throttled to one sample per
+    ~50 ms so deep span nests don't flood the timeline.
     """
-    args: dict = {"path": span.path}
-    if span.attrs:
-        args.update(span.attrs)
-    emit_complete(span.name, span._started, span.duration_s, args=args)
+    if _STATE.out_path is None:
+        return
     now = time.perf_counter()
-    if now - _STATE.trace_last_sample >= _SAMPLE_INTERVAL_S:
-        _STATE.trace_last_sample = now
+    if now - _STATE.last_sample >= _SAMPLE_INTERVAL_S:
+        _STATE.last_sample = now
         sample_process_counters()
 
 
@@ -253,12 +201,14 @@ def sample_process_counters() -> None:
 # -------------------------------------------------------- worker spill
 
 
-_SPILLED = False
+def _spill_dir() -> Path | None:
+    out = _STATE.out_path
+    return Path(f"{out}.spill") if out is not None else None
 
 
 def flush_worker_spill() -> Path | None:
-    """Write this process's unshipped snapshot (metrics + trace) to the
-    spill directory, if one is configured and anything is pending.
+    """Write this process's unshipped snapshot (metrics + events) to the
+    spill directory next to the configured output, if anything is pending.
 
     Registered in pool workers via ``atexit`` *and*
     ``multiprocessing.util.Finalize`` (forked multiprocessing children exit
@@ -266,15 +216,12 @@ def flush_worker_spill() -> Path | None:
     is safe because the first flush drains the registry, making the second
     a no-op.
     """
-    global _SPILLED
-    spill_dir = env.OBS_SPILL_DIR.raw()
-    if not spill_dir:
+    directory = _spill_dir()
+    if directory is None:
         return None
     snapshot = _registry.take_snapshot(reset_after=True)
     if not any(snapshot.values()):
         return None
-    _SPILLED = True
-    directory = Path(spill_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"obs-spill-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
     path.write_text(json.dumps(snapshot, default=_jsonable))
@@ -293,31 +240,28 @@ def register_worker_flush() -> None:
 
 
 def collect_spills() -> int:
-    """Fold every spill file for the configured outputs into this registry.
+    """Fold every spill file of the configured output into this registry.
 
-    Returns the number of spill files consumed (each is deleted after a
-    successful merge, so repeated writes never double count).
+    Returns the number of spill files consumed.  Each is deleted after a
+    successful merge, so repeated collects never double count, and the
+    directory goes once it is empty.
     """
-    directories = set()
-    for out in (_STATE.trace_out, _STATE.out_path, None):
-        if out is not None:
-            directories.add(f"{out}.spill")
-    env_dir = env.OBS_SPILL_DIR.raw()
-    if env_dir:
-        directories.add(env_dir)
+    directory = _spill_dir()
+    if directory is None or not directory.is_dir():
+        return 0
     consumed = 0
-    for directory in directories:
-        directory = Path(directory)
-        if not directory.is_dir():
+    for path in sorted(directory.glob("obs-spill-*.json")):
+        try:
+            snapshot = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
             continue
-        for path in sorted(directory.glob("obs-spill-*.json")):
-            try:
-                snapshot = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            _registry.merge_snapshot(snapshot, force=True)
-            path.unlink(missing_ok=True)
-            consumed += 1
+        _registry.merge_snapshot(snapshot, force=True)
+        path.unlink(missing_ok=True)
+        consumed += 1
+    try:
+        directory.rmdir()
+    except OSError:  # an unreadable spill file stays for inspection
+        pass
     return consumed
 
 
@@ -359,30 +303,30 @@ def to_chrome(events: list[dict], other_data: dict | None = None) -> dict:
 
 
 def write_trace(path: str | os.PathLike | None = None) -> Path:
-    """Merge worker spills and write the Chrome trace JSON to ``path``.
+    """Merge worker spills and write the run's trace JSON to ``path``.
 
-    ``path`` defaults to the path configured via :func:`trace_enable`.  The
-    final registry counters/gauges ride in ``otherData`` so the trace file
-    is self-contained for :mod:`repro.obs.report`.
+    ``path`` defaults to the output configured via :func:`enable`.  The
+    final counters, gauges and histogram summaries ride in ``otherData``,
+    so the file is self-contained for :mod:`repro.obs.report`.  Writing
+    closes the output: the event buffer is handed to the file and the
+    configured path cleared (the metrics stay for ``summary_table``).
     """
     if path is None:
-        path = _STATE.trace_out
+        path = _STATE.out_path
     if path is None:
-        raise ValueError("no trace output path configured; pass one or trace_enable(out=...)")
+        raise ValueError("no trace output path configured; pass one or enable(out=...)")
     collect_spills()
-    registry = _STATE.registry
-    other: dict = {}
-    if registry.counters:
-        other["counters"] = dict(registry.counters)
-    if registry.gauges:
-        other["gauges"] = dict(registry.gauges)
+    other = {
+        name: values for name, values in _registry.metrics().items() if values
+    }
     try:
         from repro.obs.ledger import git_commit
 
         other["commit"] = git_commit()
     except Exception:  # pragma: no cover - git metadata is best-effort
         pass
-    data = to_chrome(take_trace(), other)
+    data = to_chrome(take_trace(reset_after=True), other)
+    _STATE.out_path = None
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)

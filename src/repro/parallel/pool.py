@@ -22,9 +22,11 @@ Lifecycle rules (DESIGN.md §10):
 * the first call for an ``(owner, workers)`` pair spawns (``pool.spawn``),
   later calls reuse the live pool (``pool.reuse``);
 * workers are forked once with observability matching the parent *at spawn*;
-  every task carries the parent's current obs flag and the worker re-syncs
-  (enable/disable + registry reset) on transition, so a pool spawned during
-  a warm-up survives into timed obs-off runs without skewing either;
+  every task carries the parent's current obs state (the collection flag and
+  the trace output path, next to which a worker spills what it never
+  shipped) and the worker re-syncs (registry reset on an enable/disable
+  transition), so a pool spawned during a warm-up survives into timed
+  obs-off runs without skewing either;
 * effective worker count is capped at the CPUs this process may actually
   run on (``os.sched_getaffinity``) — extra workers only thrash the cache;
 * workers freeze their post-attach heap (``gc.freeze``) so the attached
@@ -69,38 +71,17 @@ def effective_workers(requested: int) -> int:
     return max(1, min(int(requested), available))
 
 
-def _sync_worker_obs(want_enabled: bool, want_trace: bool = False) -> None:
-    """Match the worker's observability state to the parent's task flags.
-
-    Runs inside the worker.  An enable/disable transition resets the
-    registry so snapshots never mix work from before and after the toggle;
-    the trace flag flips collection only — pending trace events still ship
-    with the next snapshot (or the teardown spill).
-    """
-    if obs.enabled() != want_enabled:
-        if want_enabled:
-            obs.enable()
-        else:
-            obs.disable()
-        obs.reset()
-    if obs.trace_enabled() != want_trace:
-        obs.set_trace_collection(want_trace)
-
-
 # The worker's task context, built once per process by the initializer.
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(
-    coverage_spec, setup, setup_args: tuple, obs_enabled: bool, trace_enabled: bool
-) -> None:
-    _sync_worker_obs(obs_enabled, trace_enabled)
-    # With a fork start method the child inherits the parent's registry
-    # contents; clear them *before* attaching so the shm.attach count lands
-    # in this worker's first task snapshot.  The inherited trace buffer is
-    # dropped too — the parent already owns those events.
-    obs.reset()
-    obs.trace_reset()
+def _worker_init(coverage_spec, setup, setup_args: tuple, obs_state: tuple) -> None:
+    obs.sync_worker_state(obs_state)
+    # With a fork start method the child inherits the parent's registry and
+    # event buffer; drain both *before* attaching so the shm.attach count
+    # lands in this worker's first task snapshot and the parent's own events
+    # never ship back to it.
+    obs.take_snapshot(reset_after=True)
     obs.register_worker_flush()
     with obs.span("pool.attach"):
         coverage = CoverageIndex.attach_shared(coverage_spec)
@@ -113,14 +94,11 @@ def _worker_init(
 
 
 def _worker_call(task: tuple) -> tuple:
-    runner, payload, obs_enabled, trace_enabled = task
-    _sync_worker_obs(obs_enabled, trace_enabled)
+    runner, payload, obs_state = task
+    obs.sync_worker_state(obs_state)
     with obs.span("pool.task"):
         result = runner(_WORKER_STATE["context"], payload)
-    if obs_enabled or trace_enabled:
-        snapshot = obs.take_snapshot(reset_after=True)
-    else:
-        snapshot = None
+    snapshot = obs.take_snapshot(reset_after=True) if obs.enabled() else None
     return result, snapshot
 
 
@@ -151,8 +129,7 @@ class PersistentPool:
                     self._shared.spec,
                     setup,
                     tuple(setup_args),
-                    obs.enabled(),
-                    obs.trace_enabled(),
+                    obs.worker_state(),
                 ),
             )
         self._closed = False
@@ -182,9 +159,8 @@ class PersistentPool:
             raise RuntimeError("pool is closed")
         if not payloads:
             return []
-        obs_enabled = obs.enabled()
-        trace_enabled = obs.trace_enabled()
-        tasks = [(runner, payload, obs_enabled, trace_enabled) for payload in payloads]
+        obs_state = obs.worker_state()
+        tasks = [(runner, payload, obs_state) for payload in payloads]
         self._maps += 1
         chunksize = -(-len(tasks) // self.workers)  # ceil division
         results = []

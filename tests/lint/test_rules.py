@@ -388,6 +388,27 @@ class TestObsGuard:
         )
         assert triples(findings) == [("obs-guard", 6, 13)]
 
+    @pytest.mark.parametrize("call", [
+        'obs.emit_instant("solver.row", {"row": row})',
+        'obs.emit_complete("solver.row", 0.0, 0.0)',
+        'obs.emit_counter("solver.row", {"row": row})',
+    ])
+    def test_unconditional_event_in_loop_fires(self, tmp_path, call):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/algorithms/mod.py",
+            f"""\
+            from repro import obs
+
+
+            def sweep(rows):
+                for row in rows:
+                    {call}
+            """,
+            rules=["obs-guard"],
+        )
+        assert triples(findings) == [("obs-guard", 6, 8)]
+
     def test_guarded_and_hoisted_calls_are_clean(self, tmp_path):
         assert (
             lint_snippet(
@@ -401,7 +422,7 @@ class TestObsGuard:
                     with obs.span("solver.sweep"):
                         for row in rows:
                             if obs.enabled():
-                                obs.record_event("solver.row", row=row)
+                                obs.emit_instant("solver.row", {"row": row})
                             row.work()
                 """,
                 rules=["obs-guard"],
@@ -422,7 +443,7 @@ class TestObsGuard:
                     closures = []
                     for row in rows:
                         def emit(row=row):
-                            obs.record_event("solver.emit", row=row)
+                            obs.emit_instant("solver.emit", {"row": row})
                         closures.append(emit)
                     return closures
                 """,

@@ -1,21 +1,20 @@
 """Observability test fixtures.
 
-Every test starts and ends with collection disabled and an empty registry,
-so tests can enable/instrument freely without leaking state into each other
-(or into the rest of the suite, which runs with obs off — the default).
+Every test starts and ends with a fresh process's obs state — collection
+off, no output configured, an empty registry and event buffer — so tests
+can enable/instrument freely without leaking state into each other (or
+into the rest of the suite, which runs with obs off — the default).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro.obs.registry import _STATE
 
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    obs.trace_disable()
-    obs.disable()
+    _STATE.__init__()
     yield
-    obs.trace_disable()
-    obs.disable()
+    _STATE.__init__()

@@ -43,16 +43,12 @@ def assert_merged_totals_match_serial(scenario, parameter, values):
     obs.enable()
     serial_result = sweep(scenario, **kwargs)
     serial = compared_counters()
-    serial_cells = len(
-        [e for e in obs.get_registry().events if e["event"] == "solver"]
-    )
+    serial_cells = len([e for e in obs.take_trace() if e["name"] == "solver"])
     obs.reset()
 
     parallel_result = sweep(scenario, workers=2, **kwargs)
     parallel = compared_counters()
-    parallel_cells = len(
-        [e for e in obs.get_registry().events if e["event"] == "solver"]
-    )
+    parallel_cells = len([e for e in obs.take_trace() if e["name"] == "solver"])
 
     assert serial  # the comparison is not vacuous
     assert serial["solver.solves"] == 4

@@ -1,4 +1,4 @@
-"""Registry tests: counters, gauges, histograms, snapshots, disabled no-ops."""
+"""Registry tests: counters, gauges, histograms, events, snapshots, no-ops."""
 
 from __future__ import annotations
 
@@ -119,31 +119,45 @@ class TestHistograms:
 class TestEvents:
     def test_event_recorded_with_kind_and_payload(self):
         obs.enable()
-        obs.record_event("custom", answer=42)
-        (event,) = obs.get_registry().events
-        assert event["event"] == "custom"
-        assert event["answer"] == 42
-        assert "ts" in event
+        obs.emit_instant("custom", {"answer": 42})
+        (event,) = obs.take_trace()
+        assert event["name"] == "custom"
+        assert event["ph"] == "i"
+        assert event["args"] == {"answer": 42}
+        assert "ts" in event and event["pid"] == os.getpid()
 
     def test_disabled_records_nothing(self):
-        obs.record_event("custom")
+        obs.emit_instant("custom")
         obs.enable()
-        assert obs.get_registry().events == []
+        assert obs.take_trace() == []
 
 
 class TestLifecycle:
     def test_enable_sets_out_path(self):
-        obs.enable(out="/tmp/run.jsonl")
+        obs.enable(out="/tmp/run.json")
         assert obs.enabled()
-        assert obs.configured_out() == "/tmp/run.jsonl"
+        assert obs.configured_out() == "/tmp/run.json"
 
     def test_disable_drops_everything(self):
-        obs.enable(out="/tmp/run.jsonl")
+        obs.enable()
         obs.counter_add("x")
+        obs.emit_instant("e")
         obs.disable()
         assert not obs.enabled()
         assert obs.configured_out() is None
         assert obs.get_registry().counters == {}
+        assert obs.take_trace() == []
+
+    def test_disable_keeps_a_configured_output(self):
+        # A traced bench toggles collection between sections; the output
+        # and its events outlive the toggle, the metrics do not.
+        obs.enable(out="/tmp/run.json")
+        obs.counter_add("x")
+        obs.emit_instant("e")
+        obs.disable()
+        assert obs.configured_out() == "/tmp/run.json"
+        assert obs.get_registry().counters == {}
+        assert [event["name"] for event in obs.take_trace()] == ["e"]
 
     def test_reset_keeps_enabled_state(self):
         obs.enable()
@@ -159,9 +173,10 @@ class TestSnapshotMerge:
         obs.counter_add("c", 3)
         obs.gauge_set("g", 1.5)
         obs.histogram_observe("h", 2.0)
-        obs.record_event("e")
+        obs.emit_instant("e")
         snapshot = obs.take_snapshot(reset_after=True)
         assert obs.counter_value("c") == 0  # reset happened
+        assert obs.take_trace() == []
 
         obs.counter_add("c", 1)
         obs.merge_snapshot(snapshot)
@@ -170,7 +185,7 @@ class TestSnapshotMerge:
         assert registry.counters["c"] == 7
         assert registry.gauges["g"] == 1.5
         assert registry.histograms["h"].count == 2
-        assert len(registry.events) == 2
+        assert len(obs.take_trace()) == 2
 
     def test_merge_none_is_noop(self):
         obs.enable()

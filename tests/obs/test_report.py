@@ -1,7 +1,7 @@
 """The bottleneck reports: format sniffing and trace aggregation.
 
-``repro obs report`` / ``scripts/obs_report.py`` turn the three artifact
-kinds (Chrome trace, run ledger, obs run log) into fixed-width reports.
+``repro obs report`` / ``scripts/obs_report.py`` turn the two artifact
+kinds (a run's Chrome trace, the run ledger) into fixed-width reports.
 These tests feed synthetic artifacts with known arithmetic through the
 aggregators so every reported number is pinned, not just smoke-checked.
 """
@@ -9,9 +9,11 @@ aggregators so every reported number is pinned, not just smoke-checked.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from repro import obs
 from repro.obs import ledger, report
 
 
@@ -44,16 +46,16 @@ def trace_data():
         complete("pool.task", 20_100, 900, pid=201),
         complete(
             "bls.sweep", 30_000, 4_000, pid=100,
-            args={"engine": "dirty", "screen_s": 0.001, "exchange_s": 0.002,
+            args={"screen_s": 0.001, "exchange_s": 0.002,
                   "release_s": 0.0005, "topup_s": 0.0005},
         ),
         complete(
             "bls.sweep", 35_000, 2_000, pid=100,
-            args={"engine": "dirty", "screen_s": 0.001, "exchange_s": 0.0005,
+            args={"screen_s": 0.001, "exchange_s": 0.0005,
                   "release_s": 0.0003, "topup_s": 0.0002},
         ),
         {"name": "kernel.dispatch", "ph": "i", "s": "p", "ts": 40_000, "pid": 100,
-         "tid": 100, "args": {"engine": "dirty", "influence.dispatch.batch": 7}},
+         "tid": 100, "args": {"influence.dispatch.batch": 7}},
         {"name": "rss_mb", "ph": "C", "ts": 1000, "pid": 100, "tid": 100,
          "args": {"rss_mb": 50.0}},
         {"name": "rss_mb", "ph": "C", "ts": 9000, "pid": 100, "tid": 100,
@@ -78,9 +80,12 @@ class TestDetectFormat:
         ledger.record_run("bench.sweep", path=ledger_path, engine="dirty")
         assert report.detect_format(ledger_path) == "ledger"
 
+        # The JSONL run log is gone (the trace carries its content); an old
+        # one is refused by name rather than misread as a ledger.
         runlog_path = tmp_path / "r.jsonl"
         runlog_path.write_text('{"event": "counters", "counters": {"a": 1}}\n')
-        assert report.detect_format(runlog_path) == "runlog"
+        with pytest.raises(ValueError, match="neither a Chrome trace nor an obs ledger"):
+            report.detect_format(runlog_path)
 
 
 class TestRestartAttribution:
@@ -108,9 +113,8 @@ class TestRestartAttribution:
 
 
 class TestBlsPhases:
-    def test_per_engine_sums(self, trace_data):
-        engines = report.bls_phase_breakdown(trace_data)
-        row = engines["dirty"]
+    def test_phase_sums(self, trace_data):
+        row = report.bls_phase_breakdown(trace_data)
         assert row["sweeps"] == 2
         assert row["wall_s"] == pytest.approx(0.006)
         assert row["screen_s"] == pytest.approx(0.002)
@@ -118,12 +122,15 @@ class TestBlsPhases:
         assert row["release_s"] == pytest.approx(0.0008)
         assert row["topup_s"] == pytest.approx(0.0007)
 
+    def test_no_sweeps(self):
+        assert report.bls_phase_breakdown({"traceEvents": []})["sweeps"] == 0
+
 
 class TestKernelsAndRss:
     def test_kernel_dispatch_table(self, trace_data):
-        kernels = report.kernel_dispatch_table(trace_data)
-        assert kernels["totals"] == {"influence.dispatch.batch": 7}
-        assert kernels["per_engine"]["dirty"]["influence.dispatch.batch"] == 7.0
+        assert report.kernel_dispatch_table(trace_data) == {
+            "influence.dispatch.batch": 7.0
+        }
 
     def test_rss_ranges(self, trace_data):
         ranges = report.rss_by_pid(trace_data)
@@ -138,8 +145,8 @@ class TestRendering:
         text = report.render_report(path)
         assert "commit: cafef00d" in text
         assert "restart bench time attribution" in text
-        assert "BLS sweep phases per engine" in text
-        assert "kernel dispatch per engine pass" in text
+        assert "BLS sweep phases" in text
+        assert "kernel dispatch in instrumented passes" in text
         assert "RSS by pid" in text
         assert "warm-up" in text
 
@@ -155,16 +162,43 @@ class TestRendering:
         assert "2.0000" in text  # mean wall
 
     def test_runlog_report(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        lines = [
-            {"event": "histograms",
-             "histograms": {"span.quote.price": {"count": 3, "total": 0.3,
-                                                 "p50": 0.1, "p95": 0.12,
-                                                 "p99": 0.12, "max": 0.12}}},
-            {"event": "counters", "counters": {"sweep.moves": 5}},
-        ]
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        # The run's one file is its trace: the span quantile table and the
+        # counters come from its otherData.
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({
+            "traceEvents": [],
+            "otherData": {
+                "histograms": {"span.quote.price": {"count": 3, "total": 0.3,
+                                                    "min": 0.08, "p50": 0.1,
+                                                    "p95": 0.12, "p99": 0.12,
+                                                    "max": 0.12}},
+                "counters": {"sweep.moves": 5},
+            },
+        }))
         text = report.render_report(path)
         assert "quote.price" in text
         assert "p99_s" in text
         assert "sweep.moves" in text
+
+
+class TestSpanQuantiles:
+    def test_report_quantiles_equal_the_run_histograms(self, tmp_path):
+        obs.enable(out=str(tmp_path / "run.json"))
+        for seconds in (0.0, 0.001, 0.002, 0.004, 0.008):
+            with obs.span("region"):
+                time.sleep(seconds)
+        histogram = obs.get_registry().histograms["span.region"]
+        path = obs.write_trace()
+
+        data = json.loads(path.read_text())
+        summary = data["otherData"]["histograms"]["span.region"]
+        assert (summary["p50"], summary["p95"], summary["p99"]) == (
+            histogram.p50, histogram.p95, histogram.p99
+        )
+        (row,) = [line for line in report.render_report(path).splitlines()
+                  if line.split()[:1] == ["region"]]
+        assert row.split()[1:] == [
+            "5", *(f"{value:.4f}" for value in (histogram.total, histogram.p50,
+                                               histogram.p95, histogram.p99,
+                                               histogram.max))
+        ]

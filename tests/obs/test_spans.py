@@ -1,12 +1,18 @@
-"""Span tests: no-op path, nesting, attributes, errors, JSONL round trip."""
+"""Span tests: no-op path, nesting, attributes, errors, trace round trip."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.obs.spans import _NULL_SPAN
+
+
+def span_events() -> list[dict]:
+    return [event for event in obs.take_trace() if event["ph"] == "X"]
 
 
 class TestDisabledSpans:
@@ -18,7 +24,7 @@ class TestDisabledSpans:
         with obs.span("region") as active:
             active.set(ignored=True)
         obs.enable()
-        assert obs.get_registry().events == []
+        assert obs.take_trace() == []
         assert obs.get_registry().histograms == {}
 
 
@@ -30,21 +36,19 @@ class TestEnabledSpans:
         histogram = obs.get_registry().histograms["span.region"]
         assert histogram.count == 1
         assert histogram.total >= 0.0
-        (event,) = obs.get_registry().events
-        assert event["event"] == "span"
+        (event,) = span_events()
         assert event["name"] == "region"
-        assert event["path"] == "region"
-        assert event["duration_s"] >= 0.0
-        assert event["attrs"] == {"parameter": "alpha"}
+        assert event["dur"] >= 0
+        assert event["args"] == {"path": "region", "parameter": "alpha"}
 
     def test_nesting_paths(self):
         obs.enable()
         with obs.span("outer"):
             with obs.span("inner"):
                 pass
-        inner, outer = obs.get_registry().events
-        assert inner["path"] == "outer.inner"
-        assert outer["path"] == "outer"
+        inner, outer = span_events()
+        assert inner["args"]["path"] == "outer.inner"
+        assert outer["args"]["path"] == "outer"
         # Histograms key on the span's own name, not the nesting path, so
         # serial and parallel runs aggregate identically.
         assert set(obs.get_registry().histograms) == {"span.outer", "span.inner"}
@@ -53,49 +57,51 @@ class TestEnabledSpans:
         obs.enable()
         with obs.span("region") as active:
             active.set(rows=12)
-        (event,) = obs.get_registry().events
-        assert event["attrs"] == {"rows": 12}
+        (event,) = span_events()
+        assert event["args"] == {"path": "region", "rows": 12}
 
     def test_exception_propagates_and_is_recorded(self):
         obs.enable()
         with pytest.raises(ValueError, match="boom"):
             with obs.span("failing"):
                 raise ValueError("boom")
-        (event,) = obs.get_registry().events
-        assert event["error"] == "ValueError"
+        (event,) = span_events()
+        assert event["args"]["error"] == "ValueError"
         # The stack unwound — a following span is not nested under "failing".
         with obs.span("after"):
             pass
-        assert obs.get_registry().events[-1]["path"] == "after"
+        assert span_events()[-1]["args"]["path"] == "after"
 
 
-class TestJsonlRoundTrip:
+class TestTraceRoundTrip:
     def test_events_and_snapshots_round_trip(self, tmp_path):
-        obs.enable()
+        obs.enable(out=str(tmp_path / "run.json"))
         with obs.span("coverage.build", lambda_m=100.0):
             pass
         obs.counter_add("influence.dispatch.idarray", np.int64(3))
         obs.gauge_set("bitmap.bytes", np.float64(1024.0))
         obs.histogram_observe("rows", 7)
-        obs.record_event("solver", method="BLS", telemetry={"iterations": 2})
+        obs.emit_instant("solver", {"method": "BLS", "telemetry": {"iterations": 2}})
 
-        path = obs.write_jsonl(tmp_path / "run.jsonl")
-        lines = obs.read_jsonl(path)
+        path = obs.write_trace()
+        data = json.loads(path.read_text())
 
-        span_line = lines[0]
-        assert span_line["event"] == "span"
-        assert span_line["name"] == "coverage.build"
-        solver_line = lines[1]
-        assert solver_line["telemetry"] == {"iterations": 2}
+        events = [e for e in data["traceEvents"] if e["ph"] in ("X", "i")]
+        span_event, solver_event = events
+        assert span_event["name"] == "coverage.build"
+        assert span_event["args"]["lambda_m"] == 100.0
+        assert solver_event["name"] == "solver"
+        assert solver_event["args"]["telemetry"] == {"iterations": 2}
 
-        by_kind = {line["event"]: line for line in lines}
-        assert by_kind["counters"]["counters"]["influence.dispatch.idarray"] == 3
-        assert by_kind["gauges"]["gauges"]["bitmap.bytes"] == 1024.0
-        assert by_kind["histograms"]["histograms"]["rows"]["count"] == 1
+        other = data["otherData"]
+        assert other["counters"]["influence.dispatch.idarray"] == 3
+        assert other["gauges"]["bitmap.bytes"] == 1024.0
+        assert other["histograms"]["rows"]["count"] == 1
+        assert other["histograms"]["span.coverage.build"]["count"] == 1
 
     def test_creates_parent_directories(self, tmp_path):
         obs.enable()
-        path = obs.write_jsonl(tmp_path / "deep" / "nested" / "run.jsonl")
+        path = obs.write_trace(tmp_path / "deep" / "nested" / "run.json")
         assert path.is_file()
 
 

@@ -52,12 +52,11 @@ class TestTelemetryInStats:
         make_solver("g-global").solve(tiny_instance)
         assert obs.counter_value("solver.solves") == 1
         assert obs.counter_value("solver.iterations") >= 1
-        solver_events = [
-            e for e in obs.get_registry().events if e["event"] == "solver"
-        ]
+        solver_events = [e for e in obs.take_trace() if e["name"] == "solver"]
         assert len(solver_events) == 1
-        assert solver_events[0]["method"] == "G-Global"
-        assert solver_events[0]["telemetry"]["convergence"]
+        assert solver_events[0]["ph"] == "i"
+        assert solver_events[0]["args"]["method"] == "G-Global"
+        assert solver_events[0]["args"]["telemetry"]["convergence"]
 
 
 class TestSolverResultStats:

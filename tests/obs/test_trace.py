@@ -1,9 +1,9 @@
 """The trace module: lifecycle, event shapes, schema validation, spill.
 
-Tracing is the tentpole of the observability PR: spans become clock-aligned
-Chrome complete events, counters/instants layer kernel and memory context
-onto the timeline, and worker spill files carry events that never rode a
-task snapshot home.  These tests pin the single-process behaviour; the
+Spans become clock-aligned Chrome complete events in the one event buffer,
+counters/instants layer kernel and memory context and solver telemetry onto
+the timeline, and worker spill files carry events that never rode a task
+snapshot home.  These tests pin the single-process behaviour; the
 cross-process pieces live in ``test_trace_pool.py``.
 """
 
@@ -21,57 +21,89 @@ from repro.obs import trace
 
 class TestLifecycle:
     def test_disabled_by_default_and_span_is_free(self):
-        assert not obs.trace_enabled()
+        assert not obs.enabled()
         with obs.span("anything"):
             pass
         assert trace.take_trace() == []
 
     def test_enable_implies_metric_collection(self):
-        obs.trace_enable(out="unused.json")
-        assert obs.trace_enabled()
+        obs.enable(out="unused.json")
         assert obs.enabled()
-        assert trace.configured_trace_out() == "unused.json"
+        assert obs.configured_out() == "unused.json"
+        with obs.span("work"):
+            pass
+        assert obs.get_registry().histograms["span.work"].count == 1
 
-    def test_disable_drops_buffer_and_out(self):
-        obs.trace_enable(out="unused.json")
+    def test_one_span_appends_exactly_one_event(self, monkeypatch):
+        # Collection and a trace output both on: the span is recorded once,
+        # in the one buffer.  (The throttled RSS sampler is held off so the
+        # count is exact; its samples are counter events, not span records.)
+        monkeypatch.setattr(trace, "_SAMPLE_INTERVAL_S", float("inf"))
+        obs.enable(out="unused.json")
+        with obs.span("once", rows=3):
+            pass
+        (event,) = trace.take_trace()
+        assert event["ph"] == "X" and event["name"] == "once"
+        assert event["args"] == {"path": "once", "rows": 3}
+
+    def test_rss_sampling_only_with_an_output(self):
+        obs.enable()
+        with obs.span("unsampled"):
+            pass
+        assert {e["ph"] for e in trace.take_trace()} == {"X"}
+        obs.enable(out="unused.json")
+        with obs.span("sampled"):
+            pass
+        assert "rss_mb" in [e["name"] for e in trace.take_trace() if e["ph"] == "C"]
+
+    def test_write_trace_drops_buffer_and_out(self, tmp_path):
+        obs.enable(out=str(tmp_path / "trace.json"))
         with obs.span("work"):
             pass
         assert trace.take_trace()
-        obs.trace_disable()
+        obs.write_trace()
         assert trace.take_trace() == []
-        assert trace.configured_trace_out() is None
+        assert obs.configured_out() is None
+        assert obs.enabled()  # the metrics stay for the summary
 
     def test_buffer_survives_obs_reset_and_disable(self):
         # The bench flips obs.enable()/disable() around its timed sections;
-        # the trace must keep accumulating across those flips.
-        obs.trace_enable(out="unused.json")
+        # with an output configured the buffer keeps accumulating across
+        # those flips, and nothing is recorded while collection is off.
+        obs.enable(out="unused.json")
         with obs.span("before"):
             pass
         obs.reset()
         obs.disable()
+        with obs.span("while_off"):
+            pass
         obs.enable()
         with obs.span("after"):
             pass
         names = [event["name"] for event in trace.take_trace() if event["ph"] == "X"]
-        assert "before" in names and "after" in names
+        assert names == ["before", "after"]
 
-    def test_set_trace_collection_keeps_buffer(self):
-        obs.trace_enable(out="unused.json")
-        with obs.span("kept"):
+    def test_buffer_drops_with_metrics_without_output(self):
+        # perfbench's traced run enables collection with no output: its
+        # enable/disable toggles drop the events with the metrics, and no
+        # RSS sampling starts.
+        obs.enable()
+        for _ in range(3):
+            with obs.span("work"):
+                pass
+        assert [e["ph"] for e in trace.take_trace()] == ["X", "X", "X"]
+        obs.reset()
+        assert trace.take_trace() == []
+        with obs.span("work"):
             pass
-        obs.set_trace_collection(False)
-        assert not obs.trace_enabled()
-        with obs.span("dropped"):
-            pass
-        obs.set_trace_collection(True)
-        names = [event["name"] for event in trace.take_trace()]
-        assert "kept" in names and "dropped" not in names
+        obs.disable()
+        assert trace.take_trace() == []
 
 
 class TestEvents:
     def test_span_becomes_complete_event(self):
-        obs.trace_enable(out="unused.json")
-        with obs.span("outer", engine="dirty"):
+        obs.enable()
+        with obs.span("outer", phase="screen"):
             with obs.span("inner"):
                 time.sleep(0.001)
         events = {event["name"]: event for event in trace.take_trace()}
@@ -80,14 +112,14 @@ class TestEvents:
             assert event["ph"] == "X"
             assert event["pid"] == os.getpid()
             assert event["dur"] >= 0
-        assert outer["args"]["engine"] == "dirty"
+        assert outer["args"]["phase"] == "screen"
         assert inner["args"]["path"] == "outer.inner"
         # The child's window nests inside the parent's.
         assert outer["ts"] <= inner["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1
 
     def test_timestamps_are_epoch_aligned(self):
-        obs.trace_enable(out="unused.json")
+        obs.enable()
         before_us = time.time() * 1e6
         with obs.span("aligned"):
             pass
@@ -96,13 +128,21 @@ class TestEvents:
         assert before_us - 1e6 <= event["ts"] <= after_us + 1e6
 
     def test_emit_counter_and_instant(self):
-        obs.trace_enable(out="unused.json")
+        obs.enable()
         obs.emit_counter("rss_mb", {"rss_mb": 12.5})
-        obs.emit_instant("kernel.dispatch", {"engine": "dirty"})
+        obs.emit_instant("kernel.dispatch", {"influence.dispatch.idarray": 3})
         counter, instant = trace.take_trace()
         assert counter["ph"] == "C" and counter["args"] == {"rss_mb": 12.5}
         assert instant["ph"] == "i" and instant["s"] == "p"
-        assert instant["args"]["engine"] == "dirty"
+        assert instant["args"]["influence.dispatch.idarray"] == 3
+
+    def test_failed_span_records_its_error(self):
+        obs.enable()
+        with pytest.raises(ValueError):
+            with obs.span("failing"):
+                raise ValueError("boom")
+        (event,) = trace.take_trace()
+        assert event["args"]["error"] == "ValueError"
 
     def test_read_rss_positive_on_linux(self):
         rss = trace.read_rss_mb()
@@ -113,7 +153,7 @@ class TestEvents:
 class TestWriteAndValidate:
     def test_write_trace_roundtrip_validates(self, tmp_path):
         out = tmp_path / "trace.json"
-        obs.trace_enable(out=str(out))
+        obs.enable(out=str(out))
         with obs.span("one"):
             pass
         obs.counter_add("influence.dispatch.batch", 3)
@@ -127,7 +167,7 @@ class TestWriteAndValidate:
         assert "one" in names and "process_name" in names
 
     def test_write_trace_without_path_raises(self):
-        obs.trace_enable()
+        obs.enable()
         with pytest.raises(ValueError, match="no trace output path"):
             obs.write_trace()
 
@@ -149,11 +189,9 @@ class TestWriteAndValidate:
 
 
 class TestSpill:
-    def test_flush_and_collect_roundtrip(self, tmp_path, monkeypatch):
+    def test_flush_and_collect_roundtrip(self, tmp_path):
         out = tmp_path / "trace.json"
-        spill_dir = f"{out}.spill"
-        obs.trace_enable(out=str(out))
-        assert os.environ.get(obs.SPILL_DIR_ENV) == spill_dir
+        obs.enable(out=str(out))
         with obs.span("worker.side"):
             pass
         obs.counter_add("spilled.counter", 2)
@@ -168,12 +206,15 @@ class TestSpill:
         assert consumed == 1
         assert obs.counter_value("spilled.counter") == 2
         assert "worker.side" in [e["name"] for e in trace.take_trace()]
-        # Spill files are deleted after merge — no double counting.
+        # Spill files are deleted after merge — no double counting — and
+        # the emptied directory goes with them.
+        assert not (tmp_path / "trace.json.spill").exists()
         assert obs.collect_spills() == 0
 
-    def test_flush_without_spill_dir_is_noop(self, monkeypatch):
-        monkeypatch.delenv(obs.SPILL_DIR_ENV, raising=False)
-        obs.set_trace_collection(True)
+    def test_flush_without_spill_dir_is_noop(self):
+        # No output configured means no spill directory to flush into.
+        obs.enable()
         with obs.span("unspillable"):
             pass
         assert obs.flush_worker_spill() is None
+        assert [e["name"] for e in trace.take_trace()] == ["unspillable"]

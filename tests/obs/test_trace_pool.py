@@ -97,7 +97,7 @@ class TestTraceAcrossProcesses:
         self, instance, tmp_path
     ):
         out = tmp_path / "trace.json"
-        obs.trace_enable(out=str(out))
+        obs.enable(out=str(out))
         solve(instance, WORKERS)  # spawn
         solve(instance, WORKERS)  # reuse — tasks on already-warm workers
         close_all_pools()  # ship teardown spills
@@ -131,11 +131,33 @@ class TestTraceAcrossProcesses:
         data = trace.to_chrome(events)
         assert obs.validate_chrome_trace(data) == []
 
+    def test_idle_worker_spills_next_to_the_output(self, instance, tmp_path, monkeypatch):
+        # One restart is one task, so one of the two workers never gets a
+        # task to ship its pool.attach span with; it learns the spill
+        # directory from the obs state its initializer carries (no
+        # environment variable) and spills the span at teardown.
+        monkeypatch.delenv("REPRO_OBS_SPILL_DIR", raising=False)
+        out = tmp_path / "trace.json"
+        obs.enable(out=str(out))
+        RandomizedLocalSearch(
+            "bls", restarts=1, seed=11, restart_workers=WORKERS
+        ).solve(instance)
+        assert "REPRO_OBS_SPILL_DIR" not in os.environ
+        close_all_pools()
+        assert obs.collect_spills() >= 1
+        attach_pids = {
+            e["pid"]
+            for e in trace.take_trace()
+            if e["ph"] == "X" and e["name"] == "pool.attach"
+        }
+        assert len(attach_pids) == WORKERS
+        assert not (tmp_path / "trace.json.spill").exists()
+
     def test_write_trace_includes_worker_pids(self, instance, tmp_path):
         import json
 
         out = tmp_path / "trace.json"
-        obs.trace_enable(out=str(out))
+        obs.enable(out=str(out))
         # One wave per task: RESTARTS >= WORKERS gives WORKERS tasks.  Which
         # worker takes each task is the scheduler's choice (one warm worker
         # may take them all), so the assertions cover only what tracing
@@ -161,3 +183,42 @@ class TestTraceAcrossProcesses:
         for task in tasks:
             assert task["pid"] != os.getpid()
             assert names[task["pid"]] == f"worker-{task['pid']}"
+
+
+class TestTracedSweep:
+    def test_workers_2_sweep_traces_worker_pids_without_spill_env(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The spill directory travels in the obs state each task carries,
+        # not through the environment, and is gone once the trace is written.
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_OBS_SPILL_DIR", raising=False)
+        out = tmp_path / "trace.json"
+        code = main(
+            [
+                "sweep",
+                "--parameter", "gamma",
+                "--billboards", "40",
+                "--trajectories", "250",
+                "--p-avg", "0.1",
+                "--methods", "g-global,bls",
+                "--restarts", "1",
+                "--workers", "2",
+                "--trace-out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "REPRO_OBS_SPILL_DIR" not in os.environ
+        data = json.loads(out.read_text())
+        assert obs.validate_chrome_trace(data) == []
+        worker_pids = {
+            e["pid"]
+            for e in data["traceEvents"]
+            if e.get("ph") == "X" and e["name"] in ("pool.task", "pool.attach")
+        }
+        assert os.getpid() not in worker_pids
+        assert len(worker_pids) >= 2
+        assert list(tmp_path.glob("*.spill")) == []

@@ -1,8 +1,9 @@
 """The append-only bench history and its regression gate.
 
 ``scripts/_bench_history.py`` turns the BENCH_*.json files into commit-keyed
-time series; the gate compares a new run's timings against the best recorded
-run of the same scenario on the same machine stamp.  These tests pin the
+time series; the gate compares a new run's timings against the median
+recorded passing run of the same scenario on the same machine stamp, and
+leaves one-shot timings too short to measure ungated.  These tests pin the
 schema, the legacy-file migration, the scenario keying (smoke never gates
 against full), the machine matching, and the pass/fail arithmetic.
 """
@@ -95,6 +96,10 @@ class TestTimingMetrics:
             "deep.inner.solve_s": 0.25,
         }
 
+    def test_rates_are_not_timings(self):
+        run = {"paths": {"quote_s": 0.01, "quotes_per_s": 100.0}}
+        assert _bench_history.timing_metrics(run) == {"paths.quote_s": 0.01}
+
 
 class TestGate:
     def history_with(self, *values):
@@ -137,17 +142,56 @@ class TestGate:
         assert len(failures) == 1
         assert "commit unknown" in failures[0]
 
-    def test_best_baselines_track_value_and_commit(self):
+    def test_median_baselines_track_value_and_commit(self):
         history = {
             "runs": [
                 report(build_s=2.0, commit="older"),
                 report(build_s=1.0, commit="best"),
                 report(build_s=3.0, commit="newer"),
+                report(build_s=4.0, commit="newest"),
             ]
         }
         key = _bench_history.baseline_key(history["runs"][0])
-        best = _bench_history.best_baselines(history, key)
-        assert best["results.build_s"] == (1.0, "best")
+        baselines = _bench_history.median_baselines(history, key)
+        # The lower median: a recorded run, so its commit can be named.
+        assert baselines["results.build_s"] == (2.0, "older")
+
+    def test_spread_inside_the_recorded_range_passes(self):
+        # Unchanged code on a shared host: the best row was a lucky draw.
+        history = self.history_with(1.0, 1.3, 1.2)
+        assert _bench_history.gate_regression(history, report(build_s=1.25)) == []
+        assert _bench_history.gate_regression(history, report(build_s=1.3)) == []
+
+    def test_regression_of_a_measurable_timing_fails(self):
+        history = self.history_with(1.0, 1.3, 1.2)
+        failures = _bench_history.gate_regression(history, report(build_s=1.8))
+        assert len(failures) == 1
+        assert "1.50x" in failures[0] and "median recorded 1.2000s" in failures[0]
+        short = self.history_with(0.1, 0.12, 0.11)
+        assert _bench_history.gate_regression(short, report(build_s=0.165))
+
+    def test_timings_too_short_to_measure_never_gate(self):
+        # influence_of_set.mark_s read 0.012-0.070 s on one commit.
+        history = self.history_with(0.020, 0.016, 0.012)
+        assert _bench_history.gate_regression(history, report(build_s=0.070)) == []
+
+    def test_per_operation_timings_gate_without_the_floor(self):
+        # A per-quote mean over many quotes is measurable however small.
+        history = self.history_with(0.012, 0.011, 0.012)
+        failures = _bench_history.gate_regression(
+            history, report(build_s=0.018), min_gated_s=0.0
+        )
+        assert len(failures) == 1
+        assert not _bench_history.gate_regression(
+            history, report(build_s=0.013), min_gated_s=0.0
+        )
+
+    def test_failed_runs_never_become_baselines(self):
+        history = self.history_with(1.0, 1.0, 1.0)
+        for _ in range(4):
+            history["runs"].append(dict(report(build_s=1.5), gate_failed=True))
+        failures = _bench_history.gate_regression(history, report(build_s=1.5))
+        assert len(failures) == 1 and "median recorded 1.0000s" in failures[0]
 
     def test_other_scenario_never_gates(self):
         history = {"runs": [report(smoke=True, build_s=0.001)]}
@@ -162,6 +206,30 @@ class TestGate:
             _bench_history.gate_regression(history, report(build_s=1.9), 2.0) == []
         )
         assert _bench_history.gate_regression(history, report(build_s=2.1), 2.0)
+
+
+class TestAppendGatedRun:
+    def test_failing_run_is_marked_and_passing_run_is_not(self, tmp_path):
+        path = tmp_path / "bench.json"
+        for value in (1.0, 1.1, 1.0):
+            _bench_history.append_run(path, report(build_s=value))
+        history, failures = _bench_history.append_gated_run(
+            path, report(build_s=1.6), 1.15
+        )
+        assert len(failures) == 1 and history["runs"][-1]["gate_failed"] is True
+        history, failures = _bench_history.append_gated_run(
+            path, report(build_s=1.05), 1.15
+        )
+        assert failures == [] and "gate_failed" not in history["runs"][-1]
+        assert len(_bench_history.load_history(path)["runs"]) == 5
+
+    def test_ungated_run_is_appended_unmarked(self, tmp_path):
+        path = tmp_path / "bench.json"
+        _bench_history.append_run(path, report(build_s=1.0))
+        history, failures = _bench_history.append_gated_run(
+            path, report(build_s=9.0), None
+        )
+        assert failures == [] and "gate_failed" not in history["runs"][-1]
 
 
 class TestMachineStamp:

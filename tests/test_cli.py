@@ -98,9 +98,13 @@ class TestCommands:
             main(["figure", "fig10", "--billboards", "50"])
 
     def test_cell_obs_out_and_summary(self, capsys, tmp_path):
+        # The run's one obs output is its trace (--trace-out): spans, the
+        # solver telemetry instant and the final counters in one file.
+        import json
+
         from repro import obs
 
-        log_path = tmp_path / "run.jsonl"
+        trace_path = tmp_path / "run.json"
         code = main(
             [
                 "cell",
@@ -110,27 +114,30 @@ class TestCommands:
                 "--methods", "g-global",
                 "--restarts", "0",
                 "--seed", "2",
-                "--obs-out", str(log_path),
+                "--trace-out", str(trace_path),
                 "--obs-summary",
             ]
         )
         assert code == 0
         assert not obs.enabled()  # the CLI cleans up after itself
+        assert obs.configured_out() is None
         out = capsys.readouterr().out
         assert "== observability summary ==" in out
         assert "solver.solves" in out
-        lines = obs.read_jsonl(log_path)
-        kinds = [line["event"] for line in lines]
-        assert "span" in kinds and "solver" in kinds and "counters" in kinds
-        counters = next(l for l in lines if l["event"] == "counters")["counters"]
+        data = json.loads(trace_path.read_text())
+        phases = {event["ph"] for event in data["traceEvents"]}
+        assert {"X", "i"} <= phases
+        assert "solver" in [e["name"] for e in data["traceEvents"] if e["ph"] == "i"]
+        counters = data["otherData"]["counters"]
         assert counters["solver.solves"] == 1
         assert counters["coverage.builds"] == 1
+        assert data["otherData"]["histograms"]["span.harness.cell"]["count"] == 1
 
     def test_obs_env_variable_enables_collection(self, capsys, tmp_path, monkeypatch):
         from repro import obs
 
-        log_path = tmp_path / "env-run.jsonl"
-        monkeypatch.setenv(obs.OBS_OUT_ENV, str(log_path))
+        trace_path = tmp_path / "env-run.json"
+        monkeypatch.setenv(obs.TRACE_ENV, str(trace_path))
         code = main(
             [
                 "cell",
@@ -143,8 +150,8 @@ class TestCommands:
             ]
         )
         assert code == 0
-        assert log_path.exists()
-        assert "wrote obs run log" in capsys.readouterr().out
+        assert trace_path.exists()
+        assert "wrote Chrome trace" in capsys.readouterr().out
 
     def test_datasets_table5(self, capsys):
         # Patch the bench scale down so the command is fast in tests.

@@ -64,29 +64,29 @@ class TestKnobAccessors:
 
 class TestTemporary:
     def test_set_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_OUT", "a.jsonl")
-        with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
-            assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
-        assert os.environ["REPRO_OBS_OUT"] == "a.jsonl"
+        monkeypatch.setenv("REPRO_OBS_TRACE", "a.json")
+        with env.temporary("REPRO_OBS_TRACE", "b.json"):
+            assert os.environ["REPRO_OBS_TRACE"] == "b.json"
+        assert os.environ["REPRO_OBS_TRACE"] == "a.json"
 
     def test_unset_for_scope_then_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_OUT", "b.jsonl")
-        with env.temporary("REPRO_OBS_OUT", None):
-            assert "REPRO_OBS_OUT" not in os.environ
-        assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
+        monkeypatch.setenv("REPRO_OBS_TRACE", "b.json")
+        with env.temporary("REPRO_OBS_TRACE", None):
+            assert "REPRO_OBS_TRACE" not in os.environ
+        assert os.environ["REPRO_OBS_TRACE"] == "b.json"
 
     def test_restores_absence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_OUT", raising=False)
-        with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
-            assert os.environ["REPRO_OBS_OUT"] == "b.jsonl"
-        assert "REPRO_OBS_OUT" not in os.environ
+        monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
+        with env.temporary("REPRO_OBS_TRACE", "b.json"):
+            assert os.environ["REPRO_OBS_TRACE"] == "b.json"
+        assert "REPRO_OBS_TRACE" not in os.environ
 
     def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_OUT", "a.jsonl")
+        monkeypatch.setenv("REPRO_OBS_TRACE", "a.json")
         with pytest.raises(RuntimeError):
-            with env.temporary("REPRO_OBS_OUT", "b.jsonl"):
+            with env.temporary("REPRO_OBS_TRACE", "b.json"):
                 raise RuntimeError("boom")
-        assert os.environ["REPRO_OBS_OUT"] == "a.jsonl"
+        assert os.environ["REPRO_OBS_TRACE"] == "a.json"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
         monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
@@ -106,20 +106,18 @@ class TestRegistryHygiene:
             "REPRO_COVERAGE_CACHE",
             "REPRO_COVERAGE_CHUNK_SIZE",
             "REPRO_POOL_OVERSUBSCRIBE",
-            "REPRO_OBS_OUT",
             "REPRO_OBS_TRACE",
             "REPRO_OBS_LEDGER",
-            "REPRO_OBS_SPILL_DIR",
         ]
 
     def test_lookup_by_name(self):
-        assert env.knob("REPRO_OBS_OUT") is env.OBS_OUT
+        assert env.knob("REPRO_OBS_TRACE") is env.OBS_TRACE
         with pytest.raises(KeyError):
             env.knob("REPRO_NOT_DECLARED")
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            env._declare(env.OBS_OUT)
+            env._declare(env.OBS_TRACE)
 
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
