@@ -41,12 +41,17 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.obs import ledger
+
 SCHEMA = "bench-history-v1"
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Fail when a timing exceeds its median recorded value × this factor.
 DEFAULT_THRESHOLD = 1.15
@@ -55,6 +60,29 @@ DEFAULT_THRESHOLD = 1.15
 #: gated (``influence_of_set.mark_s`` read 0.012–0.070 s across runs of one
 #: commit).
 MIN_GATED_S = 0.1
+
+
+def git_commit() -> str:
+    """Hash of the commit that produced a report (``unknown`` outside git).
+
+    A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
+    head hash itself comes from the shared :mod:`repro.obs.ledger` helper so
+    every artifact (bench history, run ledger, trace) stamps the same id.
+    """
+    head = ledger.git_commit()
+    if head == "unknown":
+        return head
+    try:
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=REPO_ROOT,
+        ).stdout.strip()
+        return f"{head}-dirty" if dirty else head
+    except Exception:
+        return head
 
 
 def scenario_key(report: dict) -> str:

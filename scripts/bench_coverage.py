@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -36,7 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+sys.path.insert(0, str(REPO_ROOT))
 import _bench_history
 
 from repro import obs
@@ -45,35 +45,9 @@ from repro.billboard.influence import CoverageIndex
 from repro.billboard.model import BillboardDB
 from repro.experiments.harness import run_cell
 from repro.market.scenario import Scenario
-from repro.obs import ledger
-from repro.spatial.grid import GridIndex
 from repro.trajectory.model import TrajectoryDB
 from repro.utils.rng import as_generator
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    """Hash of the commit that produced this report (``unknown`` outside git).
-
-    A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
-    head hash itself comes from the shared :mod:`repro.obs.ledger` helper so
-    every artifact (bench history, run ledger, trace) stamps the same id.
-    """
-    head = ledger.git_commit()
-    if head == "unknown":
-        return head
-    try:
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=REPO_ROOT,
-        ).stdout.strip()
-        return f"{head}-dirty" if dirty else head
-    except Exception:
-        return head
+from tests.oracles import GridIndex
 
 
 def legacy_covered_lists(
@@ -249,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "coverage-kernel",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": scenario.dataset,
             "n_billboards": scenario.n_billboards,

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,26 +52,6 @@ from repro import obs
 from repro.market.online import OnlineHost
 from repro.market.scenario import Scenario
 from repro.obs import ledger
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    """Hash of the commit that produced this report (``-dirty`` if unclean)."""
-    head = ledger.git_commit()
-    if head == "unknown":
-        return head
-    try:
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=REPO_ROOT,
-        ).stdout.strip()
-        return f"{head}-dirty" if dirty else head
-    except Exception:
-        return head
 
 
 def quote_key(quote) -> tuple:
@@ -301,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "quote-throughput",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": scenario.dataset,
             "n_billboards": scenario.n_billboards,

@@ -35,7 +35,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
-from bench_coverage import git_commit
 
 from repro import obs
 from repro.algorithms.bls import billboard_driven_local_search
@@ -220,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "coverage-scale",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": "nyc-stream",
             "n_billboards": args.billboards,

@@ -44,11 +44,7 @@ import numpy as np
 from repro import obs
 from repro.algorithms._marginal import _regret_values_unchecked
 from repro.algorithms.greedy_global import synchronous_greedy
-
-# _optimistic_regret lives in repro.algorithms.screen since the round-fused
-# screens landed (DESIGN.md §13); re-exported here because it is the interval
-# bound Algorithm 5's pruning argument is stated in terms of.
-from repro.algorithms.screen import ScreenRoundPlanner, _optimistic_regret  # noqa: F401
+from repro.algorithms.screen import ScreenRoundPlanner, _optimistic_regret
 from repro.algorithms.sweep import BillboardSweepState
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_release

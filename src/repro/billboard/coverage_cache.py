@@ -123,7 +123,6 @@ def get_or_build(
     lambda_m: float = 100.0,
     exact_segments: bool = False,
     cache_dir: str | os.PathLike | None = None,
-    chunk_size: int | None = None,
 ) -> CoverageIndex:
     """Load the coverage index from cache, building (and storing) on a miss.
 
@@ -137,7 +136,6 @@ def get_or_build(
             trajectories,
             lambda_m=lambda_m,
             exact_segments=exact_segments,
-            chunk_size=chunk_size,
         )
     fingerprint = coverage_fingerprint(billboards, trajectories, lambda_m, exact_segments)
     path = cache_path(directory, fingerprint)
@@ -152,7 +150,6 @@ def get_or_build(
             trajectories,
             lambda_m=lambda_m,
             exact_segments=exact_segments,
-            chunk_size=chunk_size,
         )
         try:
             store(index, path)

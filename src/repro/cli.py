@@ -15,7 +15,6 @@ import os
 import sys
 
 from repro import env, obs
-from repro.billboard import influence
 from repro.datasets import example1_instance, example1_strategy1, example1_strategy2, generate_city
 from repro.experiments.configs import (
     ALPHA_VALUES,
@@ -97,24 +96,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="append one per-run record (commit, instance features, outcome) "
         f"to this JSONL ledger; ${obs.LEDGER_ENV} is the default",
     )
-    parser.add_argument(
-        "--coverage-chunk-size",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="stream the coverage build N trajectories at a time (peak build "
-        f"memory O(N)); sets ${influence.CHUNK_SIZE_ENV}",
-    )
-
-
-def _apply_coverage_knobs(args: argparse.Namespace) -> None:
-    """Export the coverage knobs as environment so every build sees them."""
-    if getattr(args, "coverage_chunk_size", None) is not None:
-        os.environ[influence.CHUNK_SIZE_ENV] = str(args.coverage_chunk_size)
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
-    _apply_coverage_knobs(args)
     scale = BENCH_SCALE[args.dataset]
     return Scenario(
         dataset=args.dataset,

@@ -11,8 +11,8 @@ The format is deliberately plain so saved cities can be inspected or fed to
 other tooling; full-scale corpora stay compact enough (tens of MB).
 
 For corpora too large to materialize, :func:`iter_trajectory_chunks` streams
-``trajectories.csv`` back as bounded ``(points, point_counts)`` chunks that
-feed straight into
+``trajectories.csv`` back as bounded chunks
+(:class:`~repro.trajectory.model.TrajectoryChunk`) that feed straight into
 :meth:`~repro.billboard.influence.CoverageIndex.from_trajectory_chunks`, so
 coverage can be built from disk with O(chunk) peak memory.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.billboard.model import BillboardDB
 from repro.datasets.synthetic import CityDataset
-from repro.trajectory.model import Trajectory, TrajectoryDB
+from repro.trajectory.model import Trajectory, TrajectoryChunk, TrajectoryDB
 
 BILLBOARD_FILE = "billboards.csv"
 TRAJECTORY_FILE = "trajectories.csv"
@@ -71,7 +71,7 @@ def save_city(city: CityDataset, directory: str | Path) -> Path:
 
 
 def iter_trajectory_chunks(directory: str | Path, chunk_size: int):
-    """Stream a saved city's trajectories as ``(points, point_counts)`` chunks.
+    """Stream a saved city's trajectories as :class:`TrajectoryChunk` chunks.
 
     Yields at most ``chunk_size`` trajectories per chunk, reading
     ``trajectories.csv`` row by row — the corpus is never materialized.
@@ -97,10 +97,7 @@ def iter_trajectory_chunks(directory: str | Path, chunk_size: int):
                         f"{expected_id}, got {trajectory_id}"
                     )
                 if len(counts) == chunk_size:
-                    yield (
-                        np.array(points, dtype=np.float64),
-                        np.array(counts, dtype=np.int64),
-                    )
+                    yield TrajectoryChunk(points, counts)
                     points, counts = [], []
                 current_id = trajectory_id
                 expected_id += 1
@@ -108,10 +105,7 @@ def iter_trajectory_chunks(directory: str | Path, chunk_size: int):
             counts[-1] += 1
             points.append((float(row["x"]), float(row["y"])))
     if counts:
-        yield (
-            np.array(points, dtype=np.float64),
-            np.array(counts, dtype=np.int64),
-        )
+        yield TrajectoryChunk(points, counts)
 
 
 def load_city(directory: str | Path, name: str | None = None) -> CityDataset:

@@ -14,9 +14,8 @@ chunks a consumer actually reads.  The billboard inventory and hotspot
 layout derive from the same ``seed``, so every corpus size of one seed
 shares one fixed inventory — exactly what a scale sweep needs.
 
-Chunks plug straight into
-:meth:`~repro.billboard.influence.CoverageIndex.from_trajectory_chunks` /
-:func:`~repro.billboard.influence.build_coverage`.
+Chunks (:class:`~repro.trajectory.model.TrajectoryChunk`) plug straight
+into :meth:`~repro.billboard.influence.CoverageIndex.from_trajectory_chunks`.
 """
 
 from __future__ import annotations
@@ -36,32 +35,9 @@ from repro.datasets.nyc import (
 )
 from repro.datasets.synthetic import sample_mixture
 from repro.spatial.bbox import BoundingBox
+from repro.trajectory.model import TrajectoryChunk
 
 DEFAULT_CHUNK_SIZE = 100_000
-
-
-class TrajectoryChunk:
-    """One bounded slice of a streamed corpus (what the coverage join needs).
-
-    Exposes the ``all_points`` / ``point_counts`` / ``points_of`` trio the
-    radius join consumes, nothing more — no per-trip objects, no travel
-    times.
-    """
-
-    __slots__ = ("all_points", "point_counts", "_offsets")
-
-    def __init__(self, all_points: np.ndarray, point_counts: np.ndarray) -> None:
-        self.all_points = np.asarray(all_points, dtype=np.float64)
-        self.point_counts = np.asarray(point_counts, dtype=np.int64)
-        self._offsets: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.point_counts)
-
-    def points_of(self, local_id: int) -> np.ndarray:
-        if self._offsets is None:
-            self._offsets = np.concatenate([[0], np.cumsum(self.point_counts)])
-        return self.all_points[self._offsets[local_id] : self._offsets[local_id + 1]]
 
 
 def concat_chunks(chunks) -> TrajectoryChunk:

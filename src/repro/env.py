@@ -16,8 +16,7 @@ section instead of hand-rolled save/restore.
 Parsers take the raw string and return the typed value; they are only
 invoked when the variable is set, so ``default`` is returned untouched
 (``get()``) when the environment says nothing.  Modules with bespoke
-validation (e.g. the positive coverage chunk size) read ``raw()`` and keep
-their own error messages.
+validation read ``raw()`` and keep their own error messages.
 """
 
 from __future__ import annotations
@@ -127,17 +126,6 @@ COVERAGE_CACHE = _declare(
         parser=parse_nonempty,
         doc="Directory caching coverage indices on disk, keyed by a content "
         "fingerprint of (city, λ, meet-test mode); unset disables caching.",
-    )
-)
-
-COVERAGE_CHUNK_SIZE = _declare(
-    EnvKnob(
-        name="REPRO_COVERAGE_CHUNK_SIZE",
-        default=None,
-        parser=int,
-        doc="Stream the coverage build N trajectories at a time (peak build "
-        "memory O(N)); unset builds single-shot.",
-        cli="--coverage-chunk-size N",
     )
 )
 

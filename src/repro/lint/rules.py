@@ -356,7 +356,10 @@ def env_registry(context: LintContext, source: SourceFile) -> Iterator:
 
 # --------------------------------------------------------- kernel-contract
 
-_KERNEL_MODULES = ("src/repro/billboard/influence.py",)
+_KERNEL_MODULES = (
+    "src/repro/billboard/coverage_build.py",
+    "src/repro/billboard/influence.py",
+)
 
 _BIT_IDENTICAL_TAG = "bit-identical"
 

@@ -1,4 +1,4 @@
-"""Spatial substrate: geometry primitives, bounding boxes, and a grid index.
+"""Spatial substrate: geometry primitives, bounding boxes, and a cell table.
 
 The paper's influence model is geometric: a billboard influences a trajectory
 iff some trajectory point lies within ``λ`` metres of the billboard.  This
@@ -15,11 +15,9 @@ from repro.spatial.geometry import (
     pairwise_distances,
     path_length,
 )
-from repro.spatial.grid import GridIndex
 
 __all__ = [
     "BoundingBox",
-    "GridIndex",
     "Point",
     "distance",
     "interpolate_path",

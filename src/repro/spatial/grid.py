@@ -5,8 +5,7 @@ thousands of billboard locations within a radius ``λ``.  A uniform grid with
 cell size equal to the query radius gives the classic 3×3-cell candidate
 neighbourhood.  :class:`CellTable` lists the few fixed sites (billboards)
 under every cell near them, so each streamed point needs one cell
-computation and one table slice; :class:`GridIndex` buckets a static point
-set by cell for single radius queries.
+computation and one table slice.
 """
 
 from __future__ import annotations
@@ -120,93 +119,3 @@ class CellTable:
         point_ids = np.concatenate(point_hits)
         obs.counter_add("grid.join.matched_pairs", len(point_ids))
         return point_ids, np.concatenate(site_hits)
-
-
-class GridIndex:
-    """A uniform grid over a static set of 2-D points.
-
-    Parameters
-    ----------
-    points:
-        ``(n, 2)`` float array of indexed points (e.g. billboard locations).
-    cell_size:
-        Grid cell edge length in metres.  For radius-``r`` queries a cell
-        size of ``r`` limits candidates to the 3×3 neighbourhood of the query
-        point's cell.
-    """
-
-    def __init__(self, points: np.ndarray, cell_size: float) -> None:
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(f"points must have shape (n, 2), got {points.shape}")
-
-        self.points = points
-        self.cell_size = float(cell_size)
-        if len(points) == 0:
-            self._origin = np.zeros(2)
-            self._dims = (0, 0)
-            self._order = np.empty(0, dtype=np.int64)
-            self._cell_ids = np.empty(0, dtype=np.int64)
-            self._bucket_offsets = np.zeros(1, dtype=np.int64)
-            return
-
-        self._origin = points.min(axis=0)
-        cols = np.floor((points - self._origin) / self.cell_size).astype(np.int64)
-        self._dims = (int(cols[:, 0].max()) + 1, int(cols[:, 1].max()) + 1)
-        linear = cols[:, 0] * self._dims[1] + cols[:, 1]
-        order = np.argsort(linear, kind="stable")
-        cell_ids, starts = np.unique(linear[order], return_index=True)
-        self._order = order.astype(np.int64)
-        self._cell_ids = cell_ids
-        self._bucket_offsets = np.append(starts, len(points)).astype(np.int64)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (
-            int(np.floor((x - self._origin[0]) / self.cell_size)),
-            int(np.floor((y - self._origin[1]) / self.cell_size)),
-        )
-
-    def _lookup_buckets(self, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket slots of the given linear cell ids, and a found mask."""
-        positions = np.searchsorted(self._cell_ids, linear)
-        positions = np.minimum(positions, len(self._cell_ids) - 1)
-        return positions, self._cell_ids[positions] == linear
-
-    def query_radius(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Indices of indexed points within ``radius`` of ``(x, y)``.
-
-        Returns a sorted ``int64`` array of point indices.
-        """
-        candidates = self._candidates(x, y, radius)
-        if len(candidates) == 0:
-            return candidates
-        diff = self.points[candidates] - np.array([x, y])
-        mask = np.sum(diff * diff, axis=1) <= radius * radius
-        return np.sort(candidates[mask])
-
-    def _candidates(self, x: float, y: float, radius: float) -> np.ndarray:
-        """All indexed points in cells overlapping the query disc."""
-        if len(self.points) == 0:
-            return np.empty(0, dtype=np.int64)
-        reach = max(int(np.ceil(radius / self.cell_size)), 1)
-        nx, ny = self._dims
-        cx, cy = self._cell_of(x, y)
-        x_lo, x_hi = max(cx - reach, 0), min(cx + reach, nx - 1)
-        y_lo, y_hi = max(cy - reach, 0), min(cy + reach, ny - 1)
-        if x_lo > x_hi or y_lo > y_hi:
-            return np.empty(0, dtype=np.int64)
-        grid_x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
-        grid_y = np.arange(y_lo, y_hi + 1, dtype=np.int64)
-        linear = (grid_x[:, None] * ny + grid_y[None, :]).ravel()
-        slots, found = self._lookup_buckets(linear)
-        slots = slots[found]
-        if len(slots) == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self._bucket_offsets[slots]
-        counts = self._bucket_offsets[slots + 1] - starts
-        return self._order[_expand_slices(starts, counts)]

@@ -6,11 +6,12 @@ whole corpus in flat numpy arrays so the coverage join stays vectorized.
 """
 
 from repro.trajectory.generators import random_walk_trajectories, waypoint_trajectories
-from repro.trajectory.model import Trajectory, TrajectoryDB
+from repro.trajectory.model import Trajectory, TrajectoryChunk, TrajectoryDB
 from repro.trajectory.stats import TrajectoryStats, summarize
 
 __all__ = [
     "Trajectory",
+    "TrajectoryChunk",
     "TrajectoryDB",
     "TrajectoryStats",
     "random_walk_trajectories",

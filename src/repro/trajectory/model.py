@@ -58,6 +58,36 @@ class Trajectory:
         return path_length(self.points)
 
 
+class TrajectoryChunk:
+    """A bounded slice of a corpus: the members the coverage join reads.
+
+    ``all_points`` / ``point_counts`` / ``points_of``, the same trio
+    :class:`TrajectoryDB` exposes, with no per-trip objects or travel times.
+    Counts must be non-negative and sum to the number of points.
+    """
+
+    __slots__ = ("all_points", "point_counts", "_offsets")
+
+    def __init__(self, all_points: np.ndarray, point_counts: np.ndarray) -> None:
+        self.all_points = np.asarray(all_points, dtype=np.float64)
+        self.point_counts = np.asarray(point_counts, dtype=np.int64)
+        counts = self.point_counts
+        if (counts < 0).any() or counts.sum() != len(self.all_points):
+            raise ValueError(
+                f"point_counts must be >= 0 and sum to {len(self.all_points)}"
+            )
+        self._offsets: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.point_counts)
+
+    def points_of(self, local_id: int) -> np.ndarray:
+        """``(n, 2)`` view of one chunk-local trajectory's points."""
+        if self._offsets is None:
+            self._offsets = np.concatenate([[0], np.cumsum(self.point_counts)])
+        return self.all_points[self._offsets[local_id] : self._offsets[local_id + 1]]
+
+
 class TrajectoryDB:
     """An immutable corpus of trajectories with CSR point storage."""
 

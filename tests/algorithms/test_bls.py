@@ -4,10 +4,9 @@ import pytest
 
 from repro.algorithms.bls import (
     _find_improving_exchange,
-    _optimistic_regret,
     billboard_driven_local_search,
 )
-from repro.algorithms.screen import round_flags
+from repro.algorithms.screen import _optimistic_regret, round_flags
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import UNASSIGNED, Allocation

@@ -13,17 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.billboard import influence
-from repro.billboard.influence import (
-    CoverageIndex,
-    _as_corpus_chunk,
-    _join_chunk,
-    _max_sample_gap,
-)
+from repro.billboard import coverage_build
+from repro.billboard.coverage_build import _join_chunk, _max_sample_gap
+from repro.billboard.influence import CoverageIndex
 from repro.billboard.model import BillboardDB
 from repro.datasets import stream
+from repro.datasets.io import iter_trajectory_chunks, save_city
+from repro.datasets.nyc import generate_nyc
 from repro.spatial.geometry import min_distance_to_polyline
 from repro.spatial.grid import CellTable
+from repro.trajectory.model import TrajectoryChunk
 from repro.utils.rng import as_generator
 from tests.oracles import brute_force_join, grid_chunk_coverage
 
@@ -46,9 +45,12 @@ def brute_force_coverage(locations, points, counts, lambda_m, exact_segments):
 
 
 def split_chunks(points, counts, split):
-    """Two plain ``(points, counts)`` chunks, cut after trajectory ``split``."""
+    """Two chunks, cut after trajectory ``split``."""
     cut = int(np.sum(counts[:split]))
-    return [(points[:cut], counts[:split]), (points[cut:], counts[split:])]
+    return [
+        TrajectoryChunk(points[:cut], counts[:split]),
+        TrajectoryChunk(points[cut:], counts[split:]),
+    ]
 
 
 class TestAgainstGridOracle:
@@ -61,7 +63,7 @@ class TestAgainstGridOracle:
             locations, chunk.all_points, chunk.point_counts, 100.0
         )
         table = CellTable(locations, 100.0)
-        actual = _join_chunk(table, _as_corpus_chunk(chunk), 100.0, False)
+        actual = _join_chunk(table, chunk, 100.0, False)
         assert len(actual[0]) > 10_000
         for got, want in zip(actual, expected):
             assert got.dtype == want.dtype
@@ -142,7 +144,7 @@ class TestZeroPointTrajectories:
     def covered(self, counts):
         index = CoverageIndex.from_trajectory_chunks(
             BillboardDB.from_locations(self.LOCATIONS),
-            [(self.POINTS, np.array(counts))],
+            [TrajectoryChunk(self.POINTS, np.array(counts))],
             lambda_m=100.0,
             exact_segments=True,
         )
@@ -169,7 +171,18 @@ class TestChunkValidation:
     )
     def test_counts_must_cover_the_points(self, counts):
         with pytest.raises(ValueError, match="point_counts"):
-            _as_corpus_chunk((np.zeros((3, 2)), np.array(counts)))
+            TrajectoryChunk(np.zeros((3, 2)), np.array(counts))
+
+    def test_saved_city_chunks_are_checked(self, tmp_path):
+        """Chunks read back from disk are checked chunks: a point dropped
+        from one fails the same check."""
+        city = generate_nyc(n_billboards=5, n_trajectories=9, seed=4)
+        chunks = list(iter_trajectory_chunks(save_city(city, tmp_path / "c"), 4))
+        assert [len(chunk) for chunk in chunks] == [4, 4, 1]
+        for chunk in chunks:
+            assert isinstance(chunk, TrajectoryChunk)
+            with pytest.raises(ValueError, match="point_counts"):
+                TrajectoryChunk(chunk.all_points[:-1], chunk.point_counts)
 
 
 class TestCsrEmittedOnce:
@@ -193,7 +206,7 @@ class TestCsrEmittedOnce:
                 super().__init__(*args)
                 tables.append(self)
 
-        monkeypatch.setattr(influence, "CellTable", Recording)
+        monkeypatch.setattr(coverage_build, "CellTable", Recording)
         city = stream.nyc_stream(40, 300, chunk_size=60, seed=2)
         CoverageIndex.from_trajectory_chunks(
             city.billboards, city.chunks(), exact_segments=exact_segments

@@ -16,12 +16,20 @@ from repro.billboard.influence import CoverageIndex
 
 SEEDS = (0, 1, 7, 23, 99)
 
+#: The batch passes' inputs: the random indexes, plus one whose billboards
+#: cover nothing, so the full pass gathers an empty CSR.
+INPUTS = (*SEEDS, "empty")
 
-def _random_index(rng: np.random.Generator) -> tuple[CoverageIndex, np.ndarray]:
+
+def _random_index(
+    rng: np.random.Generator, empty: bool = False
+) -> tuple[CoverageIndex, np.ndarray]:
     num_billboards = int(rng.integers(1, 40))
     num_trajectories = int(rng.integers(1, 200))
     covered = [
-        rng.choice(
+        []
+        if empty
+        else rng.choice(
             num_trajectories, size=int(rng.integers(0, num_trajectories + 1)),
             replace=False,
         )
@@ -30,6 +38,11 @@ def _random_index(rng: np.random.Generator) -> tuple[CoverageIndex, np.ndarray]:
     index = CoverageIndex.from_coverage_lists(covered, num_trajectories)
     counts = rng.integers(0, 3, size=num_trajectories).astype(np.int64)
     return index, counts
+
+
+def _input(case) -> tuple[np.random.Generator, CoverageIndex, np.ndarray]:
+    rng = np.random.default_rng(0 if case == "empty" else case)
+    return rng, *_random_index(rng, empty=case == "empty")
 
 
 def _subsets(rng: np.random.Generator, num_billboards: int) -> list[np.ndarray]:
@@ -48,20 +61,18 @@ def _subsets(rng: np.random.Generator, num_billboards: int) -> list[np.ndarray]:
 
 
 class TestRestrictedEqualsFullSlice:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_add_gains(self, seed):
-        rng = np.random.default_rng(seed)
-        index, counts = _random_index(rng)
+    @pytest.mark.parametrize("case", INPUTS)
+    def test_batch_add_gains(self, case):
+        rng, index, counts = _input(case)
         full = index.batch_add_gains(counts)
         for subset in _subsets(rng, index.num_billboards):
             restricted = index.batch_add_gains(counts, candidate_ids=subset)
             assert restricted.dtype == np.int64
             assert np.array_equal(restricted, full[subset])
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_add_gains_without(self, seed):
-        rng = np.random.default_rng(seed)
-        index, counts = _random_index(rng)
+    @pytest.mark.parametrize("case", INPUTS)
+    def test_batch_add_gains_without(self, case):
+        rng, index, counts = _input(case)
         removed = int(rng.integers(0, index.num_billboards))
         full = index.batch_add_gains_without(counts, removed)
         for subset in _subsets(rng, index.num_billboards):
@@ -70,10 +81,9 @@ class TestRestrictedEqualsFullSlice:
             )
             assert np.array_equal(restricted, full[subset])
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_remove_losses(self, seed):
-        rng = np.random.default_rng(seed)
-        index, counts = _random_index(rng)
+    @pytest.mark.parametrize("case", INPUTS)
+    def test_batch_remove_losses(self, case):
+        rng, index, counts = _input(case)
         full = index.batch_remove_losses(counts)
         for subset in _subsets(rng, index.num_billboards):
             restricted = index.batch_remove_losses(counts, candidate_ids=subset)

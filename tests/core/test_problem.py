@@ -41,7 +41,7 @@ class TestConstruction:
         lives at instance construction and in the public ``regret_values``
         only.  Both must agree with the checked entry point on valid input."""
         from repro.algorithms._marginal import _regret_values_unchecked, regret_values
-        from repro.algorithms.bls import _optimistic_regret
+        from repro.algorithms.screen import _optimistic_regret
 
         achieved = np.array([0.0, 1.0, 2.0, 5.0])
         assert np.array_equal(

@@ -6,6 +6,7 @@ import pytest
 from repro.billboard.influence import CoverageIndex
 from repro.datasets.io import iter_trajectory_chunks, load_city, save_city
 from repro.datasets.nyc import generate_nyc
+from repro.trajectory.model import TrajectoryChunk
 
 
 def test_round_trip(tmp_path):
@@ -63,13 +64,14 @@ def test_iter_trajectory_chunks_round_trip(tmp_path, chunk_size):
     loaded = load_city(directory)
 
     chunks = list(iter_trajectory_chunks(directory, chunk_size))
-    assert all(len(counts) <= chunk_size for _, counts in chunks)
+    assert all(isinstance(chunk, TrajectoryChunk) for chunk in chunks)
+    assert all(len(chunk) <= chunk_size for chunk in chunks)
     assert np.array_equal(
-        np.concatenate([counts for _, counts in chunks]),
+        np.concatenate([chunk.point_counts for chunk in chunks]),
         loaded.trajectories.point_counts,
     )
     assert np.allclose(
-        np.concatenate([points for points, _ in chunks]),
+        np.concatenate([chunk.all_points for chunk in chunks]),
         loaded.trajectories.all_points,
         atol=1e-3,
     )

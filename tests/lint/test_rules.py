@@ -358,6 +358,15 @@ class TestKernelContract:
             == []
         )
 
+    def test_build_module_is_patrolled(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "src/repro/billboard/coverage_build.py",
+            self.KERNEL,
+            rules=["kernel-contract"],
+        )
+        assert triples(findings) == [("kernel-contract", 1, 0)]
+
     def test_rule_only_patrols_kernel_modules(self, tmp_path):
         assert (
             lint_snippet(

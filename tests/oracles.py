@@ -7,8 +7,9 @@ round-fused screen (``repro.algorithms.screen``) replaced, the eager
 full-pass greedy pricing that lazy-bound pricing (``repro.algorithms._marginal``)
 replaced, the both-legs route synthesis that per-leg evaluation
 (``repro.datasets.stream``) replaced, and the grid-over-points radius join
-that the billboard cell table (``repro.spatial.grid.CellTable``) replaced,
-next to a brute-force join over every (point, site) pair.
+(:class:`GridIndex`) that the billboard cell table
+(``repro.spatial.grid.CellTable``) replaced, next to a brute-force join over
+every (point, site) pair.
 :class:`SetCoverage` re-derives every coverage kernel answer from Python
 ``set``s, one per billboard, and :class:`CertificateAudit` reruns the
 rescan oracles at every certificate-backed skip of the BLS and ALS sweeps.
@@ -26,7 +27,7 @@ from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.screen import _optimistic_regret
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_exchange_sets, delta_release
-from repro.spatial.grid import GridIndex, _expand_slices
+from repro.spatial.grid import _expand_slices
 
 # ----------------------------------------------------- candidate sets (BLS)
 
@@ -514,6 +515,97 @@ def where_route_points(
 
 
 # ----------------------------------------------------------- radius joins
+
+
+class GridIndex:
+    """A uniform grid over a static set of 2-D points — the index coverage
+    builds queried before the billboard cell table.
+
+    Parameters
+    ----------
+    points:
+        ``(n, 2)`` float array of indexed points (e.g. billboard locations).
+    cell_size:
+        Grid cell edge length in metres.  For radius-``r`` queries a cell
+        size of ``r`` limits candidates to the 3×3 neighbourhood of the query
+        point's cell.
+    """
+
+    def __init__(self, points: np.ndarray, cell_size: float) -> None:
+        if cell_size <= 0:
+            raise ValueError(f"cell_size must be positive, got {cell_size}")
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+
+        self.points = points
+        self.cell_size = float(cell_size)
+        if len(points) == 0:
+            self._origin = np.zeros(2)
+            self._dims = (0, 0)
+            self._order = np.empty(0, dtype=np.int64)
+            self._cell_ids = np.empty(0, dtype=np.int64)
+            self._bucket_offsets = np.zeros(1, dtype=np.int64)
+            return
+
+        self._origin = points.min(axis=0)
+        cols = np.floor((points - self._origin) / self.cell_size).astype(np.int64)
+        self._dims = (int(cols[:, 0].max()) + 1, int(cols[:, 1].max()) + 1)
+        linear = cols[:, 0] * self._dims[1] + cols[:, 1]
+        order = np.argsort(linear, kind="stable")
+        cell_ids, starts = np.unique(linear[order], return_index=True)
+        self._order = order.astype(np.int64)
+        self._cell_ids = cell_ids
+        self._bucket_offsets = np.append(starts, len(points)).astype(np.int64)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return (
+            int(np.floor((x - self._origin[0]) / self.cell_size)),
+            int(np.floor((y - self._origin[1]) / self.cell_size)),
+        )
+
+    def _lookup_buckets(self, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket slots of the given linear cell ids, and a found mask."""
+        positions = np.searchsorted(self._cell_ids, linear)
+        positions = np.minimum(positions, len(self._cell_ids) - 1)
+        return positions, self._cell_ids[positions] == linear
+
+    def query_radius(self, x: float, y: float, radius: float) -> np.ndarray:
+        """Indices of indexed points within ``radius`` of ``(x, y)``.
+
+        Returns a sorted ``int64`` array of point indices.
+        """
+        candidates = self._candidates(x, y, radius)
+        if len(candidates) == 0:
+            return candidates
+        diff = self.points[candidates] - np.array([x, y])
+        mask = np.sum(diff * diff, axis=1) <= radius * radius
+        return np.sort(candidates[mask])
+
+    def _candidates(self, x: float, y: float, radius: float) -> np.ndarray:
+        """All indexed points in cells overlapping the query disc."""
+        if len(self.points) == 0:
+            return np.empty(0, dtype=np.int64)
+        reach = max(int(np.ceil(radius / self.cell_size)), 1)
+        nx, ny = self._dims
+        cx, cy = self._cell_of(x, y)
+        x_lo, x_hi = max(cx - reach, 0), min(cx + reach, nx - 1)
+        y_lo, y_hi = max(cy - reach, 0), min(cy + reach, ny - 1)
+        if x_lo > x_hi or y_lo > y_hi:
+            return np.empty(0, dtype=np.int64)
+        grid_x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
+        grid_y = np.arange(y_lo, y_hi + 1, dtype=np.int64)
+        linear = (grid_x[:, None] * ny + grid_y[None, :]).ravel()
+        slots, found = self._lookup_buckets(linear)
+        slots = slots[found]
+        if len(slots) == 0:
+            return np.empty(0, dtype=np.int64)
+        starts = self._bucket_offsets[slots]
+        counts = self._bucket_offsets[slots + 1] - starts
+        return self._order[_expand_slices(starts, counts)]
 
 
 def brute_force_join(points: np.ndarray, sites: np.ndarray, radius: float) -> set:

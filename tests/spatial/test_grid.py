@@ -1,9 +1,8 @@
 """Tests for the uniform grids: the billboard cell table behind the coverage
-join, and the point grid behind single radius queries.
+join, and the point grid (``tests/oracles.GridIndex``) it replaced.
 
-Both are checked against brute force; the grid-over-points join that the
-cell table replaced lives on in ``tests/oracles.py`` and keeps its tests
-here as an oracle.
+Both are checked against brute force; the grid-over-points join lives on in
+``tests/oracles.py`` as an oracle and keeps its tests here.
 """
 
 import numpy as np
@@ -12,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial.geometry import pairwise_distances
-from repro.spatial.grid import MAX_AXIS_CELLS, POINT_BLOCK, CellTable, GridIndex
+from repro.spatial.grid import MAX_AXIS_CELLS, POINT_BLOCK, CellTable
 from repro.utils.rng import as_generator
-from tests.oracles import brute_force_join, grid_join_radius, grid_query_radius_bulk
+from tests.oracles import (
+    GridIndex,
+    brute_force_join,
+    grid_join_radius,
+    grid_query_radius_bulk,
+)
 
 
 def brute_force_radius(points: np.ndarray, x: float, y: float, radius: float) -> np.ndarray:

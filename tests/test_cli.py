@@ -21,7 +21,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--parameter", "bogus"])
 
-    @pytest.mark.parametrize("flag", ["--workers", "--coverage-chunk-size"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_zero_counts_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
             main(["cell", flag, "0"])

@@ -36,10 +36,12 @@ class TestKnobAccessors:
         assert env.POOL_OVERSUBSCRIBE.get() is False
         assert not env.POOL_OVERSUBSCRIBE.is_set()
 
+    INT_KNOB = env.EnvKnob(name="REPRO_TEST_INT", default=None, parser=int, doc="t")
+
     def test_set_value_is_parsed(self, monkeypatch):
-        monkeypatch.setenv(env.COVERAGE_CHUNK_SIZE.name, "4096")
-        assert env.COVERAGE_CHUNK_SIZE.get() == 4096
-        assert env.COVERAGE_CHUNK_SIZE.is_set()
+        monkeypatch.setenv(self.INT_KNOB.name, "4096")
+        assert self.INT_KNOB.get() == 4096
+        assert self.INT_KNOB.is_set()
 
     def test_empty_string_is_present_but_not_set(self, monkeypatch):
         monkeypatch.setenv(env.COVERAGE_CACHE.name, "")
@@ -48,9 +50,9 @@ class TestKnobAccessors:
         assert env.COVERAGE_CACHE.get() is None  # parse_nonempty("") -> None
 
     def test_parser_errors_propagate(self, monkeypatch):
-        monkeypatch.setenv(env.COVERAGE_CHUNK_SIZE.name, "not-a-number")
+        monkeypatch.setenv(self.INT_KNOB.name, "not-a-number")
         with pytest.raises(ValueError):
-            env.COVERAGE_CHUNK_SIZE.get()
+            self.INT_KNOB.get()
 
     def test_bool_knob(self, monkeypatch):
         knob = env.EnvKnob(
@@ -89,9 +91,9 @@ class TestTemporary:
         assert os.environ["REPRO_OBS_TRACE"] == "a.json"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
-        with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", 4096):
-            assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "4096"
+        monkeypatch.delenv("REPRO_TEST_INT", raising=False)
+        with env.temporary("REPRO_TEST_INT", 4096):
+            assert os.environ["REPRO_TEST_INT"] == "4096"
 
 
 class TestRegistryHygiene:
@@ -104,7 +106,6 @@ class TestRegistryHygiene:
     def test_declared_knobs(self):
         assert list(env.REGISTRY) == [
             "REPRO_COVERAGE_CACHE",
-            "REPRO_COVERAGE_CHUNK_SIZE",
             "REPRO_POOL_OVERSUBSCRIBE",
             "REPRO_OBS_TRACE",
             "REPRO_OBS_LEDGER",
@@ -122,9 +123,8 @@ class TestRegistryHygiene:
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
         # bound to the registry's names.
-        from repro.billboard import coverage_cache, influence
+        from repro.billboard import coverage_cache
         from repro.parallel import pool
 
         assert coverage_cache.CACHE_ENV == env.COVERAGE_CACHE.name
-        assert influence.CHUNK_SIZE_ENV == env.COVERAGE_CHUNK_SIZE.name
         assert pool.OVERSUBSCRIBE_ENV == env.POOL_OVERSUBSCRIBE.name
