@@ -30,9 +30,15 @@ already falls below the acceptance threshold.  Skipped work is
 literal rescan-everything loop of Algorithm 5 (kept as the test oracle in
 ``tests/oracles.py``) and, like it, stops at the first sweep that accepts
 nothing (DESIGN.md §9).  Scans that survive the screen run *restricted* to
-the screened candidates via the row-restricted coverage kernels
-(DESIGN.md §10).  ``tests/oracles.CertificateAudit`` reruns the unrestricted
-oracle at every skip to check those proofs.
+the screened candidates (DESIGN.md §10).  ``tests/oracles.CertificateAudit``
+reruns the unrestricted oracle at every skip to check those proofs.
+
+Exact prices come from the allocation's maintained gain/loss vectors
+(DESIGN.md §16), never from per-candidate CSR gathers: the own side of a
+scan is ``gain + covering_counts(sole(o_m))``, the release pass reads
+``loss``, and the owner↔owner partners whose bound clears the threshold
+are confirmed in one vectorized pass (``bls_partner_exact_evals`` counts
+the candidates those passes price).
 """
 
 from __future__ import annotations
@@ -105,20 +111,21 @@ def _select_partner(
             best_free_delta = float(free_deltas[position])
 
     # Assigned candidates: add an optimistic partner-side bound, then
-    # confirm exactly in descending-bound order.
+    # confirm the bound-eligible ones exactly.
     best_assigned: int | None = None
-    best_assigned_delta = -min_improvement
+    best_assigned_delta = 0.0
     if assigned.any():
         all_influences = allocation.influences.astype(np.float64)
         regret_by_advertiser = _regret_values_unchecked(
             instance.payments, instance.demands, instance.gamma, all_influences
         )
+        assigned_candidates = candidates[assigned]
         partner_ids = candidate_owners[assigned]
         partner_influence = all_influences[partner_ids]
         partner_regret = regret_by_advertiser[partner_ids]
         # Partner j loses o_n and gains o_m: influence lands in
         # [v_j - I(o_n), v_j + I(o_m)].
-        lo = partner_influence - individual[candidates[assigned]]
+        lo = partner_influence - individual[assigned_candidates]
         hi = partner_influence + float(individual[billboard_id])
         partner_best = _optimistic_regret(
             instance.payments[partner_ids],
@@ -129,31 +136,20 @@ def _select_partner(
         )
         improvement_bound = -(own_delta[assigned] + (partner_best - partner_regret))
 
-        assigned_candidates = candidates[assigned]
-        # Stable sort: equal bounds keep their ascending-candidate order, so
-        # full and restricted scans confirm tied candidates in the same order.
-        order = np.argsort(-improvement_bound, kind="stable")
-        for position in order:
-            if improvement_bound[position] <= -best_assigned_delta:
-                break
-            partner_billboard = int(assigned_candidates[position])
-            partner_id = int(partner_ids[position])
-            if counters is not None:
-                counters["partner_exact"] = counters.get("partner_exact", 0) + 1
-            influence_delta = instance.coverage.swap_delta(
-                partner_billboard, billboard_id, allocation.counts_row(partner_id)
-            )
-            partner_delta = (
-                instance.regret_of(
-                    partner_id, allocation.influence(partner_id) + influence_delta
-                )
-                - regret_by_advertiser[partner_id]
-            )
-            total = float(own_delta[assigned][position]) + partner_delta
-            if total < best_assigned_delta:
-                best_assigned = partner_billboard
-                best_assigned_delta = total
-                break  # first confirmed improvement wins
+        confirmed = _confirm_partner(
+            allocation,
+            billboard_id,
+            assigned_candidates,
+            partner_ids,
+            partner_influence,
+            partner_regret,
+            own_delta[assigned],
+            improvement_bound,
+            min_improvement,
+            counters,
+        )
+        if confirmed is not None:
+            best_assigned, best_assigned_delta = confirmed
 
     if best_free is None and best_assigned is None:
         return None
@@ -162,6 +158,57 @@ def _select_partner(
     if best_free is None:
         return best_assigned
     return best_free if best_free_delta <= best_assigned_delta else best_assigned
+
+
+def _confirm_partner(
+    allocation: Allocation,
+    billboard_id: int,
+    candidates: np.ndarray,
+    partner_ids: np.ndarray,
+    partner_influence: np.ndarray,
+    partner_regret: np.ndarray,
+    own_delta: np.ndarray,
+    improvement_bound: np.ndarray,
+    min_improvement: float,
+    counters: dict | None,
+) -> tuple[int, float] | None:
+    """The first assigned candidate, in descending-bound order, whose bound
+    exceeds ``min_improvement`` and whose exact total regret change is below
+    ``−min_improvement``, with that total; ``None`` if there is none.
+
+    Arrays align with ``candidates`` (assigned exchange partners of
+    ``billboard_id``, ascending), ``partner_ids`` their owners.  Every
+    bound-eligible candidate is priced exactly in one vectorized pass
+    (:meth:`~repro.core.allocation.Allocation.partner_swap_deltas`); the
+    stable sort keeps equal bounds in ascending-candidate order, so full
+    and restricted scans confirm tied candidates in the same order.
+    """
+    eligible = np.flatnonzero(improvement_bound > min_improvement)
+    if len(eligible) == 0:
+        return None
+    eligible = eligible[np.argsort(-improvement_bound[eligible], kind="stable")]
+    if counters is not None:
+        counters["partner_exact"] = counters.get("partner_exact", 0) + len(eligible)
+    instance = allocation.instance
+    partners = partner_ids[eligible]
+    partner_new = partner_influence[eligible] + allocation.partner_swap_deltas(
+        billboard_id, candidates[eligible]
+    )
+    partner_delta = (
+        _regret_values_unchecked(
+            instance.payments[partners],
+            instance.demands[partners],
+            instance.gamma,
+            partner_new,
+        )
+        - partner_regret[eligible]
+    )
+    totals = own_delta[eligible] + partner_delta
+    improving = np.flatnonzero(totals < -min_improvement)
+    if len(improving) == 0:
+        return None
+    first = improving[0]
+    return int(candidates[eligible[first]]), float(totals[first])
 
 
 def _find_improving_exchange(
@@ -176,14 +223,14 @@ def _find_improving_exchange(
     ``billboard_id`` (owned by ``advertiser_id``) among ``candidate_ids``,
     or ``None``.
 
-    One batch coverage pass yields the *exact* own-side regret delta for
-    every candidate: the released state ``S_i − o_m`` is priced analytically
-    by :meth:`CoverageIndex.batch_add_gains_without` against the
-    *unmodified* counter row, so the allocation is never touched.
-    Free-candidate exchanges are then fully priced with no per-candidate
-    work, and only the partner advertiser's side of owner↔owner exchanges
-    retains an optimistic interval bound that exact evaluation must confirm
-    (:func:`_select_partner`).
+    The maintained gain vector yields the *exact* own-side regret delta for
+    every candidate: the released state ``S_i − o_m`` is priced as
+    ``gain + covering_counts(sole(o_m))``
+    (:meth:`~repro.core.allocation.Allocation.gains_without`) against the
+    *unmodified* allocation.  Free-candidate exchanges are then fully priced
+    with no per-candidate work, and the partner advertiser's side of
+    owner↔owner exchanges keeps an optimistic interval bound whose eligible
+    candidates one vectorized exact pass confirms (:func:`_select_partner`).
 
     ``candidate_ids`` (ascending, excluding ``billboard_id`` and the
     advertiser's own billboards) restricts the scan and its kernel pass.
@@ -192,15 +239,12 @@ def _find_improving_exchange(
     a scan over every legal partner (DESIGN.md §10).
     """
     instance = allocation.instance
-    coverage = instance.coverage
     own_influence = float(allocation.influence(advertiser_id))
     own_regret = instance.regret_of(advertiser_id, own_influence)
     released_influence = own_influence - float(
         allocation.influence_delta_remove(advertiser_id, billboard_id)
     )
-    gains = coverage.batch_add_gains_without(
-        allocation.counts_row(advertiser_id), billboard_id, candidate_ids=candidate_ids
-    )
+    gains = allocation.gains_without(advertiser_id, billboard_id)[candidate_ids]
     return _select_partner(
         allocation,
         advertiser_id,
@@ -221,20 +265,17 @@ def _release_pass_improves(
     min_improvement: float,
 ) -> bool:
     """Whether releasing any one billboard in ``owned`` improves total regret
-    by more than ``min_improvement``, priced in one restricted batch pass.
+    by more than ``min_improvement``, priced from the maintained losses.
 
     Equivalent to looping :func:`~repro.core.moves.delta_release` over
-    ``owned`` against the unchanged allocation: the loss vector is
-    :meth:`~repro.billboard.influence.CoverageIndex.batch_remove_losses`
-    restricted to the owned rows, and the regret arithmetic repeats Eq. 1
-    with the same operation order as the scalar path, so ``False`` proves
-    the sequential release loop would accept nothing.
+    ``owned`` against the unchanged allocation: the losses are the
+    allocation's loss vector at the owned billboards, and the regret
+    arithmetic repeats Eq. 1 with the same operation order as the scalar
+    path, so ``False`` proves the sequential release loop would accept
+    nothing.
     """
     instance = allocation.instance
-    losses = instance.coverage.batch_remove_losses(
-        allocation.counts_row(advertiser_id),
-        candidate_ids=np.asarray(owned, dtype=np.int64),
-    )
+    losses = allocation.losses[advertiser_id, owned]
     advertiser = instance.advertisers[advertiser_id]
     before = float(allocation.influence(advertiser_id))
     deltas = _regret_values_unchecked(

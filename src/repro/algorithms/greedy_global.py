@@ -15,11 +15,7 @@ starting plan ``S^in``.
 
 from __future__ import annotations
 
-from repro.algorithms._marginal import (
-    StaleGains,
-    best_marginal_billboard,
-    sorted_unassigned,
-)
+from repro.algorithms._marginal import best_marginal_billboard, sorted_unassigned
 from repro.algorithms.base import Solver
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -41,14 +37,14 @@ def synchronous_greedy(
         place as advertisers are released.
     stats:
         Optional output dict receiving ``assignments`` / ``releases`` counts
-        and ``marginal_gain_evals``, the coverage-kernel rows priced.
+        and ``marginal_gain_evals``, the candidates priced.
     """
     instance = allocation.instance
     if active is None:
         active = set(range(instance.num_advertisers))
     assignments = 0
     releases = 0
-    stale = StaleGains(instance.coverage.individual_influences)
+    priced = 0
 
     while True:
         unsatisfied = [i for i in sorted(active) if not allocation.is_satisfied(i)]
@@ -60,7 +56,8 @@ def synchronous_greedy(
             if allocation.is_satisfied(advertiser_id):
                 continue
             candidates = sorted_unassigned(allocation)
-            pick = best_marginal_billboard(allocation, advertiser_id, candidates, stale)
+            priced += len(candidates)
+            pick = best_marginal_billboard(allocation, advertiser_id, candidates)
             if pick is None:
                 continue
             allocation.assign(pick, advertiser_id)
@@ -89,9 +86,7 @@ def synchronous_greedy(
     if stats is not None:
         stats["assignments"] = stats.get("assignments", 0) + assignments
         stats["releases"] = stats.get("releases", 0) + releases
-        stats["marginal_gain_evals"] = (
-            stats.get("marginal_gain_evals", 0) + stale.priced
-        )
+        stats["marginal_gain_evals"] = stats.get("marginal_gain_evals", 0) + priced
 
 
 class SynchronousGreedy(Solver):

@@ -9,11 +9,7 @@ markets the tail advertisers go badly unsatisfied.
 
 from __future__ import annotations
 
-from repro.algorithms._marginal import (
-    StaleGains,
-    best_marginal_billboard,
-    sorted_unassigned,
-)
+from repro.algorithms._marginal import best_marginal_billboard, sorted_unassigned
 from repro.algorithms.base import Solver
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -31,12 +27,13 @@ class BudgetEffectiveGreedy(Solver):
             key=lambda i: (-instance.advertisers[i].budget_effectiveness, i),
         )
         assignments = 0
-        stale = StaleGains(instance.coverage.individual_influences)
+        priced = 0
         for advertiser_id in order:
             demand = instance.advertisers[advertiser_id].demand
             while allocation.influence(advertiser_id) < demand:
                 candidates = sorted_unassigned(allocation)
-                pick = best_marginal_billboard(allocation, advertiser_id, candidates, stale)
+                priced += len(candidates)
+                pick = best_marginal_billboard(allocation, advertiser_id, candidates)
                 if pick is None:
                     # The pool is empty or holds only zero-influence
                     # billboards, which can never close the gap.
@@ -44,5 +41,5 @@ class BudgetEffectiveGreedy(Solver):
                 allocation.assign(pick, advertiser_id)
                 assignments += 1
         stats["assignments"] = assignments
-        stats["marginal_gain_evals"] = stale.priced
+        stats["marginal_gain_evals"] = priced
         return allocation

@@ -151,7 +151,7 @@ class RandomizedLocalSearch(Solver):
             best_regret,
             moves_evaluated=delta(self._EVALUATED_KEYS),
             moves_accepted=delta(self._ACCEPTED_KEYS),
-            # Coverage-kernel rows the restart's greedy calls priced.
+            # Candidates the restart's greedy calls priced.
             marginal_gain_evals=delta(("marginal_gain_evals",)),
         )
 

@@ -9,7 +9,9 @@ into consecutive views of :data:`CHUNK_TRAJECTORIES` trajectories
 (billboard, point) pair, where the chunk boundaries fall never changes a
 coverage decision.
 
-The queries over the result live in :mod:`repro.billboard.influence`.
+Each build also transposes its CSR (:mod:`repro.billboard.coverage_transpose`)
+inside the same timed span.  The queries over the result live in
+:mod:`repro.billboard.influence`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro import obs
+from repro.billboard.coverage_transpose import transpose_csr
 from repro.spatial.geometry import min_distance_to_polyline
 from repro.spatial.grid import CellTable
 from repro.trajectory.model import TrajectoryChunk
@@ -134,8 +137,10 @@ def build_csr(
     lambda_m: float,
     exact_segments: bool,
     num_trajectories: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(flat_ids, offsets, num_trajectories)`` of one timed build.
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+    """``(flat_ids, offsets, num_trajectories, transposed)`` of one timed
+    build, ``transposed`` being :func:`~repro.billboard.coverage_transpose.
+    transpose_csr` of the CSR.
 
     ``num_trajectories`` may reserve id space past the streamed chunks; it
     defaults to the total chunk length and may not understate it.
@@ -159,5 +164,6 @@ def build_csr(
                 f"chunks supplied {total} trajectories but num_trajectories="
                 f"{num_trajectories}"
             )
+        transposed = transpose_csr(flat, offsets, num_trajectories)
         obs.counter_add("coverage.builds")
-    return flat, offsets, int(num_trajectories)
+    return flat, offsets, int(num_trajectories), transposed

@@ -18,16 +18,23 @@ the trajectory universe and counts the marks.  The batch gain/loss and
 swap-delta passes gather each billboard's ids and test the advertiser's
 multiplicity counter row at them, touching one entry per covered id.
 
-Every batch pass accepts an optional ``candidate_ids`` row restriction: the
-dirty-set sweep engines and the greedy marginal scans usually need gains for
-a handful of candidate billboards, not the whole inventory, and the
-restricted passes gather *only those rows'* CSR slices.  Restricted results
-are bit-identical to slicing the full pass:
+Every batch pass accepts an optional ``candidate_ids`` row restriction that
+gathers *only those rows'* CSR slices.  Restricted results are bit-identical
+to slicing the full pass:
 ``batch_add_gains(row, candidate_ids=c) == batch_add_gains(row)[c]``.
 
 Every kernel call counts ``influence.dispatch.idarray``; the row-restricted
 passes and the union also observe their row count in the
 ``influence.popcount.rows`` histogram.
+
+The index also carries the transposed CSR (trajectory → covering billboards,
+:mod:`repro.billboard.coverage_transpose`).  BLS and the greedies price from
+the allocation's maintained gain/loss vectors (:mod:`repro.core.allocation`)
+instead of the batch passes, which stay as the reference the vectors are
+tested against.  Every move updates the vectors with one
+:meth:`CoverageIndex.covering_counts`, and an exact BLS scan corrects them
+with :meth:`CoverageIndex.covering_counts` / :meth:`CoverageIndex.covering_pairs`;
+each such gather counts ``influence.dispatch.transposed``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 
 from repro import obs
 from repro.billboard import coverage_build
+from repro.billboard.coverage_transpose import transpose_csr
 from repro.billboard.model import BillboardDB
 from repro.trajectory.model import TrajectoryChunk, TrajectoryDB
 
@@ -60,7 +68,8 @@ class CoverageIndex:
 
     Notes
     -----
-    The index is immutable.  All id arrays are sorted ``int64``; the number of
+    The index is immutable.  All id arrays are sorted ``int64`` (the
+    transposed lists hold ``int32`` billboard ids); the number of
     trajectories is exposed so allocation states can size their multiplicity
     counters.
     """
@@ -72,14 +81,14 @@ class CoverageIndex:
         lambda_m: float = 100.0,
         exact_segments: bool = False,
     ) -> None:
-        flat, offsets, num_trajectories = coverage_build.build_csr(
+        flat, offsets, num_trajectories, transposed = coverage_build.build_csr(
             billboards.locations,
             coverage_build.corpus_views(trajectories, coverage_build.CHUNK_TRAJECTORIES),
             lambda_m,
             exact_segments,
             len(trajectories),
         )
-        self._adopt_csr(flat, offsets, num_trajectories, lambda_m)
+        self._adopt_csr(flat, offsets, num_trajectories, lambda_m, transposed)
 
     @classmethod
     def from_trajectory_chunks(
@@ -100,10 +109,10 @@ class CoverageIndex:
         front (e.g. to reserve id space past the streamed chunks); it
         defaults to the total chunk length.
         """
-        flat, offsets, num_trajectories = coverage_build.build_csr(
+        flat, offsets, num_trajectories, transposed = coverage_build.build_csr(
             billboards.locations, chunks, lambda_m, exact_segments, num_trajectories
         )
-        return cls.from_flat_arrays(flat, offsets, num_trajectories, lambda_m)
+        return cls.from_flat_arrays(flat, offsets, num_trajectories, lambda_m, transposed)
 
     @classmethod
     def from_coverage_lists(
@@ -141,11 +150,14 @@ class CoverageIndex:
         offsets: np.ndarray,
         num_trajectories: int,
         lambda_m: float = 100.0,
+        transposed: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "CoverageIndex":
         """Rebuild an index from its CSR serialization (see :meth:`to_arrays`).
 
         The arrays are trusted (sorted, deduplicated, in range) — this is the
-        fast path the on-disk coverage cache uses.
+        fast path the on-disk coverage cache uses.  ``transposed`` (see
+        :meth:`to_transposed_arrays`) is adopted as given; without it the
+        CSR is transposed here.
         """
         index = cls.__new__(cls)
         index._adopt_csr(
@@ -153,6 +165,7 @@ class CoverageIndex:
             np.ascontiguousarray(offsets, dtype=np.int64),
             num_trajectories,
             lambda_m,
+            transposed,
         )
         return index
 
@@ -162,6 +175,7 @@ class CoverageIndex:
         offsets: np.ndarray,
         num_trajectories: int,
         lambda_m: float,
+        transposed: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Serve coverage from CSR arrays: per-billboard views, no copies.
 
@@ -174,14 +188,24 @@ class CoverageIndex:
         self._individual = np.diff(offsets)
         self._flat_cache = (flat_ids, offsets)
         self._individual_f64: np.ndarray | None = None
+        if transposed is None:
+            transposed = transpose_csr(flat_ids, offsets, self.num_trajectories)
+        self._transposed = transposed
+        self._degrees = np.diff(transposed[1])
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(flat_ids, offsets)`` CSR serialization of the coverage: billboard
         ``b``'s covered ids are ``flat_ids[offsets[b]:offsets[b + 1]]``."""
         return self._flat_cache
 
+    def to_transposed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(billboard_ids, trajectory_offsets)``: trajectory ``t``'s covering
+        billboards, ascending, are ``billboard_ids[trajectory_offsets[t]:
+        trajectory_offsets[t + 1]]``."""
+        return self._transposed
+
     def to_shared(self) -> "SharedCoverage":
-        """Export the CSR arrays into shared memory.
+        """Export the CSR arrays and the transposed lists into shared memory.
 
         Returns a :class:`~repro.parallel.shared.SharedCoverage` handle owning
         the segments; worker processes rebuild a read-only view of this index
@@ -195,25 +219,73 @@ class CoverageIndex:
     def attach_shared(cls, spec: "SharedCoverageSpec") -> "CoverageIndex":
         """Attach a read-only index to segments exported by :meth:`to_shared`.
 
-        The CSR arrays are numpy views over the shared segments — no copy is
-        made.
+        The CSR arrays and the transposed lists are numpy views over the
+        shared segments — no copy is made and nothing is re-sorted.
         """
         from repro.parallel.shared import attach_array
 
         flat, flat_shm = attach_array(spec.flat)
         offsets, offsets_shm = attach_array(spec.offsets)
+        covering, covering_shm = attach_array(spec.covering)
+        covering_offsets, covering_offsets_shm = attach_array(spec.covering_offsets)
         index = cls.from_flat_arrays(
-            flat, offsets, spec.num_trajectories, lambda_m=spec.lambda_m
+            flat,
+            offsets,
+            spec.num_trajectories,
+            lambda_m=spec.lambda_m,
+            transposed=(covering, covering_offsets),
         )
         # Keep the SharedMemory objects alive as long as the index: the numpy
         # views borrow their buffers.
-        index._shm_handles = [flat_shm, offsets_shm]
+        index._shm_handles = [flat_shm, offsets_shm, covering_shm, covering_offsets_shm]
         obs.counter_add("shm.attach")
         return index
 
     def covered_by(self, billboard_id: int) -> np.ndarray:
         """Sorted trajectory ids covered by one billboard (no copy)."""
         return self._covered[billboard_id]
+
+    # ------------------------------------------------------ transposed passes
+
+    def _gather_covering(self, trajectory_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The covering billboards of every trajectory in ``trajectory_ids``,
+        concatenated in that order, plus each trajectory's list length."""
+        obs.counter_add("influence.dispatch.transposed")
+        billboard_ids, offsets = self._transposed
+        starts = offsets[trajectory_ids]
+        lengths = self._degrees[trajectory_ids]
+        ends = np.cumsum(lengths)
+        if len(ends) == 0 or ends[-1] == 0:
+            return billboard_ids[:0], lengths
+        positions = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+        return billboard_ids[positions], lengths
+
+    def covering_counts(
+        self,
+        trajectory_ids: np.ndarray,
+        labels: np.ndarray | None = None,
+        num_labels: int = 1,
+    ) -> np.ndarray:
+        """``n[b] = |cov(b) ∩ trajectory_ids|`` for every billboard, in one
+        gather of the transposed lists and one ``bincount``.
+
+        With ``labels`` (one integer in ``[0, num_labels)`` per trajectory)
+        the counts are split by label: a ``(num_billboards, num_labels)``
+        array.  ``trajectory_ids`` must not repeat.
+        """
+        billboard_ids, lengths = self._gather_covering(trajectory_ids)
+        if labels is None:
+            return np.bincount(billboard_ids, minlength=self.num_billboards)
+        keys = billboard_ids * num_labels + np.repeat(labels, lengths)
+        return np.bincount(
+            keys, minlength=self.num_billboards * num_labels
+        ).reshape(self.num_billboards, num_labels)
+
+    def covering_pairs(self, trajectory_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every covered ``(billboard, trajectory)`` pair whose trajectory is
+        in ``trajectory_ids``, as two aligned arrays."""
+        billboard_ids, lengths = self._gather_covering(trajectory_ids)
+        return billboard_ids, np.repeat(trajectory_ids, lengths)
 
     @property
     def bitmap_words(self) -> int:

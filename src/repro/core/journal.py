@@ -7,8 +7,9 @@ host byte-identical to before the quote — without copying the allocation.
 (the primitives all repair moves decompose into) appends one delta record to
 an in-memory journal, and :meth:`rollback_to` replays the records in reverse
 with the exact inverse operations.  Both directions use the same integer
-counter arithmetic, so a rollback restores the counts matrix, influence
-vector, owner vector, and sets bit-for-bit (see DESIGN.md §15).
+counter arithmetic, so a rollback restores the counts matrix, the gain/loss
+vectors, influence vector, owner vector, and sets bit-for-bit (see
+DESIGN.md §15).
 
 An accepted quote is the dual operation: the journal slice recorded while
 pricing is handed out as replay material (:meth:`journal_entries`) and
@@ -181,9 +182,10 @@ class JournaledAllocation(Allocation):
 
         Used when an accepted proposal promotes the workspace's newcomer slot
         into the book and a fresh spare slot is appended: the existing rows
-        (sets, counters, influences, cached regrets) carry over untouched —
-        the caller guarantees the first ``num_advertisers`` contracts are
-        unchanged — and the new rows start empty.
+        (sets, counters, influences, gain/loss vectors, cached regrets) carry
+        over untouched — the caller guarantees the first ``num_advertisers``
+        contracts are unchanged — and the new rows start empty: gains equal
+        the individual influences, losses are zero.
         """
         added = instance.num_advertisers - self.instance.num_advertisers
         if added < 0 or instance.coverage is not self.instance.coverage:
@@ -200,6 +202,12 @@ class JournaledAllocation(Allocation):
             )
             self._influences = np.concatenate(
                 [self._influences, np.zeros(added, dtype=np.int64)]
+            )
+            self._gains = np.vstack(
+                [self._gains, np.tile(instance.coverage.individual_influences, (added, 1))]
+            )
+            self._losses = np.vstack(
+                [self._losses, np.zeros((added, instance.num_billboards), dtype=np.int64)]
             )
             self._regret_cache = np.concatenate(
                 [self._regret_cache, np.zeros(added, dtype=np.float64)]

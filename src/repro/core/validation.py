@@ -25,6 +25,8 @@ def validate_allocation(allocation: Allocation) -> None:
     3. Each advertiser's multiplicity counters equal a from-scratch recount of
        its billboard set's coverage.
     4. Each cached influence scalar equals the number of nonzero counters.
+    5. Each advertiser's gain/loss vectors equal a full coverage-kernel pass
+       over its counters.
     """
     instance = allocation.instance
     seen: set[int] = set()
@@ -70,4 +72,14 @@ def validate_allocation(allocation: Allocation) -> None:
             raise AllocationInvariantError(
                 f"cached influence {allocation.influence(advertiser_id)} of advertiser "
                 f"{advertiser_id} != recomputed {true_influence}"
+            )
+        if not (
+            np.array_equal(allocation.gains[advertiser_id], coverage.batch_add_gains(recount))
+            and np.array_equal(
+                allocation.losses[advertiser_id], coverage.batch_remove_losses(recount)
+            )
+        ):
+            raise AllocationInvariantError(
+                f"gain/loss vectors of advertiser {advertiser_id} drifted from a "
+                "full coverage pass"
             )

@@ -40,19 +40,6 @@ from repro.trajectory.model import TrajectoryChunk
 DEFAULT_CHUNK_SIZE = 100_000
 
 
-def concat_chunks(chunks) -> TrajectoryChunk:
-    """Merge chunks into one (for single-shot vs chunked comparisons)."""
-    chunks = list(chunks)
-    return TrajectoryChunk(
-        np.concatenate([c.all_points for c in chunks])
-        if chunks
-        else np.empty((0, 2)),
-        np.concatenate([c.point_counts for c in chunks])
-        if chunks
-        else np.empty(0, dtype=np.int64),
-    )
-
-
 @dataclass
 class NycStream:
     """A fixed billboard inventory plus an N-trajectory chunked trip stream."""

@@ -23,6 +23,7 @@ COVERAGE_CACHE_WRITE_FAILURE = "coverage_cache.write_failure"
 COVERAGE_BUILDS = "coverage.builds"
 COVERAGE_CHUNKS = "coverage.chunks"
 INFLUENCE_DISPATCH_IDARRAY = "influence.dispatch.idarray"
+INFLUENCE_DISPATCH_TRANSPOSED = "influence.dispatch.transposed"
 SHM_CREATE = "shm.create"
 SHM_ATTACH = "shm.attach"
 POOL_SPAWN = "pool.spawn"  # also the span name of the spawn phase
@@ -51,7 +52,6 @@ BLS_PHASE_SCREEN = "bls.phase.screen"
 BLS_PHASE_EXCHANGE = "bls.phase.exchange"
 BLS_PHASE_RELEASE = "bls.phase.release"
 BLS_PHASE_TOPUP = "bls.phase.topup"
-GREEDY_REPRICED = "greedy.repriced"
 
 # ---------------------------------------------------------------- spans
 

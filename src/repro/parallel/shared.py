@@ -1,8 +1,8 @@
 """Shared-memory segment lifecycle for zero-copy parallel work.
 
 A :class:`SharedCoverage` exports one :class:`~repro.billboard.influence.
-CoverageIndex`'s CSR arrays into ``multiprocessing.shared_memory``
-segments.  Worker processes attach numpy
+CoverageIndex`'s CSR arrays and its transposed lists into
+``multiprocessing.shared_memory`` segments.  Worker processes attach numpy
 views over the same physical pages instead of unpickling a private copy, so
 fanning a solve out over N workers costs one coverage index, not N.
 
@@ -47,6 +47,8 @@ class SharedCoverageSpec:
 
     flat: SharedArraySpec
     offsets: SharedArraySpec
+    covering: SharedArraySpec
+    covering_offsets: SharedArraySpec
     num_trajectories: int
     lambda_m: float
 
@@ -93,14 +95,20 @@ class SharedCoverage:
 
     @classmethod
     def create(cls, index) -> "SharedCoverage":
-        """Export ``index``'s CSR arrays into segments."""
-        flat, offsets = index.to_arrays()
-        flat_segment, flat_spec = _export_array(flat)
-        offsets_segment, offsets_spec = _export_array(offsets)
-        segments = [flat_segment, offsets_segment]
+        """Export ``index``'s CSR arrays and transposed lists into segments."""
+        exported = [
+            _export_array(array)
+            for array in (*index.to_arrays(), *index.to_transposed_arrays())
+        ]
+        segments = [segment for segment, _ in exported]
+        flat_spec, offsets_spec, covering_spec, covering_offsets_spec = (
+            spec for _, spec in exported
+        )
         spec = SharedCoverageSpec(
             flat=flat_spec,
             offsets=offsets_spec,
+            covering=covering_spec,
+            covering_offsets=covering_offsets_spec,
             num_trajectories=index.num_trajectories,
             lambda_m=index.lambda_m,
         )

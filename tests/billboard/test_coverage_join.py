@@ -24,7 +24,7 @@ from repro.spatial.geometry import min_distance_to_polyline
 from repro.spatial.grid import CellTable
 from repro.trajectory.model import TrajectoryChunk
 from repro.utils.rng import as_generator
-from tests.oracles import brute_force_join, grid_chunk_coverage
+from tests.oracles import brute_force_join, concat_chunks, grid_chunk_coverage
 
 
 def brute_force_coverage(locations, points, counts, lambda_m, exact_segments):
@@ -73,7 +73,7 @@ class TestAgainstGridOracle:
         """The same corpus streamed in four chunks: the CSR emitted once
         per build equals the oracle's pairs of the corpus as one chunk."""
         city = stream.nyc_stream(1462, 5000, chunk_size=1250, seed=7)
-        merged = stream.concat_chunks(city.chunks())
+        merged = concat_chunks(city.chunks())
         billboard_ids, trajectory_ids = grid_chunk_coverage(
             city.billboards.locations, merged.all_points, merged.point_counts, 100.0
         )

@@ -15,9 +15,10 @@ from repro.billboard import coverage_build
 from repro.billboard.coverage_build import _join_chunk, corpus_views
 from repro.billboard.influence import CoverageIndex
 from repro.datasets import generate_city
-from repro.datasets.stream import concat_chunks, nyc_stream
+from repro.datasets.stream import nyc_stream
 from repro.spatial.grid import CellTable
 from repro.trajectory.model import TrajectoryChunk
+from tests.oracles import concat_chunks
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,10 @@ class TestBenchSmoke:
         for section in ("build", "influence_of_set"):
             assert report[section]["speedup"] > 0.0
         assert report["bls_cell"]["bls_s"] > 0.0
+        # At α = 1.5 the smoke cell has regret left to improve, so the timed
+        # search is not a no-op; the value pins the plan it reaches.
+        assert report["scenario"]["alpha"] == 1.5
+        assert report["bls_cell"]["total_regret"] == 45.0
         assert report["influence_of_set"]["queries"] == 100
 
     def test_bench_solvers_smoke(self, tmp_path):

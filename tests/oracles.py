@@ -3,8 +3,9 @@
 Each function here is a literal, unoptimized form of something the library
 computes faster: the rescan-everything BLS and ALS loops of Algorithms 5 and
 4, the scalar per-billboard exchange screen and candidate helpers that the
-round-fused screen (``repro.algorithms.screen``) replaced, the eager
-full-pass greedy pricing that lazy-bound pricing (``repro.algorithms._marginal``)
+round-fused screen (``repro.algorithms.screen``) replaced, the scalar
+``swap_delta`` partner-confirmation loop and the eager kernel-priced greedy
+pick that the maintained gain/loss vectors (``repro.core.allocation``)
 replaced, the both-legs route synthesis that per-leg evaluation
 (``repro.datasets.stream``) replaced, and the grid-over-points radius join
 (:class:`GridIndex`) that the billboard cell table
@@ -28,6 +29,7 @@ from repro.algorithms.screen import _optimistic_regret
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.moves import delta_exchange_sets, delta_release
 from repro.spatial.grid import _expand_slices
+from repro.trajectory.model import TrajectoryChunk
 
 # ----------------------------------------------------- candidate sets (BLS)
 
@@ -138,6 +140,48 @@ def exchange_screen(
         )
         potential[assigned] += partner_regret - partner_best
     return bool(np.any(potential > min_improvement))
+
+
+# ------------------------------------------------- partner confirmation
+
+
+def loop_confirm_partner(
+    allocation: Allocation,
+    billboard_id: int,
+    candidates: np.ndarray,
+    partner_ids: np.ndarray,
+    partner_influence: np.ndarray,
+    partner_regret: np.ndarray,
+    own_delta: np.ndarray,
+    improvement_bound: np.ndarray,
+    min_improvement: float,
+    counters: dict | None = None,
+) -> tuple[int, float] | None:
+    """``repro.algorithms.bls._confirm_partner`` as a scalar loop: walk the
+    candidates in stable descending-bound order while the bound exceeds
+    ``min_improvement``, pricing each partner with one
+    ``CoverageIndex.swap_delta`` over its counter row and scalar Eq. 1, and
+    stop at the first exact total below ``−min_improvement``."""
+    instance = allocation.instance
+    order = np.argsort(-improvement_bound, kind="stable")
+    for position in order:
+        if improvement_bound[position] <= min_improvement:
+            break
+        partner_billboard = int(candidates[position])
+        partner_id = int(partner_ids[position])
+        influence_delta = instance.coverage.swap_delta(
+            partner_billboard, billboard_id, allocation.counts_row(partner_id)
+        )
+        partner_delta = (
+            instance.regret_of(
+                partner_id, allocation.influence(partner_id) + influence_delta
+            )
+            - partner_regret[position]
+        )
+        total = float(own_delta[position]) + partner_delta
+        if total < -min_improvement:
+            return partner_billboard, total
+    return None
 
 
 # ------------------------------------------------------- rescan loops
@@ -441,8 +485,10 @@ class CertificateAudit:
 # ------------------------------------------------------- greedy pricing
 
 
-def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, stale=None):
-    """The full pass: price every usable candidate, take the first maximum."""
+def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, rows=None):
+    """Price every usable candidate with the row-restricted
+    ``batch_add_gains`` kernel over the counter row (``rows`` candidates per
+    kernel call; one call without it) and take the first maximum."""
     if len(candidate_ids) == 0:
         return None
     instance = allocation.instance
@@ -455,12 +501,14 @@ def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, stal
     candidate_ids = candidate_ids[usable]
     individual = individual[usable]
     influence = allocation.influence(advertiser_id)
-    if influence == 0:
-        gains = individual
-    else:
-        gains = coverage.batch_add_gains(
-            allocation.counts_row(advertiser_id), candidate_ids=candidate_ids
-        )
+    counts_row = allocation.counts_row(advertiser_id)
+    step = rows or len(candidate_ids)
+    gains = np.concatenate(
+        [
+            coverage.batch_add_gains(counts_row, candidate_ids=candidate_ids[i : i + step])
+            for i in range(0, len(candidate_ids), step)
+        ]
+    )
     regret = instance.regret_of(advertiser_id, influence)
     new_regrets = _regret_values_unchecked(
         advertiser.payment, advertiser.demand, instance.gamma, influence + gains
@@ -469,20 +517,39 @@ def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, stal
 
 
 def literal_pick(allocation, advertiser_id, candidate_ids):
-    """Brute force with scalar Eq. 1: the smallest id among the best ratios."""
+    """Brute force with scalar Eq. 1: the smallest id among the best ratios,
+    each gain counted from the counter row."""
     instance = allocation.instance
     influence = allocation.influence(advertiser_id)
     before = instance.regret_of(advertiser_id, influence)
+    counts_row = allocation.counts_row(advertiser_id)
     best = None
     for billboard_id in (int(b) for b in candidate_ids):
         size = instance.coverage.influence_of(billboard_id)
         if size == 0:
             continue
-        gain = allocation.influence_delta_add(advertiser_id, billboard_id)
+        covered = instance.coverage.covered_by(billboard_id)
+        gain = int(np.count_nonzero(counts_row[covered] == 0))
         ratio = (before - instance.regret_of(advertiser_id, influence + gain)) / size
         if best is None or ratio > best[0]:
             best = (ratio, billboard_id)
     return None if best is None else best[1]
+
+
+# -------------------------------------------------------- trip chunks
+
+
+def concat_chunks(chunks) -> TrajectoryChunk:
+    """Merge chunks into one (for single-shot vs chunked comparisons)."""
+    chunks = list(chunks)
+    return TrajectoryChunk(
+        np.concatenate([c.all_points for c in chunks])
+        if chunks
+        else np.empty((0, 2)),
+        np.concatenate([c.point_counts for c in chunks])
+        if chunks
+        else np.empty(0, dtype=np.int64),
+    )
 
 
 # ------------------------------------------------------------ trip routes

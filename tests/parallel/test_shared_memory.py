@@ -25,7 +25,12 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def shm_entries(spec) -> list[str]:
     """The ``/dev/shm`` file names belonging to a spec's segments."""
-    names = [spec.flat.name, spec.offsets.name]
+    names = [
+        spec.flat.name,
+        spec.offsets.name,
+        spec.covering.name,
+        spec.covering_offsets.name,
+    ]
     shm_dir = Path("/dev/shm")
     return [name for name in names if (shm_dir / name.lstrip("/")).exists()]
 
@@ -100,7 +105,7 @@ class TestLifecycle:
     def test_close_unlinks_segments(self, instance):
         shared = instance.coverage.to_shared()
         spec = shared.spec
-        assert shm_entries(spec)  # segments exist while open
+        assert len(shm_entries(spec)) == 4  # CSR + transposed, while open
         shared.close()
         assert shm_entries(spec) == []
         shared.close()  # idempotent
@@ -112,7 +117,7 @@ class TestLifecycle:
                 before = obs.counter_value("shm.attach")
                 CoverageIndex.attach_shared(shared.spec)
                 assert obs.counter_value("shm.attach") == before + 1
-                assert obs.counter_value("shm.create") >= 2
+                assert obs.counter_value("shm.create") >= 4
         finally:
             obs.disable()
             obs.reset()
@@ -126,7 +131,8 @@ class TestLifecycle:
             "instance = make_random_instance(5)\n"
             "shared = instance.coverage.to_shared()\n"
             "spec = shared.spec\n"
-            "names = [spec.flat.name, spec.offsets.name]\n"
+            "names = [spec.flat.name, spec.offsets.name,\n"
+            "         spec.covering.name, spec.covering_offsets.name]\n"
             "print('\\n'.join(names))\n"
             # no shared.close(): atexit must clean up
         )
@@ -142,7 +148,7 @@ class TestLifecycle:
             timeout=120,
         )
         names = result.stdout.split()
-        assert names
+        assert len(names) == 4
         leftovers = [
             name for name in names if (Path("/dev/shm") / name.lstrip("/")).exists()
         ]
