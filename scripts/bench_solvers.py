@@ -4,10 +4,10 @@ parallel restarts.
 Times, on the PR-1 ``bls_cell`` scenario (NYC scale, seed 7):
 
 * **the BLS local-search loop** (the dirty-set sweep: version-counter
-  certificates choose *which* billboards to scan, and surviving scans are
-  restricted to the screened candidate ids).  Every repeat must report the
-  identical total regret and accepted-move counts — the benchmark *fails*
-  otherwise.  Equivalence with the literal rescan loop of Algorithm 5 is
+  certificates and the exchange screen choose *which* billboards to scan,
+  and surviving scans are restricted to the screened candidate ids).
+  Every repeat must report the identical total regret and accepted-move
+  counts — the benchmark *fails* otherwise.  Equivalence with the literal rescan loop of Algorithm 5 is
   the test suite's job (``tests/oracles.py``);
 * **random restarts** — ``RandomizedLocalSearch(restarts=N)`` run serially
   vs fanned out over a *persistent* shared-memory worker pool
@@ -97,36 +97,35 @@ def bench_sweep_engines(instance: MROAMInstance, repeats: int = 3) -> dict:
     }
 
 
-def collect_restricted_rows(instance: MROAMInstance) -> tuple[dict, dict]:
-    """Restricted-row and sweep-phase telemetry of one instrumented dirty run.
+def collect_screen_precision(instance: MROAMInstance) -> tuple[dict, dict]:
+    """Screen-precision and sweep-phase telemetry of one instrumented BLS run.
 
-    Runs *outside* the timed sections with collection enabled.  Restricted
-    batch dispatches record the number of rows they actually compute (under
-    either kernel); ``max`` far below ``num_billboards`` is the observable
-    proof that surviving scans no longer touch the full matrix.  The same
-    pass's ``bls.phase.*`` histograms yield the dirty engine's wall split —
+    Runs *outside* the timed sections with collection enabled.  The
+    exchange screen counts the rows it screens and the rows it cannot clear
+    (``bls.screen.rows`` / ``bls.screen.survivors``); the sweep counts the
+    exact scans it runs (``bls.dirty.scanned``) and the run's stats the
+    scans that found a move (``bls_exchanges``).  Survivors far above
+    scans-with-a-move is the screen's slack.  The same pass's
+    ``bls.phase.*`` histograms yield the sweep's wall split —
     ``screen_share`` is the fraction the exchange screen takes of the summed
-    phase wall, the number the round-fused screen (DESIGN.md §13) drives
-    down.
+    phase wall (DESIGN.md §13).
     """
     obs.enable()
     obs.reset()
     try:
         allocation = Allocation(instance)
         synchronous_greedy(allocation)
-        billboard_driven_local_search(allocation)
-        histogram = obs.get_registry().histogram("influence.popcount.rows")
-        empty = histogram.count == 0
-        rows = {
-            "count": histogram.count,
-            "total": histogram.total,
-            "min": None if empty else histogram.min,
-            "max": None if empty else histogram.max,
-            "mean": histogram.mean,
-            "num_billboards": instance.num_billboards,
+        stats: dict = {}
+        billboard_driven_local_search(allocation, stats=stats)
+        precision = {
+            "rows_screened": int(obs.counter_value("bls.screen.rows")),
+            "survivors": int(obs.counter_value("bls.screen.survivors")),
+            "scanned": int(obs.counter_value("bls.dirty.scanned")),
+            "scans_with_move": int(stats.get("bls_exchanges", 0)),
             "note": (
-                "rows computed per restricted batch dispatch (either kernel); "
-                "max far below num_billboards is the restriction at work"
+                "rows the exchange screen priced, rows it could not clear, "
+                "exact scans run and scans that found an exchange; a survivor "
+                "whose round a move invalidated is screened again, not scanned"
             ),
         }
         phase_names = ("screen", "exchange", "release", "topup")
@@ -147,7 +146,7 @@ def collect_restricted_rows(instance: MROAMInstance) -> tuple[dict, dict]:
             "one instrumented dirty-BLS pass; screen_share = screen wall / "
             "summed phase wall"
         )
-        return rows, phases
+        return precision, phases
     finally:
         obs.disable()
         obs.reset()
@@ -387,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
 
     instance = scenario.build_instance()
     sweep_engines = bench_sweep_engines(instance, repeats=repeats)
-    restricted_rows, sweep_phases = collect_restricted_rows(instance)
+    screen_precision, sweep_phases = collect_screen_precision(instance)
     parallel = bench_parallel_restarts(
         instance,
         restarts=restarts,
@@ -412,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         "alpha": scenario.alpha,
         "machine": _bench_history.machine_stamp(),
         "bls_local_search": sweep_engines,
-        "restricted_rows": restricted_rows,
+        "screen_precision": screen_precision,
         "bls_sweep_phases": sweep_phases,
         "parallel_restarts": parallel,
     }

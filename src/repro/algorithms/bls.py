@@ -12,20 +12,22 @@ Theorem 2 shows this search reaches a ``(1+r)``-approximate local maximum of
 the dual objective ``R'`` (see :mod:`repro.theory.duality`).
 
 Scanning every billboard pair exactly would cost ``O(|U|²)`` exact delta
-evaluations per sweep.  We keep the search exact but prune with an
-*optimistic improvement bound*: for a candidate exchange, each affected
-advertiser's post-move influence provably lands in an interval derived from
-the two billboards' individual influences, so the best regret reachable over
-that interval upper-bounds the move's improvement.  Candidates are exactly
-evaluated in descending bound order; once bounds fall below the improvement
-threshold, no improving exchange can exist among the rest.  Termination at a
-genuine local minimum is therefore preserved.
+evaluations per sweep.  We keep the search exact but prune with
+*optimistic improvement bounds*: for a candidate exchange, each affected
+advertiser's post-move influence provably lands in an interval, so the best
+regret reachable over that interval upper-bounds the move's improvement.
+Termination at a genuine local minimum is therefore preserved.
 
 The sweep loop is the dirty-set engine: version counters
 (:mod:`repro.algorithms.sweep`) certify which scans provably cannot find a
 move since nothing near them changed, and an interval screen
-(:mod:`repro.algorithms.screen`) discards candidates whose optimistic bound
-already falls below the acceptance threshold.  Skipped work is
+(:mod:`repro.algorithms.screen`) clears the rows none of whose candidates
+can beat the acceptance threshold.  The screen reads both sides' intervals
+from the allocation's maintained gain/loss vectors: the exact influence is
+the interval's low end plus an overlap count that neither side's loss can
+exceed (DESIGN.md §13).  Inside a surviving scan, owner↔owner partners are
+ordered by a looser individual-influence bound and confirmed exactly in
+that order while it exceeds the threshold.  Skipped work is
 *proof-backed*, so the loop accepts the identical move sequence as the
 literal rescan-everything loop of Algorithm 5 (kept as the test oracle in
 ``tests/oracles.py``) and, like it, stops at the first sweep that accepts

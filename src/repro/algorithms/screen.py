@@ -1,31 +1,33 @@
 """Round-fused exchange screens for the BLS sweep loop (DESIGN.md §13).
 
 The sweep's optimistic exchange screen is a pure function of the current
-allocation: given an outgoing billboard and its candidate set, the interval
+allocation: given an outgoing billboard and its candidate set, interval
 arithmetic proves (or fails to prove) that no improving exchange exists
-among the candidates.  Per billboard, the screen dominated sweep wall
-(~60% in the trace attribution) — mostly numpy call overhead and candidate
-set construction, not arithmetic volume.
+among the candidates, so the exact scan can be skipped.
 
-This module collapses the screen to *round* granularity:
+This module runs the screen at *round* granularity:
 
-* :func:`~repro.algorithms.sweep.round_candidates` builds every remaining
-  billboard's candidate set in one broadcasted pass over the version
-  counters (bit-identical per row to the scalar changed-candidate /
-  full-scan masks the tests keep as oracles);
-* :func:`round_flags` prices every (billboard, candidate) pair of the round
-  in one fused vectorized pass — elementwise identical arithmetic to the
-  scalar per-billboard screen, so the verdict vectors are bit-identical;
+* :func:`~repro.algorithms.sweep.round_blocks` builds every remaining
+  billboard's candidate set as one dense ``(rows × pool)`` mask per
+  certificate group, from the version counters (each row's candidates are
+  the ascending ids the scalar changed-candidate / full-scan helpers the
+  tests keep as oracles return);
+* :func:`round_flags` prices every (row, candidate) cell of a block in one
+  vectorized pass.  Each side's post-swap influence is bounded from the
+  allocation's maintained gain/loss vectors (:func:`block_intervals`),
+  read with row- and column-structured gathers and no coverage gather;
+  the bounds lie inside the individual-influence intervals of the scalar
+  ``tests/oracles.exchange_screen``, so the block clears every row that
+  screen clears, and more;
 * :class:`ScreenRoundPlanner` caches one round's verdicts for the sweep and
   drops them after every accepted move, so each verdict is consumed at
-  exactly the allocation state the per-billboard screen would have computed
+  exactly the allocation state a per-billboard screen would have computed
   it at — the accepted move sequence cannot drift.  Rows are screened in
   geometrically growing chunks (1, 2, 4, …) from the visit frontier, capped
   at :data:`SERIAL_CHUNK_CELLS`: move-heavy stretches, where the next
-  accepted move would throw eager work away, cost one row per miss exactly
-  like the per-billboard screen, while quiescent stretches — the late
-  sweeps where the screen wall actually concentrates — fuse the whole
-  remaining round within a logarithmic number of dispatches.
+  accepted move would throw eager work away, cost one row per miss, while
+  quiescent stretches fuse the whole remaining round within a logarithmic
+  number of dispatches.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms._marginal import _regret_values_unchecked
-from repro.algorithms.sweep import round_candidates
+from repro.algorithms.sweep import round_blocks
 from repro.core.allocation import UNASSIGNED
 
 #: Chunk growth stops at this many cells (rows × candidates per row).  The
-#: fused pass materializes several float64 temporaries proportional to the
-#: chunk's candidate volume; past this size they fall out of cache and the
+#: block pass materializes several float64 temporaries of the block's
+#: size; past this size they fall out of cache and the
 #: screen turns memory-bound (measured at bench scale: unbounded chunks
 #: cost ~25% more wall than capped ones), while chunks this size still
 #: amortize the numpy call overhead dozens of rows at a time.
@@ -65,87 +67,157 @@ def _optimistic_regret(
     once at :class:`~repro.core.problem.MROAMInstance` construction, not per
     call — this runs inside the exchange screen's hot path.
     """
-    lo = np.maximum(lo, 0.0)
-    hi = np.maximum(hi, lo)
-    at_hi = payments * (1.0 - gamma * hi / demands)  # still unsatisfied at hi
-    at_lo = payments * (lo - demands) / demands  # already excessive at lo
-    result = np.where(hi < demands, at_hi, 0.0)
-    return np.where(lo > demands, at_lo, result)
+    shape = np.broadcast_shapes(
+        np.shape(payments), np.shape(demands), np.shape(lo), np.shape(hi)
+    )
+    lo = np.maximum(lo, 0.0, out=np.empty(shape))
+    hi = np.maximum(hi, lo, out=np.empty(shape))
+    return _closest_regret(payments, demands, gamma, lo, hi)
+
+
+def _closest_regret(
+    payments: np.ndarray,
+    demands: np.ndarray,
+    gamma: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """:func:`_optimistic_regret` for ordered, non-negative bounds
+    (``0 <= lo <= hi``) of the full broadcast shape, computed in place:
+    ``lo`` and ``hi`` are overwritten.
+
+    Eq. 1 at the point of ``[lo, hi]`` closest to the demand: the
+    unsatisfied branch, zeroed at or past the demand, against the excessive
+    branch, negative below it.  Each branch keeps the operation order of
+    the scalar formula, so every value equals Eq. 1 at that point bit for
+    bit (a zero may come out as ``-0.0``).  The block pass is bound by
+    passes over ``rows × pool`` arrays, hence no ``where`` and no
+    temporaries beyond one mask.
+    """
+    closest = np.maximum(lo, demands, out=lo)
+    np.minimum(closest, hi, out=closest)
+    unsatisfied = np.multiply(gamma, closest, out=hi)
+    unsatisfied /= demands
+    np.subtract(1.0, unsatisfied, out=unsatisfied)
+    unsatisfied *= payments
+    unsatisfied *= closest < demands
+    excessive = np.subtract(closest, demands, out=closest)
+    excessive *= payments
+    excessive /= demands
+    return np.maximum(unsatisfied, excessive, out=excessive)
+
+
+def block_intervals(
+    allocation,
+    advertiser_ids: np.ndarray,
+    billboard_ids: np.ndarray,
+    pool: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on both sides' post-swap influence for every (row, pool) cell.
+
+    Row ``r``'s advertiser ``a`` gives ``o_m = billboard_ids[r]`` and takes
+    ``o_n = pool[k]``; if ``o_n`` is owned, its owner ``j`` takes ``o_m``
+    back.  From the maintained vectors (``gain``, ``loss``) and influences
+    ``v``::
+
+        own:     lo = v_a − loss[a, o_m] + gain[a, o_n]
+                 hi = lo + min(loss[a, o_m], loss[a, o_n])
+        partner: lo = v_j − loss[j, o_n] + gain[j, o_m]
+                 hi = lo + min(loss[j, o_n], loss[j, o_m])
+
+    The exact result adds the overlap ``|cov(o_n) ∩ sole_a(o_m)|`` (resp.
+    ``|cov(o_m) ∩ sole_j(o_n)|``) to ``lo``, and the overlap is at most
+    both losses, so it always lands in ``[lo, hi]``.
+
+    Returns ``(own_lo, own_hi, owners, partner_lo, partner_hi)``, every
+    bound a ``rows × pool`` array of integers held exactly in ``float64``.
+    ``owners`` holds each pool billboard's owner (``UNASSIGNED`` when
+    free); the partner bounds of free columns are meaningless.  Every
+    gather takes whole rows or columns of the vectors: no coverage list is
+    read.
+    """
+    gains = allocation.gains
+    losses = allocation.losses
+    influences = allocation.influences.astype(np.float64)
+    released = losses[advertiser_ids, billboard_ids]
+    own_lo = _submatrix(gains, advertiser_ids, pool) + (
+        influences[advertiser_ids] - released
+    )[:, None]
+    own_hi = own_lo + np.minimum(
+        _submatrix(losses, advertiser_ids, pool), released[:, None]
+    )
+
+    owners = allocation.owners[pool]
+    partners = np.where(owners != UNASSIGNED, owners, 0)
+    given = losses[partners, pool]
+    partner_lo = np.take(gains[:, billboard_ids].T, partners, axis=1) + (
+        influences[partners] - given
+    )
+    partner_hi = partner_lo + np.minimum(
+        np.take(losses[:, billboard_ids].T, partners, axis=1), given
+    )
+    return own_lo, own_hi, owners, partner_lo, partner_hi
+
+
+def _submatrix(matrix: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``matrix[rows][:, columns]``, gathering along the axis that copies
+    less first: a few rows of a wide pool, or a narrow pool of many rows."""
+    if len(rows) * matrix.shape[1] <= matrix.shape[0] * len(columns):
+        return matrix[rows][:, columns]
+    return matrix[:, columns][rows]
 
 
 def round_flags(
-    instance,
-    owners: np.ndarray,
-    influences: np.ndarray,
+    allocation,
     advertiser_ids: np.ndarray,
     billboard_ids: np.ndarray,
-    flat_candidates: np.ndarray,
-    lengths: np.ndarray,
+    pool: np.ndarray,
+    changed: np.ndarray,
     min_improvement: float,
 ) -> np.ndarray:
-    """Screen verdicts for every row of a round in one fused pass.
+    """Screen verdicts for one dense block of rows in one pass.
 
-    ``flags[k] is False`` proves that exchanging ``billboard_ids[k]`` with
-    any of its candidates improves total regret by at most
-    ``min_improvement``: the own side lands in ``[v_i − I(o_m), v_i +
-    I(o_n)]`` and an assigned partner in ``[v_j − I(o_n), v_j + I(o_m)]``,
-    so the summed best-case regret drop upper-bounds the true improvement.
-    The arithmetic is elementwise with per-row scalars broadcast via
-    ``repeat``, so each row's verdict is bit-identical to the scalar
-    per-billboard screen on the same candidate set.
+    Row ``r`` exchanges ``billboard_ids[r]`` (owned by ``advertiser_ids[r]``)
+    with the candidates ``pool[changed[r]]``.  ``flags[r] is False`` proves
+    that every such exchange improves total regret by at most
+    ``min_improvement``: both sides' post-swap influences lie in the
+    :func:`block_intervals` bounds, so the summed best-case regret drop
+    over those intervals upper-bounds the true improvement.  Each interval
+    lies inside the individual-influence interval of the scalar
+    ``tests/oracles.exchange_screen``, so every row that screen clears is
+    cleared here too.
     """
-    verdicts = np.zeros(len(billboard_ids), dtype=bool)
-    keep = np.nonzero(lengths > 0)[0]
-    if len(keep) == 0:
-        return verdicts
-    individual = instance.coverage.individual_influences_f64
-    influences_f64 = np.asarray(influences).astype(np.float64)
-    seg_lengths = lengths[keep]
-    starts = np.zeros(len(keep), dtype=np.int64)
-    np.cumsum(seg_lengths[:-1], out=starts[1:])
-
-    row_advertisers = np.asarray(advertiser_ids, dtype=np.int64)[keep]
-    outgoing = np.repeat(np.asarray(billboard_ids, dtype=np.int64)[keep], seg_lengths)
-    row_payments = instance.payments[row_advertisers]
-    row_demands = instance.demands[row_advertisers]
-    row_influence = influences_f64[row_advertisers]
-    row_regret = _regret_values_unchecked(
-        row_payments, row_demands, instance.gamma, row_influence
+    instance = allocation.instance
+    gamma = instance.gamma
+    own_lo, own_hi, owners, partner_lo, partner_hi = block_intervals(
+        allocation, advertiser_ids, billboard_ids, pool
     )
-    own_influence = np.repeat(row_influence, seg_lengths)
-
-    own_best = _optimistic_regret(
-        np.repeat(row_payments, seg_lengths),
-        np.repeat(row_demands, seg_lengths),
-        instance.gamma,
-        own_influence - individual[outgoing],
-        own_influence + individual[flat_candidates],
+    regrets = _regret_values_unchecked(
+        instance.payments,
+        instance.demands,
+        gamma,
+        allocation.influences.astype(np.float64),
     )
-    potential = np.repeat(row_regret, seg_lengths) - own_best
-
-    candidate_owners = owners[flat_candidates]
-    assigned = candidate_owners != UNASSIGNED
+    payments = instance.payments[advertiser_ids]
+    demands = instance.demands[advertiser_ids]
+    potential = _closest_regret(
+        payments[:, None], demands[:, None], gamma, own_lo, own_hi
+    )
+    np.subtract(regrets[advertiser_ids][:, None], potential, out=potential)
+    assigned = owners != UNASSIGNED
     if assigned.any():
-        partner_ids = candidate_owners[assigned]
-        partner_influence = influences_f64[partner_ids]
-        partner_payments = instance.payments[partner_ids]
-        partner_demands = instance.demands[partner_ids]
-        partner_regret = _regret_values_unchecked(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence,
+        partners = np.where(assigned, owners, 0)
+        drop = _closest_regret(
+            instance.payments[partners],
+            instance.demands[partners],
+            gamma,
+            partner_lo,
+            partner_hi,
         )
-        partner_best = _optimistic_regret(
-            partner_payments,
-            partner_demands,
-            instance.gamma,
-            partner_influence - individual[flat_candidates[assigned]],
-            partner_influence + individual[outgoing[assigned]],
-        )
-        potential[assigned] += partner_regret - partner_best
-    verdicts[keep] = np.logical_or.reduceat(potential > min_improvement, starts)
-    return verdicts
+        np.subtract(regrets[partners], drop, out=drop)
+        drop *= assigned  # a free candidate has no partner side
+        potential += drop
+    return ((potential > min_improvement) & changed).any(axis=1)
 
 
 class ScreenRoundPlanner:
@@ -342,13 +414,10 @@ class ScreenRoundPlanner:
             if self.track:
                 self.screen_seconds += time.perf_counter() - started  # repro-lint: ignore[determinism] telemetry-only clock
             return
-        allocation = self.allocation
-        state = self.state
-        owners = allocation.owners
-        certified = state.round_certificates(advertiser_ids, billboard_ids)
-        flags, survivors = self._screen_round(
-            owners, advertiser_ids, billboard_ids, certified
-        )
+        certified = self.state.round_certificates(advertiser_ids, billboard_ids)
+        flags, survivors = self._screen_round(advertiser_ids, billboard_ids, certified)
+        obs.counter_add("bls.screen.rows", len(billboard_ids))
+        obs.counter_add("bls.screen.survivors", len(survivors))
         self._verdicts.update(
             zip((int(b) for b in billboard_ids), flags.tolist())
         )
@@ -358,35 +427,31 @@ class ScreenRoundPlanner:
 
     def _screen_round(
         self,
-        owners: np.ndarray,
         advertiser_ids: np.ndarray,
         billboard_ids: np.ndarray,
         certified: np.ndarray,
     ) -> tuple[np.ndarray, dict]:
         allocation = self.allocation
         state = self.state
-        flat, lengths = round_candidates(
-            owners,
+        flags = np.zeros(len(billboard_ids), dtype=bool)
+        survivors = {}
+        for rows, pool, changed in round_blocks(
+            allocation.owners,
             advertiser_ids,
             billboard_ids,
             certified,
             state.advertiser_version,
             state.freed_version,
-        )
-        flags = round_flags(
-            allocation.instance,
-            owners,
-            allocation.influences,
-            advertiser_ids,
-            billboard_ids,
-            flat,
-            lengths,
-            self.min_improvement,
-        )
-        offsets = np.zeros(len(billboard_ids), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        survivors = {
-            int(billboard_ids[k]): flat[offsets[k] : offsets[k] + lengths[k]]
-            for k in np.nonzero(flags)[0]
-        }
+        ):
+            block = round_flags(
+                allocation,
+                advertiser_ids[rows],
+                billboard_ids[rows],
+                pool,
+                changed,
+                self.min_improvement,
+            )
+            flags[rows] = block
+            for r in np.flatnonzero(block):
+                survivors[int(billboard_ids[rows[r]])] = pool[changed[r]]
         return flags, survivors

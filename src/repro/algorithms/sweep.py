@@ -92,7 +92,7 @@ class BillboardSweepState:
         certificate (the whole candidate set must then be rescanned); other
         rows carry their billboard's certified scan version, the value
         candidate stamps are compared against.  Feed the result to
-        :func:`round_candidates`.
+        :func:`round_blocks`.
         """
         certified = self.scan_version[billboard_ids]
         stale = (certified == 0) | (
@@ -177,80 +177,53 @@ class BillboardSweepState:
             )
 
 
-def round_candidates(
+def round_blocks(
     owners: np.ndarray,
     advertiser_ids: np.ndarray,
     billboard_ids: np.ndarray,
     certified: np.ndarray,
     advertiser_version: np.ndarray,
     freed_version: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's exchange-candidate ids, concatenated, plus per-row lengths.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every row's exchange candidates, as one dense block per certificate
+    group.
 
     A row's candidates are the exchange partners whose pairing with its
     billboard may price differently than at the row's certified scan:
     assigned candidates whose owner moved since the certificate, free
     candidates freed since.  The billboard itself and its own advertiser's
-    billboards are excluded, mirroring the full scan's candidate mask.
-
-    One broadcasted ``(rows × billboards)`` comparison covers the whole
-    round; each row's slice is bit-identical to the scalar per-billboard
-    helper the tests keep as the oracle, because the stamp vector, the
-    exclusion masks, and row-major ``nonzero`` ordering reproduce the same
-    ascending candidate ids.  A ``certified`` entry of ``-1`` (see
+    billboards are excluded, mirroring the full scan's candidate mask.  A
+    ``certified`` entry of ``-1`` (see
     :meth:`BillboardSweepState.round_certificates`) turns its row into the
     full-scan mask — every stamp is ``>= 1``, so only the exclusions bite.
+
+    Returns ``(rows, pool, changed)`` triples: ``rows`` indexes the round's
+    rows in the group, ``pool`` holds the ascending billboard ids any of
+    them may pair with, and row ``rows[r]``'s candidates are
+    ``pool[changed[r]]`` — the same ascending ids the scalar helpers the
+    tests keep as oracles return.  Full-mask rows (own side stale) would
+    drag a group's certificate floor to ``-1`` and widen its pool to the
+    whole inventory, so a mixed round splits into a full-mask group and a
+    restricted group.
     """
+    if len(billboard_ids) == 0:
+        return []
     assigned = owners != UNASSIGNED
     stamp = np.where(
         assigned, advertiser_version[np.where(assigned, owners, 0)], freed_version
     )
-    num_rows = len(billboard_ids)
     full_mask = certified < 0
-    if not (full_mask.any() and not full_mask.all()):
-        return _group_candidates(
-            owners, stamp, advertiser_ids, billboard_ids, certified
+    if full_mask.any() and not full_mask.all():
+        groups = (np.flatnonzero(full_mask), np.flatnonzero(~full_mask))
+    else:
+        groups = (np.arange(len(billboard_ids)),)
+    blocks = []
+    for rows in groups:
+        pool, changed = _group_candidates(
+            owners, stamp, advertiser_ids[rows], billboard_ids[rows], certified[rows]
         )
-    # Mixed round: full-mask rows (own side stale, every stamp qualifies)
-    # would drag the certified floor to -1 and force the dense broadcast for
-    # everyone, so the two populations are screened separately and stitched
-    # back in original row order.  Each row's slice is computed by exactly
-    # the same comparison either way, so the merge is pure bookkeeping.
-    restricted = ~full_mask
-    flat_full, lengths_full = _group_candidates(
-        owners,
-        stamp,
-        advertiser_ids[full_mask],
-        billboard_ids[full_mask],
-        certified[full_mask],
-    )
-    flat_rest, lengths_rest = _group_candidates(
-        owners,
-        stamp,
-        advertiser_ids[restricted],
-        billboard_ids[restricted],
-        certified[restricted],
-    )
-    lengths = np.zeros(num_rows, dtype=np.int64)
-    index_full = np.nonzero(full_mask)[0]
-    index_rest = np.nonzero(restricted)[0]
-    lengths[index_full] = lengths_full
-    lengths[index_rest] = lengths_rest
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    flat = np.empty(int(ends[-1]) if num_rows else 0, dtype=np.int64)
-    for index, group_flat, group_lengths in (
-        (index_full, flat_full, lengths_full),
-        (index_rest, flat_rest, lengths_rest),
-    ):
-        if len(group_flat):
-            group_ends = np.cumsum(group_lengths)
-            group_starts = group_ends - group_lengths
-            positions = np.repeat(
-                starts[index] - group_starts, group_lengths
-            ) + np.arange(len(group_flat))
-            flat[positions] = group_flat
-    return flat, lengths
+        blocks.append((rows, pool, changed))
+    return blocks
 
 
 def _group_candidates(
@@ -260,38 +233,22 @@ def _group_candidates(
     billboard_ids: np.ndarray,
     certified: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`round_candidates` for rows sharing one certificate regime.
+    """``(pool, changed)`` of :func:`round_blocks` for one certificate group.
 
     Columns whose stamp is at or below every row's certificate can never be
-    marked changed, so the broadcast only needs the remaining pool.  On a
+    marked changed, so the block only needs the remaining pool.  On a
     settled warm state the pool is the handful of billboards touched since
     the oldest certificate in the group; on a cold group (``certified`` all
-    ``-1``) it degenerates to the full inventory and the dense path is taken
-    unchanged.
+    ``-1``) it is the full inventory.
     """
-    num_rows = len(billboard_ids)
-    pool = np.nonzero(stamp > certified.min())[0]
-    if len(pool) == len(stamp):
-        changed = stamp[None, :] > certified[:, None]
-        changed[owners[None, :] == advertiser_ids[:, None]] = False
-        changed[np.arange(num_rows), billboard_ids] = False
-        rows, cols = np.nonzero(changed)
-        lengths = np.bincount(rows, minlength=num_rows).astype(np.int64)
-        return cols, lengths
-    if len(pool) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.zeros(num_rows, dtype=np.int64),
-        )
+    pool = np.flatnonzero(stamp > certified.min())
     changed = stamp[pool][None, :] > certified[:, None]
-    changed[owners[pool][None, :] == advertiser_ids[:, None]] = False
+    changed &= owners[pool][None, :] != advertiser_ids[:, None]
     position = np.searchsorted(pool, billboard_ids)
     hit = position < len(pool)
     hit[hit] = pool[position[hit]] == billboard_ids[hit]
-    changed[np.nonzero(hit)[0], position[hit]] = False
-    rows, cols = np.nonzero(changed)
-    lengths = np.bincount(rows, minlength=num_rows).astype(np.int64)
-    return pool[cols], lengths
+    changed[np.flatnonzero(hit), position[hit]] = False
+    return pool, changed
 
 
 class PairSweepState:

@@ -33,6 +33,8 @@ GRID_JOIN_MATCHED_PAIRS = "grid.join.matched_pairs"
 SOLVER_SOLVES = "solver.solves"
 SOLVER_ITERATIONS = "solver.iterations"
 BLS_SCREEN_ROUNDS = "bls.screen.rounds"
+BLS_SCREEN_ROWS = "bls.screen.rows"
+BLS_SCREEN_SURVIVORS = "bls.screen.survivors"
 BLS_DIRTY_SCANNED = "bls.dirty.scanned"
 BLS_DIRTY_SKIPPED = "bls.dirty.skipped"
 SWEEP_MOVES = "sweep.moves"

@@ -6,7 +6,8 @@ report:
 
 * **trace** — restart-bench time attribution (spawn / export / attach /
   warm-up / compute / reduce, against the pool-map wall time), the BLS
-  sweep-phase breakdown, the kernel dispatch table, per-pid RSS ranges,
+  sweep-phase breakdown, the exchange screen's rows / survivors next to
+  the sweep's scans and skips, the kernel dispatch table, per-pid RSS ranges,
   and the run's metrics from ``otherData``: span timings with p50/p95/p99,
   counters, gauges and the other histograms.
 * **ledger** — per-(kind, engine) outcome summary across recorded runs.
@@ -145,6 +146,22 @@ def bls_phase_breakdown(data: dict) -> dict:
     return row
 
 
+def bls_screen_precision(data: dict) -> dict:
+    """The exchange screen's precision from the run's final counters: rows
+    screened, rows that survived to an exact scan, and the scans and
+    certified skips of the BLS sweep loop (empty when no BLS ran)."""
+    counters = data.get("otherData", {}).get("counters", {})
+    names = {
+        "rows": "bls.screen.rows",
+        "survivors": "bls.screen.survivors",
+        "scanned": "bls.dirty.scanned",
+        "skipped": "bls.dirty.skipped",
+    }
+    if names["rows"] not in counters:
+        return {}
+    return {key: int(counters.get(name, 0)) for key, name in names.items()}
+
+
 def kernel_dispatch_table(data: dict) -> dict:
     """Summed ``kernel.dispatch`` instant deltas (the instrumented passes)."""
     passes: dict[str, float] = defaultdict(float)
@@ -207,6 +224,17 @@ def trace_report(data: dict) -> str:
         keys = ("wall_s", "screen_s", "exchange_s", "release_s", "topup_s")
         row = (phases["sweeps"], *(f"{phases[key]:.4f}" for key in keys))
         lines.extend(_table([row], ("sweeps", *keys)))
+
+    precision = bls_screen_precision(data)
+    if precision:
+        lines.append("")
+        lines.append("-- BLS exchange screen --")
+        keys = ("rows", "survivors", "scanned", "skipped")
+        lines.extend(_table([tuple(precision[key] for key in keys)], keys))
+        lines.append(
+            "  (rows = rows screened, survivors = rows the screen could not "
+            "clear; scanned/skipped = bls.dirty.*)"
+        )
 
     kernels = kernel_dispatch_table(data)
     if kernels:

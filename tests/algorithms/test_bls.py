@@ -144,30 +144,28 @@ class TestFindImprovingExchange:
 
 
 def _round_verdicts(allocation, advertiser_id, owned, candidate_sets):
-    """One fused ``round_flags`` pass over an advertiser's rows."""
-    lengths = np.array([len(ids) for ids in candidate_sets], dtype=np.int64)
-    flat = (
-        np.concatenate(candidate_sets)
-        if candidate_sets
-        else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
+    """One dense ``round_flags`` block over an advertiser's rows, each row's
+    candidate set marked on a full-inventory pool."""
+    pool = np.arange(allocation.instance.num_billboards)
+    changed = np.zeros((len(owned), len(pool)), dtype=bool)
+    for row, ids in enumerate(candidate_sets):
+        changed[row, ids] = True
     return round_flags(
-        allocation.instance,
-        allocation.owners,
-        allocation.influences,
+        allocation,
         np.full(len(owned), advertiser_id, dtype=np.int64),
         np.asarray(owned, dtype=np.int64),
-        flat,
-        lengths,
+        pool,
+        changed,
         1e-9,
     )
 
 
 class TestExchangeScreenBatch:
     def test_batch_verdicts_match_scalar_screen(self):
-        """One fused pass over an advertiser's billboards must return the
-        scalar screen's verdict for every one of them (the sweep's skip
-        proofs rest on this)."""
+        """One block pass over an advertiser's billboards clears every row
+        the scalar screen clears, and no row it clears has an improving
+        exchange among its candidates (the sweep's skip proofs rest on
+        this)."""
         for seed in range(6):
             instance = make_random_instance(seed, num_billboards=14, num_advertisers=4)
             allocation = random_allocation(instance, seed + 300)
@@ -193,9 +191,15 @@ class TestExchangeScreenBatch:
                     allocation, advertiser_id, owned, candidate_sets
                 )
                 for billboard, ids, verdict in zip(owned, candidate_sets, verdicts):
-                    assert verdict == exchange_screen(
-                        allocation, advertiser_id, billboard, ids, 1e-9
-                    )
+                    scalar = exchange_screen(allocation, advertiser_id, billboard, ids, 1e-9)
+                    assert scalar or not verdict
+                    if not verdict:
+                        assert (
+                            _find_improving_exchange(
+                                allocation, advertiser_id, billboard, ids, 1e-9
+                            )
+                            is None
+                        )
 
     def test_all_empty_candidate_sets(self, tiny_instance):
         allocation = Allocation(tiny_instance)

@@ -199,3 +199,6 @@ class TestBenchSmoke:
         phases = report["bls_sweep_phases"]
         assert 0.0 <= phases["screen_share"] <= 1.0
         assert phases["screen_rounds"] > 0
+        precision = report["screen_precision"]
+        assert 0 < precision["survivors"] <= precision["rows_screened"]
+        assert 0 < precision["scans_with_move"] <= precision["scanned"]
