@@ -19,8 +19,7 @@ they land on the identical plan), then measures:
 * **journal hygiene**: the instrumented pass asserts every priced quote
   rolled back through the journal (``journal.rollback`` fired per quote) and
   the host's allocation object survived identically — rejected quotes
-  allocate no copies;
-* **batched pricing** (``quote_many``): serial batch per-quote time.
+  allocate no copies.
 
 Appends to ``BENCH_quotes.json`` — an append-only, commit-stamped time
 series (see ``scripts/_bench_history.py``); ``--gate-regression`` fails the
@@ -192,19 +191,6 @@ def collect_quote_latency(incremental, proposals, samples) -> dict:
         obs.reset()
 
 
-def bench_quote_many(incremental, proposals, batch_size) -> dict:
-    """Serial ``quote_many`` batch timing (obs off)."""
-    batch = [proposals[index % len(proposals)] for index in range(batch_size)]
-    started = time.perf_counter()
-    incremental.quote_many(batch)
-    serial_wall = time.perf_counter() - started
-    return {
-        "batch_size": batch_size,
-        "serial_batch_quote_s": serial_wall / batch_size,
-        "note": "quote_many per-quote wall time, obs off",
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -240,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             p_avg=0.05,
             seed=args.seed,
         )
-        book_size, n_incremental, n_full, latency_samples, batch_size = 12, 200, 8, 40, 16
+        book_size, n_incremental, n_full, latency_samples = 12, 200, 8, 40
     else:
         # alpha/p_avg = 120 generated advertisers: an 80-deep standing book
         # (the ISSUE floor is 32) plus a 40-proposal held-out stream both
@@ -262,20 +248,13 @@ def main(argv: list[str] | None = None) -> int:
             p_avg=0.01,
             seed=args.seed,
         )
-        book_size, n_incremental, n_full, latency_samples, batch_size = (
-            80,
-            10_000,
-            40,
-            500,
-            64,
-        )
+        book_size, n_incremental, n_full, latency_samples = 80, 10_000, 40, 500
 
     incremental, full, proposals = build_books(scenario, book_size)
     quote_paths = bench_quote_paths(
         incremental, full, proposals, n_incremental, n_full
     )
     latency = collect_quote_latency(incremental, proposals, latency_samples)
-    batched = bench_quote_many(incremental, proposals, batch_size)
 
     report = {
         "benchmark": "quote-throughput",
@@ -293,7 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         "machine": _bench_history.machine_stamp(),
         "quote_paths": quote_paths,
         "quote_latency": latency,
-        "quote_many": batched,
     }
     path = Path(args.output)
     # Every timing here is a per-quote mean or quantile over many quotes

@@ -6,9 +6,10 @@ NYC dataset is ~1.7 M trips) and, at each size:
 * **streams** the coverage build through
   :meth:`CoverageIndex.from_trajectory_chunks` in 100k-trip chunks — the
   corpus never exists in memory at once;
-* times the **query workload** (unions + full and candidate-restricted batch
-  passes) on the CSR id-array kernel, asserting every union equals the
-  ``np.unique(concatenate)`` reference;
+* times the **query workload** (unions, full batch passes on the CSR
+  id-array kernel, and the vector pricing a BLS scan runs: an allocation's
+  ``gains_without`` sliced at a candidate set plus ``partner_swap_deltas``),
+  asserting every union equals the ``np.unique(concatenate)`` reference;
 * records the ``influence.dispatch.idarray`` counter of one replay.
 
 The 10^6 size also solves one greedy + BLS cell, demonstrating an
@@ -40,6 +41,7 @@ from repro import obs
 from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
 from repro.billboard.influence import CoverageIndex
+from repro.core.advertiser import Advertiser
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
 from repro.datasets.nyc import DEFAULT_BILLBOARDS
@@ -84,10 +86,16 @@ def query_workload(index: CoverageIndex, n: int, seed: int) -> dict:
         np.sort(rng.choice(num_b, size=min(50, num_b), replace=False)).tolist()
         for _ in range(20)
     ]
+    free = np.setdiff1d(np.arange(num_b), owned)
     candidates = [
-        np.sort(rng.choice(num_b, size=min(64, num_b), replace=False))
+        np.sort(rng.choice(free, size=min(64, len(free)), replace=False))
         for _ in range(8)
     ]
+    # The pricing BLS runs reads an allocation holding the owned set.
+    allocation = Allocation(MROAMInstance(index, [Advertiser(0, n, 1.0)]))
+    for billboard_id in owned:
+        allocation.assign(int(billboard_id), 0)
+    partners = owned[1:]
 
     started = time.perf_counter()
     unions = [index.influence_of_set(s) for s in union_sets]
@@ -101,11 +109,10 @@ def query_workload(index: CoverageIndex, n: int, seed: int) -> dict:
 
     started = time.perf_counter()
     for cand in candidates:
-        index.batch_add_gains(counts_row, candidate_ids=cand)
-        index.batch_add_gains_without(counts_row, removed, candidate_ids=cand)
-        index.batch_remove_losses(counts_row, candidate_ids=cand)
-        index.batch_swap_deltas(removed, cand, counts_row)
-    batch_restricted_s = time.perf_counter() - started
+        allocation.gains_without(0, removed)[cand]
+        if len(cand) and len(partners):
+            allocation.partner_swap_deltas(int(cand[0]), partners)
+    bls_pricing_s = time.perf_counter() - started
 
     for ids, union in zip(union_sets, unions):
         expected = len(np.unique(np.concatenate([index.covered_by(b) for b in ids])))
@@ -113,8 +120,8 @@ def query_workload(index: CoverageIndex, n: int, seed: int) -> dict:
     return {
         "union_s": union_s,
         "batch_full_s": batch_full_s,
-        "batch_restricted_s": batch_restricted_s,
-        "total_s": union_s + batch_full_s + batch_restricted_s,
+        "bls_pricing_s": bls_pricing_s,
+        "total_s": union_s + batch_full_s + bls_pricing_s,
     }
 
 
@@ -128,9 +135,6 @@ def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
     try:
         index.influence_of_set(range(min(20, index.num_billboards)))
         index.batch_add_gains(counts_row)
-        index.batch_add_gains(
-            counts_row, candidate_ids=np.arange(min(16, index.num_billboards))
-        )
         counters = dict(obs.get_registry().counters)
     finally:
         if was_enabled:

@@ -235,7 +235,8 @@ def _find_improving_exchange(
     candidates one vectorized exact pass confirms (:func:`_select_partner`).
 
     ``candidate_ids`` (ascending, excluding ``billboard_id`` and the
-    advertiser's own billboards) restricts the scan and its kernel pass.
+    advertiser's own billboards) restricts the scan to a slice of the
+    vectors.
     The sweep passes the screened changed-candidate set, whose certificates
     prove every excluded partner non-improving, so the answer equals that of
     a scan over every legal partner (DESIGN.md §10).
@@ -344,7 +345,7 @@ def billboard_driven_local_search(
     stats: dict | None = None,
     state: BillboardSweepState | None = None,
 ) -> Allocation:
-    """Run Algorithm 5; returns the improved allocation (may be a new object).
+    """Run Algorithm 5 in place; returns ``allocation`` itself.
 
     Accepts exactly the moves the literal rescan loop accepts: every skipped
     scan is backed by a version certificate or an interval-screen proof that
@@ -355,7 +356,8 @@ def billboard_driven_local_search(
     Parameters
     ----------
     allocation:
-        Starting plan; mutated in place for move families 1–3.
+        Starting plan; mutated in place by all four move families (a
+        rejected top-up is rolled back through the journal).
     min_improvement:
         Minimum absolute regret reduction for a move to be accepted.  This is
         the ``r``-style improvement threshold of Definition 6.1 (expressed
@@ -396,7 +398,6 @@ def _search(
     eager_rounds = state is not None
     if state is None:
         state = BillboardSweepState(instance.num_advertisers, instance.num_billboards)
-    journaled = bool(getattr(allocation, "journaling", False))
     sweeps = 0
     exchanges = 0
     releases = 0
@@ -524,24 +525,15 @@ def _search(
             # candidate.
             before_regret = allocation.total_regret()
             old_owners = allocation.owners.copy()
-            if journaled:
-                # In place under the journal so object identity survives (the
-                # quoting engine rolls the whole quote back through it);
-                # bit-identical to the clone path because greedy is
-                # deterministic and rollback is an exact inverse.
-                topup_mark = allocation.journal_mark()
+            # In place under a journal mark, so a rejected (or failed) top-up
+            # rolls back exactly and the caller keeps its object; a quote's
+            # repair, already recording, keeps the adopted records in its
+            # own slice.
+            with allocation.journal_scope() as topup_mark:
                 synchronous_greedy(allocation)
-                adopted = (
-                    allocation.total_regret() < before_regret - min_improvement
-                )
+                adopted = allocation.total_regret() < before_regret - min_improvement
                 if not adopted:
                     allocation.rollback_to(topup_mark)
-            else:
-                candidate = allocation.clone()
-                synchronous_greedy(candidate)
-                adopted = candidate.total_regret() < before_regret - min_improvement
-                if adopted:
-                    allocation = candidate
             if adopted:
                 changed = np.nonzero(old_owners != allocation.owners)[0]
                 affected = {

@@ -42,8 +42,8 @@ def bounded_repair(
     stale (this also invalidates the top-up certificate, since the greedy
     drained the free pool it was earned against).
 
-    Returns the repaired allocation — the same object that was passed in
-    whenever it journals (the sweep's top-up then works in place).
+    Repairs ``allocation`` in place and returns it (BLS runs its top-up in
+    place too, so a recording caller's journal slice holds every move).
     """
     synchronous_greedy(allocation, active={newcomer_id}, stats=stats)
     if state is not None:

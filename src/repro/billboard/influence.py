@@ -18,14 +18,11 @@ the trajectory universe and counts the marks.  The batch gain/loss and
 swap-delta passes gather each billboard's ids and test the advertiser's
 multiplicity counter row at them, touching one entry per covered id.
 
-Every batch pass accepts an optional ``candidate_ids`` row restriction that
-gathers *only those rows'* CSR slices.  Restricted results are bit-identical
-to slicing the full pass:
-``batch_add_gains(row, candidate_ids=c) == batch_add_gains(row)[c]``.
+Every batch pass covers the whole CSR; a caller that wants some rows slices
+the result.
 
-Every kernel call counts ``influence.dispatch.idarray``; the row-restricted
-passes and the union also observe their row count in the
-``influence.popcount.rows`` histogram.
+Every kernel call counts ``influence.dispatch.idarray``; the union also
+observes its member count in the ``influence.popcount.rows`` histogram.
 
 The index also carries the transposed CSR (trajectory → covering billboards,
 :mod:`repro.billboard.coverage_transpose`).  BLS and the greedies price from
@@ -301,42 +298,10 @@ class CoverageIndex:
 
     @staticmethod
     def _count_call(rows: int | None = None) -> None:
-        """Count one kernel call, plus the rows of a row-restricted pass."""
+        """Count one kernel call, plus the rows of a union."""
         obs.counter_add("influence.dispatch.idarray")
         if rows is not None:
             obs.histogram_observe("influence.popcount.rows", rows)
-
-    def _gather_restricted(
-        self, candidate_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates' covered ids concatenated, plus their boundaries.
-
-        Returns ``(gathered, bounds)`` where candidate ``i``'s covered ids
-        are ``gathered[bounds[i]:bounds[i + 1]]`` — the id-array kernel's
-        restricted gather, touching only the candidates' CSR slices.
-        """
-        flat, offsets = self._flat_cache
-        lengths = self._individual[candidate_ids]
-        bounds = np.concatenate([[0], np.cumsum(lengths)])
-        total = int(bounds[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), bounds
-        positions = (
-            np.repeat(offsets[candidate_ids] - bounds[:-1], lengths)
-            + np.arange(total)
-        )
-        return flat[positions], bounds
-
-    def _rows(self, candidate_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Count one kernel call and gather its rows: ``(ids, bounds)`` where
-        row ``i``'s covered ids are ``ids[bounds[i]:bounds[i + 1]]`` — the
-        whole CSR, or only the ``candidate_ids`` rows in candidate order."""
-        if candidate_ids is None:
-            self._count_call()
-            return self._flat_cache
-        candidate_ids = self._as_candidates(candidate_ids)
-        self._count_call(len(candidate_ids))
-        return self._gather_restricted(candidate_ids)
 
     @staticmethod
     def _segment_counts(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -344,58 +309,43 @@ class CoverageIndex:
         cumulative = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
         return cumulative[bounds[1:]] - cumulative[bounds[:-1]]
 
-    @staticmethod
-    def _as_candidates(candidate_ids) -> np.ndarray:
-        return np.ascontiguousarray(np.asarray(candidate_ids, dtype=np.int64))
-
-    def batch_add_gains(
-        self, counts_row: np.ndarray, candidate_ids: np.ndarray | None = None
-    ) -> np.ndarray:
+    def batch_add_gains(self, counts_row: np.ndarray) -> np.ndarray:
         """Marginal influence of adding *each* billboard to a set.
 
         Given an advertiser's multiplicity counter row, returns the vector
         ``g`` with ``g[b] = |{t ∈ cov(b) : counts_row[t] == 0}|`` for every
         billboard ``b``.
-
-        With ``candidate_ids`` only those rows are computed and the result is
-        aligned to the candidate order (``g[i]`` belongs to
-        ``candidate_ids[i]``) — bit-identical to slicing the full pass.
         """
-        ids, bounds = self._rows(candidate_ids)
+        self._count_call()
+        ids, bounds = self._flat_cache
         return self._segment_counts(counts_row[ids] == 0, bounds)
 
     def batch_add_gains_without(
-        self,
-        counts_row: np.ndarray,
-        removed_billboard: int,
-        candidate_ids: np.ndarray | None = None,
+        self, counts_row: np.ndarray, removed_billboard: int
     ) -> np.ndarray:
         """:meth:`batch_add_gains` as if ``removed_billboard`` had already been
         removed from the set behind ``counts_row`` — without mutating the row.
 
         A trajectory is free after the removal when its count is 0, or when it
-        is 1 and covered by the removed billboard.  This is the BLS exchange
-        scan's kernel: it prices ``S − o_m + o_n`` for every candidate ``o_n``
-        while the allocation itself stays untouched.  ``candidate_ids``
-        restricts the pass to those rows (result aligned to the candidate
-        order), bit-identical to slicing the full pass.
+        is 1 and covered by the removed billboard.  This prices
+        ``S − o_m + o_n`` for every candidate ``o_n`` while the allocation
+        itself stays untouched (the reference for
+        :meth:`~repro.core.allocation.Allocation.gains_without`).
         """
+        self._count_call()
         removed = np.zeros(self.num_trajectories, dtype=counts_row.dtype)
         removed[self._covered[removed_billboard]] = 1
-        ids, bounds = self._rows(candidate_ids)
+        ids, bounds = self._flat_cache
         return self._segment_counts((counts_row[ids] - removed[ids]) == 0, bounds)
 
-    def batch_remove_losses(
-        self, counts_row: np.ndarray, candidate_ids: np.ndarray | None = None
-    ) -> np.ndarray:
+    def batch_remove_losses(self, counts_row: np.ndarray) -> np.ndarray:
         """Influence lost by removing *each* billboard from a set.
 
         ``l[b] = |{t ∈ cov(b) : counts_row[t] == 1}|``; only meaningful for
         billboards actually in the set, but computed for all.
-        ``candidate_ids`` restricts the pass to those rows (result aligned to
-        the candidate order), bit-identical to slicing the full pass.
         """
-        ids, bounds = self._rows(candidate_ids)
+        self._count_call()
+        ids, bounds = self._flat_cache
         return self._segment_counts(counts_row[ids] == 1, bounds)
 
     @staticmethod
@@ -411,22 +361,15 @@ class CoverageIndex:
         self, removed_billboard: int, candidate_ids: np.ndarray, counts_row: np.ndarray
     ) -> np.ndarray:
         """:meth:`swap_delta` for one removed billboard against *many* added
-        candidates in one vectorized pass.
+        candidates: the full :meth:`batch_add_gains_without` pass sliced at
+        ``candidate_ids``, minus the shared loss of the removed billboard.
 
         ``d[i]`` equals ``swap_delta(removed_billboard, candidate_ids[i],
-        counts_row)`` bit-for-bit; the loss term is shared across candidates
-        and each gain term is a restricted CSR gather.
+        counts_row)`` bit-for-bit.
         """
-        candidate_ids = self._as_candidates(candidate_ids)
-        if len(candidate_ids) == 0:
-            return np.empty(0, dtype=np.int64)
-        self._count_call(len(candidate_ids))
-        cov_removed = self._covered[removed_billboard]
-        loss = int(np.count_nonzero(counts_row[cov_removed] == 1))
-        gathered, bounds = self._gather_restricted(candidate_ids)
-        in_removed = self._in_removed(cov_removed, gathered, counts_row.dtype)
-        gains = self._segment_counts((counts_row[gathered] - in_removed) == 0, bounds)
-        return gains - loss
+        loss = np.count_nonzero(counts_row[self._covered[removed_billboard]] == 1)
+        gains = self.batch_add_gains_without(counts_row, removed_billboard)
+        return gains[np.asarray(candidate_ids, dtype=np.int64)] - loss
 
     def swap_delta(
         self, removed_billboard: int, added_billboard: int, counts_row: np.ndarray

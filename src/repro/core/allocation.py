@@ -21,17 +21,35 @@ vectors exact with one gather of those trajectories' covering billboards
 (the index's transposed lists) and one ``bincount``.  Every other write —
 rollback, replay, top-up — decomposes into those two primitives; the
 whole-row operations (:meth:`~Allocation.exchange_sets`,
-:meth:`~Allocation.clone`, :meth:`~Allocation.copy_assignments_from`) move
-the vector rows with the counter rows.  The greedies and BLS price from the
-vectors instead of gathering CSR rows per candidate (DESIGN.md §10, §16).
+:meth:`~Allocation.clone`, :meth:`~Allocation.copy_assignments_from`,
+:meth:`~Allocation.grow`) move the vector rows with the counter rows.  The
+greedies and BLS price from the vectors instead of gathering CSR rows per
+candidate (DESIGN.md §10, §16).
+
+Journal: once recording is on, every ``assign``/``release`` appends one
+``(kind, billboard_id, advertiser_id)`` record, and :meth:`rollback_to`
+undoes the records above a mark with the exact inverse primitives, so the
+counters, vectors, influences, owners and sets come back bit for bit with
+no copy (DESIGN.md §15).  The quoting workspace records every repair and
+replays an accepted one (:meth:`replay`); BLS runs its greedy top-up in
+place inside :meth:`journal_scope` and rolls a rejected one back.
+Recording is off by default, so an unrecorded move pays one flag test.
+
+Regret cache: ``regret(i)`` is a pure function of ``i``'s influence and
+contract, so its value is cached until one of ``i``'s moves (or
+:meth:`invalidate_regret`, for a changed contract) drops it.
+``total_regret()`` sums the cached floats in id order, the identical sum
+a recomputation gives.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro import obs
 from repro.core.problem import MROAMInstance
 from repro.core.regret import RegretBreakdown
 
@@ -54,6 +72,10 @@ class Allocation:
         self._gains = np.tile(instance.coverage.individual_influences, (num_advertisers, 1))
         self._losses = np.zeros((num_advertisers, num_billboards), dtype=np.int64)
         self._unassigned: set[int] = set(range(num_billboards))
+        self._entries: list[tuple[str, int, int]] = []
+        self._recording = False
+        self._regret_cache = np.zeros(num_advertisers, dtype=np.float64)
+        self._regret_valid = np.zeros(num_advertisers, dtype=bool)
 
     # ------------------------------------------------------------------ state
 
@@ -116,8 +138,29 @@ class Allocation:
     # ----------------------------------------------------------------- regret
 
     def regret(self, advertiser_id: int) -> float:
-        """Eq. 1 regret of one advertiser under the current plan."""
-        return self.instance.regret_of(advertiser_id, self.influence(advertiser_id))
+        """Eq. 1 regret of one advertiser under the current plan, cached.
+
+        The cached value is the float :meth:`MROAMInstance.regret_of` returns
+        for the current influence: every influence change goes through
+        :meth:`assign`/:meth:`release`, which drop the entry.  A caller that
+        changes a slot's *contract* (the quoting workspace's newcomer slot)
+        must call :meth:`invalidate_regret` for it.
+        """
+        if self._regret_valid[advertiser_id]:
+            obs.counter_add("quote.cache.hit")
+            return float(self._regret_cache[advertiser_id])
+        value = self.instance.regret_of(advertiser_id, self.influence(advertiser_id))
+        self._regret_cache[advertiser_id] = value
+        self._regret_valid[advertiser_id] = True
+        obs.counter_add("quote.cache.miss")
+        return value
+
+    def invalidate_regret(self, advertiser_id: int | None = None) -> None:
+        """Drop cached regret values (one advertiser, or all with ``None``)."""
+        if advertiser_id is None:
+            self._regret_valid[:] = False
+        else:
+            self._regret_valid[advertiser_id] = False
 
     def total_regret(self) -> float:
         """``R(S) = Σ_i R(S_i)`` — the MROAM objective."""
@@ -157,6 +200,9 @@ class Allocation:
         self._owner[billboard_id] = advertiser_id
         self._sets[advertiser_id].add(billboard_id)
         self._unassigned.discard(billboard_id)
+        self._regret_valid[advertiser_id] = False
+        if self._recording:
+            self._entries.append(("assign", billboard_id, advertiser_id))
 
     def release(self, billboard_id: int) -> int:
         """Return a billboard to the unassigned pool; returns the old owner."""
@@ -172,6 +218,9 @@ class Allocation:
         self._owner[billboard_id] = UNASSIGNED
         self._sets[advertiser_id].discard(billboard_id)
         self._unassigned.add(billboard_id)
+        self._regret_valid[advertiser_id] = False
+        if self._recording:
+            self._entries.append(("release", billboard_id, advertiser_id))
         return advertiser_id
 
     def _shift_vectors(
@@ -230,7 +279,12 @@ class Allocation:
 
         Influence depends only on the billboard set, so this swaps the
         counter rows, gain/loss rows and influence scalars in O(1)-ish work.
+        A whole-set swap has no assign/release decomposition the journal
+        could undo, so it refuses to run while recording (the billboard-driven
+        repair never uses it).
         """
+        if self._recording:
+            raise RuntimeError("exchange_sets is not journaled; disable recording first")
         if advertiser_a == advertiser_b:
             return
         set_a, set_b = self._sets[advertiser_a], self._sets[advertiser_b]
@@ -244,6 +298,7 @@ class Allocation:
         self._gains[pair] = self._gains[swapped]
         self._losses[pair] = self._losses[swapped]
         self._influences[pair] = self._influences[swapped]
+        self._regret_valid[pair] = False
 
     def assign_many(self, assignments: Iterable[tuple[int, int]]) -> None:
         """Bulk-assign ``(billboard_id, advertiser_id)`` pairs."""
@@ -324,8 +379,13 @@ class Allocation:
         copied over (gain/loss rows with them), and any extra rows of
         ``self`` are cleared.  Both sides must share the same coverage
         index — the counter rows are only meaningful against one trajectory
-        universe.
+        universe — and ``self`` must hold no uncommitted journal records,
+        which the copy would make impossible to undo.
         """
+        if self._entries:
+            raise RuntimeError(
+                "cannot bulk-copy assignments over uncommitted journal entries"
+            )
         if other.instance.coverage is not self.instance.coverage:
             raise ValueError("copy_assignments_from requires a shared coverage index")
         carried = other.instance.num_advertisers
@@ -347,11 +407,126 @@ class Allocation:
         self._losses[:carried] = other._losses
         self._losses[carried:] = 0
         self._unassigned = set(other._unassigned)
+        self._regret_valid[:] = False
+
+    def grow(self, instance: MROAMInstance) -> None:
+        """Adopt an instance extending this one with appended advertisers.
+
+        Used when an accepted proposal promotes the workspace's newcomer slot
+        into the book and a fresh spare slot is appended: the existing rows
+        (sets, counters, influences, gain/loss vectors, cached regrets) carry
+        over untouched — the caller guarantees the first ``num_advertisers``
+        contracts are unchanged — and the new rows start empty: gains equal
+        the individual influences, losses are zero.
+        """
+        added = instance.num_advertisers - self.instance.num_advertisers
+        if added < 0 or instance.coverage is not self.instance.coverage:
+            raise ValueError(
+                "grow() needs an instance extending the current one over the "
+                "same coverage index"
+            )
+        self.instance = instance
+        num_billboards = instance.num_billboards
+        self._sets += [set() for _ in range(added)]
+        self._counts = np.vstack(
+            [self._counts, np.zeros((added, self._counts.shape[1]), dtype=np.int32)]
+        )
+        self._influences = np.append(self._influences, np.zeros(added, dtype=np.int64))
+        self._gains = np.vstack(
+            [self._gains, np.tile(instance.coverage.individual_influences, (added, 1))]
+        )
+        self._losses = np.vstack(
+            [self._losses, np.zeros((added, num_billboards), dtype=np.int64)]
+        )
+        self._regret_cache = np.append(self._regret_cache, np.zeros(added))
+        self._regret_valid = np.append(self._regret_valid, np.zeros(added, dtype=bool))
+
+    # ---------------------------------------------------------------- journal
+
+    @property
+    def journaling(self) -> bool:
+        """Whether moves are currently being recorded."""
+        return self._recording
+
+    def journal_enable(self) -> None:
+        """Start recording every assign/release delta."""
+        self._recording = True
+
+    def journal_mark(self) -> int:
+        """The current journal position (pass to :meth:`rollback_to`)."""
+        return len(self._entries)
+
+    def journal_entries(self, mark: int = 0) -> tuple[tuple[str, int, int], ...]:
+        """A copy of the records appended since ``mark`` (replay material)."""
+        return tuple(self._entries[mark:])
+
+    def journal_commit(self, mark: int = 0) -> None:
+        """Drop the records since ``mark``, keeping the state they built."""
+        del self._entries[mark:]
+
+    @contextmanager
+    def journal_scope(self) -> Iterator[int]:
+        """Record the block's moves above a fresh mark, which it yields.
+
+        An exception rolls the block's moves back before it propagates.  A
+        block that ends with none of its records left (rolled back, or no
+        moves) also gets its entry regret cache back, so the whole state is
+        byte-identical to before the block.  On exit recording returns to its
+        previous setting; a caller that was not recording keeps no records,
+        while one that was keeps the block's records in its own slice.
+        """
+        recording = self._recording
+        mark = len(self._entries)
+        cache = (self._regret_cache.copy(), self._regret_valid.copy())
+        self._recording = True
+        try:
+            yield mark
+        except BaseException:
+            self.rollback_to(mark)
+            raise
+        finally:
+            self._recording = recording
+            if len(self._entries) == mark:
+                self._regret_cache, self._regret_valid = cache
+            if not recording:
+                del self._entries[mark:]
+
+    def rollback_to(self, mark: int = 0) -> int:
+        """Undo every move recorded after ``mark``; returns the undo count.
+
+        O(moves touched): each record is inverted with the same counter
+        arithmetic the forward move used (``release`` exactly inverts
+        ``assign`` on the counters and the gain/loss vectors), so the restored
+        state is byte-identical — no copies are made.
+        """
+        undone = self._entries[mark:]
+        del self._entries[mark:]
+        self._apply(reversed(undone), undo=True)
+        obs.counter_add("journal.rollback")
+        return len(undone)
+
+    def replay(self, entries: Iterable[tuple[str, int, int]]) -> None:
+        """Apply previously recorded deltas forward (recording suspended)."""
+        self._apply(entries, undo=False)
+
+    def _apply(self, entries: Iterable[tuple[str, int, int]], undo: bool) -> None:
+        """Apply records forward, or their inverses with ``undo``, without
+        recording them."""
+        recording, self._recording = self._recording, False
+        try:
+            for kind, billboard_id, advertiser_id in entries:
+                if (kind == "assign") != undo:
+                    self.assign(billboard_id, advertiser_id)
+                else:
+                    self.release(billboard_id)
+        finally:
+            self._recording = recording
 
     # ------------------------------------------------------------------- misc
 
     def clone(self) -> "Allocation":
-        """Deep copy sharing the (immutable) instance."""
+        """Deep copy sharing the (immutable) instance, with an empty journal
+        and recording off."""
         copy = Allocation.__new__(Allocation)
         copy.instance = self.instance
         copy._owner = self._owner.copy()
@@ -361,6 +536,10 @@ class Allocation:
         copy._gains = self._gains.copy()
         copy._losses = self._losses.copy()
         copy._unassigned = set(self._unassigned)
+        copy._entries = []
+        copy._recording = False
+        copy._regret_cache = self._regret_cache.copy()
+        copy._regret_valid = self._regret_valid.copy()
         return copy
 
     def assignment_map(self) -> dict[int, frozenset[int]]:

@@ -27,6 +27,8 @@ def validate_allocation(allocation: Allocation) -> None:
     4. Each cached influence scalar equals the number of nonzero counters.
     5. Each advertiser's gain/loss vectors equal a full coverage-kernel pass
        over its counters.
+    6. Each regret-cache entry marked valid equals Eq. 1 recomputed at the
+       advertiser's influence.
     """
     instance = allocation.instance
     seen: set[int] = set()
@@ -83,3 +85,11 @@ def validate_allocation(allocation: Allocation) -> None:
                 f"gain/loss vectors of advertiser {advertiser_id} drifted from a "
                 "full coverage pass"
             )
+        if allocation._regret_valid[advertiser_id]:
+            cached = float(allocation._regret_cache[advertiser_id])
+            expected = instance.regret_of(advertiser_id, true_influence)
+            if cached != expected:
+                raise AllocationInvariantError(
+                    f"cached regret {cached} of advertiser {advertiser_id} != "
+                    f"recomputed {expected}"
+                )

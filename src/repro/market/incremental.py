@@ -5,15 +5,15 @@ the whole standing plan per quote — O(book) before repair even starts.
 :class:`QuoteWorkspace` keeps one *extended* world alive across quotes
 instead:
 
-* one :class:`~repro.core.journal.JournaledAllocation` over the book's
+* one recording :class:`~repro.core.allocation.Allocation` over the book's
   advertisers **plus one spare newcomer slot** (held by a zero-payment ghost
   contract between quotes, which contributes exactly ``0.0`` regret);
 * one :class:`~repro.algorithms.sweep.BillboardSweepState` whose version
   certificates survive from quote to quote — sound because a rejected quote
   rolls the allocation back to exactly the state the certificates were
   earned against;
-* the journal's per-advertiser regret cache, invalidated by the very deltas
-  the journal records.
+* the allocation's per-advertiser regret cache, invalidated by the very
+  moves the journal records.
 
 Pricing a proposal mutates the spare slot's contract in place, repairs
 around it (greedy + bounded BLS through
@@ -35,7 +35,6 @@ from repro.algorithms.sweep import BillboardSweepState
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import Allocation
-from repro.core.journal import JournaledAllocation
 from repro.core.problem import MROAMInstance
 
 
@@ -80,7 +79,7 @@ class QuoteWorkspace:
         self._book: list[Advertiser] = []
         self._ghost = _ghost(0)
         self._ext = MROAMInstance(self._coverage, [self._ghost], gamma=self._gamma)
-        self.allocation = JournaledAllocation(self._ext)
+        self.allocation = Allocation(self._ext)
         self.allocation.journal_enable()
         self.state = BillboardSweepState(1, self._coverage.num_billboards)
 
@@ -112,7 +111,7 @@ class QuoteWorkspace:
     def book_regret(self) -> float:
         """Total regret of the booked advertisers (slot excluded).
 
-        Summed in id order over the journal's regret cache — the identical
+        Summed in id order over the allocation's regret cache — the identical
         floats, in the identical order, as the book allocation's
         ``total_regret()`` on the from-scratch path.
         """
@@ -146,15 +145,13 @@ class QuoteWorkspace:
         before = self.book_regret()
         pre_state = self.state.snapshot()
         mark = self.allocation.journal_mark()
-        repaired = bounded_repair(
+        bounded_repair(
             self.allocation,
             slot,
             self.repair_sweeps,
             state=self.state,
             min_improvement=self.min_improvement,
         )
-        if repaired is not self.allocation:
-            raise RuntimeError("incremental repair must keep the journaled object")
         after = self.allocation.total_regret()
         would_satisfy = self.allocation.is_satisfied(slot)
         entries = self.allocation.journal_entries(mark)

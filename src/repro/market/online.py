@@ -12,7 +12,6 @@ workflow on top:
   plan (equivalent to ``commit(quote(...))``).
 * :meth:`OnlineHost.commit` — commit a previously returned quote's token:
   the repair computed while pricing is adopted, not recomputed.
-* :meth:`OnlineHost.quote_many` — price a batch of independent proposals.
 * :meth:`OnlineHost.reoptimize` — run the full randomized local search over
   the current book (e.g. nightly).
 
@@ -255,23 +254,6 @@ class OnlineHost:
             quote = self._price(demand, payment, name)
             self.commit(quote)
         return quote
-
-    def quote_many(self, proposals) -> list[Quote]:
-        """Price independent proposals as one batch (state unchanged).
-
-        ``proposals`` is a sequence of ``(demand, payment)`` or ``(demand,
-        payment, name)`` tuples; each is priced against the current book, as
-        :meth:`quote` would.
-        """
-        normalized = [
-            (proposal[0], proposal[1], proposal[2] if len(proposal) > 2 else "")
-            for proposal in proposals
-        ]
-        with obs.span("quote.batch", proposals=len(normalized)):
-            return [
-                self._price(demand, payment, name)
-                for demand, payment, name in normalized
-            ]
 
     def reoptimize(self, restarts: int = 3) -> float:
         """Full randomized local search over the whole book (e.g. nightly).

@@ -72,7 +72,6 @@ SPAN_BLS_SEARCH = "bls.search"
 SPAN_ANNEAL_CHAIN = "anneal.chain"
 SPAN_QUOTE_PRICE = "quote.price"
 SPAN_QUOTE_ACCEPT = "quote.accept"
-SPAN_QUOTE_BATCH = "quote.batch"
 
 # ------------------------------------------------------- trace events
 

@@ -5,9 +5,10 @@ allocation's gain vector (DESIGN.md §16).  Its contract is that every pick
 equals the pick of pricing every candidate through the coverage kernel,
 tie-breaks included.  The oracles:
 
-* ``eager_best_marginal_billboard`` — the kernel-priced full pass, kept in
+* ``eager_best_marginal_billboard`` — the counter-row-priced pass, kept in
   ``tests/oracles.py`` as the reference; the ``batch1``/``batch8`` cases
-  price its candidates in row-restricted kernel calls of 1 or 8 rows;
+  price its candidates through gathers of only 1 or 8 candidates' CSR
+  slices (``gathered_add_gains``, independent of the kernel's full pass);
 * ``literal_pick`` — Eq. 1 recomputed per candidate with scalar floats from
   the counter row, no batch kernel at all.
 
@@ -91,7 +92,7 @@ def scenario_instance(dataset, gamma, fractional, alpha=0.8, seed=3):
 
 @pytest.fixture(params=[1, 8], ids=["batch1", "batch8"])
 def oracle_rows(request):
-    """Rows per row-restricted kernel call of the eager oracle."""
+    """Candidates per CSR-slice gather of the eager oracle."""
     return request.param
 
 

@@ -10,7 +10,6 @@ from repro.algorithms.sweep import BillboardSweepState
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import Allocation
-from repro.core.journal import JournaledAllocation
 from repro.core.problem import MROAMInstance
 
 
@@ -58,7 +57,7 @@ def test_warm_repairs_match_cold_repairs(seed, sweeps):
 
     # Warm: one journaled allocation + one sweep state across all repairs.
     warm_instance = extended_instance(1, 0.0)
-    warm = JournaledAllocation(warm_instance)
+    warm = Allocation(warm_instance)
     warm.journal_enable()
     state = BillboardSweepState(slot + 1, coverage.num_billboards)
     # Give the book a standing plan first (repair an initial newcomer in and

@@ -74,9 +74,6 @@ class TestKernelEquality:
         index, oracle = kernel_case(seed, num_trajectories)
         counts = random_counts_row(seed + 2, num_trajectories)
         assert index.batch_add_gains(counts).tolist() == oracle.batch_add_gains(counts)
-        for ids in candidate_sets(seed + 1, index.num_billboards):
-            restricted = index.batch_add_gains(counts, candidate_ids=ids)
-            assert restricted.tolist() == oracle.batch_add_gains(counts, ids)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, num_trajectories=TRAJECTORIES)
@@ -87,12 +84,6 @@ class TestKernelEquality:
         for removed in range(index.num_billboards):
             full = index.batch_add_gains_without(counts, removed)
             assert full.tolist() == oracle.batch_add_gains_without(counts, removed)
-        removed = seed % index.num_billboards
-        for ids in candidate_sets(seed + 1, index.num_billboards):
-            restricted = index.batch_add_gains_without(counts, removed, candidate_ids=ids)
-            assert restricted.tolist() == oracle.batch_add_gains_without(
-                counts, removed, ids
-            )
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, num_trajectories=TRAJECTORIES)
@@ -103,9 +94,6 @@ class TestKernelEquality:
         assert index.batch_remove_losses(counts).tolist() == oracle.batch_remove_losses(
             counts
         )
-        for ids in candidate_sets(seed + 1, index.num_billboards):
-            restricted = index.batch_remove_losses(counts, candidate_ids=ids)
-            assert restricted.tolist() == oracle.batch_remove_losses(counts, ids)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, num_trajectories=TRAJECTORIES)

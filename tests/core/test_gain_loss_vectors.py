@@ -25,7 +25,6 @@ import pytest
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import UNASSIGNED, Allocation
-from repro.core.journal import JournaledAllocation
 from repro.core.problem import MROAMInstance
 from repro.core.validation import validate_allocation
 from tests.oracles import SetCoverage
@@ -128,7 +127,7 @@ def test_journal_rollback_replay_and_grow(seed):
     instance, lists = make_instance(seed, num_advertisers=3)
     oracle = SetCoverage(lists)
     rng = np.random.default_rng(200 + seed)
-    allocation = JournaledAllocation(instance)
+    allocation = Allocation(instance)
     allocation.journal_enable()
     for _ in range(30):
         random_move(allocation, rng)

@@ -1,13 +1,19 @@
-"""Tests for the journaled allocation (rollback, replay, caches)."""
+"""Tests for the allocation's journal (rollback, replay, caches, guards)
+and for BLS's in-place greedy top-up, which runs under a journal mark."""
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.algorithms import bls
+from repro.algorithms.bls import billboard_driven_local_search
 from repro.billboard.influence import CoverageIndex
-from repro.core.allocation import Allocation
+from repro.core.advertiser import Advertiser
+from repro.core.allocation import UNASSIGNED, Allocation
 from repro.core.journal import JournaledAllocation
 from repro.core.problem import MROAMInstance
+from repro.core.validation import validate_allocation
+from tests.oracles import rescan_bls
 
 
 def small_instance(num_advertisers=3):
@@ -36,7 +42,7 @@ def state_fingerprint(allocation):
 
 class TestRollback:
     def test_rollback_restores_state_byte_identically(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.assign(0, 0)
         allocation.assign(1, 1)
         allocation.journal_enable()
@@ -53,7 +59,7 @@ class TestRollback:
         assert allocation.journal_mark() == mark
 
     def test_rollback_counter_fires(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.journal_enable()
         obs.enable()
         obs.reset()
@@ -66,7 +72,7 @@ class TestRollback:
             obs.reset()
 
     def test_nested_marks_roll_back_independently(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.journal_enable()
         allocation.assign(0, 0)
         outer = allocation.journal_mark()
@@ -83,7 +89,7 @@ class TestRollback:
 
 class TestReplay:
     def test_replay_reproduces_recorded_state(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.journal_enable()
         mark = allocation.journal_mark()
         allocation.assign(0, 0)
@@ -96,7 +102,7 @@ class TestReplay:
         assert state_fingerprint(allocation) == repaired
 
     def test_replay_does_not_record(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.journal_enable()
         allocation.assign(0, 0)
         entries = allocation.journal_entries()
@@ -108,17 +114,24 @@ class TestReplay:
 class TestRegretCache:
     def test_cached_value_matches_uncached(self):
         instance = small_instance()
-        journaled = JournaledAllocation(instance)
-        plain = Allocation(instance)
-        for billboard_id, advertiser_id in [(0, 0), (1, 1), (5, 2)]:
-            journaled.assign(billboard_id, advertiser_id)
-            plain.assign(billboard_id, advertiser_id)
-        assert journaled.total_regret() == plain.total_regret()
+        allocation = Allocation(instance)
+        for billboard_id, advertiser_id in [(0, 0), (1, 1), (5, 2), (3, 0)]:
+            allocation.assign(billboard_id, advertiser_id)
+        allocation.release(1)
+        first = allocation.total_regret()
+        # A from-scratch plan with a cold cache: every entry recomputed.
+        rebuilt = Allocation(instance)
+        for advertiser_id, billboards in allocation.assignment_map().items():
+            for billboard_id in sorted(billboards):
+                rebuilt.assign(billboard_id, advertiser_id)
+        assert first == rebuilt.total_regret()
         # Second read comes from the cache and must be the identical float.
-        assert journaled.total_regret() == plain.total_regret()
+        assert allocation._regret_valid.all()
+        assert allocation.total_regret() == rebuilt.total_regret()
+        validate_allocation(allocation)
 
     def test_cache_hits_and_misses_are_counted(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         obs.enable()
         obs.reset()
         try:
@@ -135,7 +148,7 @@ class TestRegretCache:
             obs.reset()
 
     def test_invalidate_regret_drops_entries(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.total_regret()
         allocation.invalidate_regret(1)
         assert not allocation._regret_valid[1]
@@ -144,16 +157,109 @@ class TestRegretCache:
         assert not allocation._regret_valid.any()
 
 
+def full_fingerprint(allocation):
+    """Every piece of allocation state, the journal and the cache included."""
+    return (
+        *state_fingerprint(allocation),
+        allocation._gains.tobytes(),
+        allocation._losses.tobytes(),
+        allocation._regret_cache.tobytes(),
+        allocation._regret_valid.tobytes(),
+        allocation.journaling,
+        tuple(allocation._entries),
+    )
+
+
+def top_up_instance(contracts, gamma):
+    """No assigned billboard, so BLS's first move is the greedy top-up."""
+    coverage = CoverageIndex.from_coverage_lists([[0, 1], [2], [3, 4, 5]], 6)
+    advertisers = [Advertiser(i, d, p) for i, (d, p) in enumerate(contracts)]
+    return MROAMInstance(coverage, advertisers, gamma=gamma)
+
+
+#: Greedy fills the one advertiser short of its demand 20; at γ = 0 its
+#: regret stays the full payment, so the top-up is rejected.
+REJECTED = ([(20, 2.0)], 0.0)
+#: Greedy satisfies both advertisers: regret 4.0 → 0.0, adopted.
+ADOPTED = ([(3, 2.0), (3, 2.0)], 0.5)
+
+
+class TestTopUpInPlace:
+    @pytest.mark.parametrize("recording", [False, True], ids=["cold", "recording"])
+    def test_failed_top_up_restores_the_allocation(self, monkeypatch, recording):
+        allocation = Allocation(top_up_instance(*ADOPTED))
+        if recording:
+            allocation.journal_enable()
+            allocation.assign(1, 0)
+            allocation.release(1)
+        # BLS reads the total regret before its top-up; warm the cache the
+        # same way so the before-state includes it.
+        allocation.total_regret()
+        before = full_fingerprint(allocation)
+
+        def failing_greedy(target, *args, **kwargs):
+            assert target is allocation and target.journaling
+            target.assign(0, 0)
+            target.assign(2, 1)
+            raise RuntimeError("greedy failed mid top-up")
+
+        monkeypatch.setattr(bls, "synchronous_greedy", failing_greedy)
+        with pytest.raises(RuntimeError, match="mid top-up"):
+            billboard_driven_local_search(allocation)
+        assert full_fingerprint(allocation) == before
+        assert allocation.journaling is recording
+        assert allocation.journal_mark() == (2 if recording else 0)
+        validate_allocation(allocation)
+
+    @pytest.mark.parametrize("case", [REJECTED, ADOPTED], ids=["rejected", "adopted"])
+    def test_cold_search_returns_its_allocation_with_an_empty_journal(self, case):
+        instance = top_up_instance(*case)
+        allocation = Allocation(instance)
+        stats: dict = {}
+        obs.enable()
+        obs.reset()
+        try:
+            assert billboard_driven_local_search(allocation, stats=stats) is allocation
+            rollbacks = obs.counter_value("journal.rollback")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert allocation.journal_mark() == 0
+        assert not allocation.journaling
+        assert stats["bls_topups"] == (case is ADOPTED)
+        assert rollbacks == (case is REJECTED)
+        validate_allocation(allocation)
+        # The clone-and-adopt top-up of the literal loop lands on the same plan.
+        oracle = rescan_bls(Allocation(instance))
+        assert allocation.assignment_map() == oracle.assignment_map()
+        assert allocation.total_regret() == oracle.total_regret()
+        if case is REJECTED:
+            assert (allocation.owners == UNASSIGNED).all()
+
+    def test_recording_caller_keeps_the_adopted_records(self):
+        allocation = Allocation(top_up_instance(*ADOPTED))
+        allocation.journal_enable()
+        billboard_driven_local_search(allocation)
+        entries = allocation.journal_entries()
+        assert allocation.journaling
+        assert sorted(kind for kind, _, _ in entries) == ["assign"] * 3
+        allocation.rollback_to(0)
+        assert (allocation.owners == UNASSIGNED).all()
+
+    def test_journaled_name_is_the_allocation_class(self):
+        assert JournaledAllocation is Allocation
+
+
 class TestGuards:
     def test_exchange_sets_raises_while_recording(self):
-        allocation = JournaledAllocation(small_instance())
+        allocation = Allocation(small_instance())
         allocation.journal_enable()
         with pytest.raises(RuntimeError, match="exchange_sets"):
             allocation.exchange_sets(0, 1)
 
     def test_copy_assignments_raises_over_uncommitted_entries(self):
         instance = small_instance()
-        allocation = JournaledAllocation(instance)
+        allocation = Allocation(instance)
         allocation.journal_enable()
         allocation.assign(0, 0)
         with pytest.raises(RuntimeError, match="uncommitted"):
@@ -206,7 +312,7 @@ class TestBulkCopy:
 class TestGrow:
     def test_grow_appends_empty_rows(self):
         narrow = small_instance(num_advertisers=2)
-        allocation = JournaledAllocation(narrow)
+        allocation = Allocation(narrow)
         allocation.journal_enable()
         allocation.assign(0, 0)
         allocation.assign(2, 1)
@@ -226,7 +332,7 @@ class TestGrow:
 
     def test_grow_rejects_shrink_and_foreign_coverage(self):
         wide = small_instance(num_advertisers=3)
-        allocation = JournaledAllocation(wide)
+        allocation = Allocation(wide)
         narrow = MROAMInstance.from_contracts(wide.coverage, [(3, 2.0)] * 2)
         with pytest.raises(ValueError):
             allocation.grow(narrow)

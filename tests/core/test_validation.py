@@ -51,3 +51,15 @@ def test_detects_unassigned_pool_drift(tiny_instance):
     allocation._unassigned.add(0)
     with pytest.raises(AllocationInvariantError, match="unassigned"):
         validate_allocation(allocation)
+
+
+def test_detects_stale_regret_cache(tiny_instance):
+    allocation = Allocation(tiny_instance)
+    allocation.assign(0, 0)
+    allocation.total_regret()
+    validate_allocation(allocation)
+    allocation._regret_cache[0] += 1.0  # a planted stale entry
+    with pytest.raises(AllocationInvariantError, match="cached regret"):
+        validate_allocation(allocation)
+    allocation.invalidate_regret(0)  # an entry marked invalid is not checked
+    validate_allocation(allocation)

@@ -58,8 +58,3 @@ class TestBenchQuotesSmoke:
         # Every priced-and-rejected quote rolled back through the journal.
         assert latency["journal_rollbacks"] >= latency["samples"]
         assert latency["regret_cache_hit_rate"] > 0.5
-
-        batched = report["quote_many"]
-        assert batched["serial_batch_quote_s"] > 0.0
-        # quote_many is the serial loop: no pool-fanned half in the report.
-        assert set(batched) == {"batch_size", "serial_batch_quote_s", "note"}

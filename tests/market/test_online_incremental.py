@@ -234,6 +234,9 @@ class TestReoptimize:
 
 class TestQuoteMany:
     def test_serial_batch_equals_quote_loop(self):
+        """Back-to-back quotes are independent: a batch of proposals quoted
+        in order and again in reverse order prices every one identically,
+        and the quotes stay committable."""
         host = OnlineHost(overlapping_coverage(3))
         rng = random.Random(3)
         for _ in range(4):
@@ -242,19 +245,12 @@ class TestQuoteMany:
             (rng.randint(2, 25), round(rng.uniform(0.5, 8), 2), f"p{i}")
             for i in range(6)
         ]
-        loop = [host.quote(d, p, n) for d, p, n in proposals]
-        batch = host.quote_many(proposals)
-        assert [(q.regret_before, q.regret_after, q.would_satisfy) for q in loop] == [
-            (q.regret_before, q.regret_after, q.would_satisfy) for q in batch
-        ]
-        # Serial batch quotes stay committable.
-        host.commit(batch[0])
-
-    def test_batch_accepts_two_tuples(self):
-        host = OnlineHost(disjoint_coverage())
-        quotes = host.quote_many([(3, 3.0), (6, 6.0)])
-        assert [q.demand for q in quotes] == [3, 6]
-        assert quotes[0].advertiser_name == ""
+        forward = [host.quote(d, p, n) for d, p, n in proposals]
+        backward = [host.quote(d, p, n) for d, p, n in reversed(proposals)][::-1]
+        assert [
+            (q.regret_before, q.regret_after, q.would_satisfy) for q in forward
+        ] == [(q.regret_before, q.regret_after, q.would_satisfy) for q in backward]
+        host.commit(forward[0])
 
 
 class TestConfiguration:

@@ -485,10 +485,23 @@ class CertificateAudit:
 # ------------------------------------------------------- greedy pricing
 
 
+def gathered_add_gains(coverage, counts_row, candidate_ids) -> np.ndarray:
+    """``batch_add_gains(counts_row)[candidate_ids]`` from a gather of only
+    the candidates' CSR slices (the row-restricted pass the index once had):
+    one concatenation of their covered ids, per-candidate sums by
+    cumulative-sum differencing at the slice bounds."""
+    covered = [coverage.covered_by(int(b)) for b in candidate_ids]
+    bounds = np.cumsum([0, *map(len, covered)])
+    ids = np.concatenate(covered) if covered else np.empty(0, dtype=np.int64)
+    free = np.concatenate([[0], np.cumsum(counts_row[ids] == 0)])
+    return free[bounds[1:]] - free[bounds[:-1]]
+
+
 def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, rows=None):
-    """Price every usable candidate with the row-restricted
-    ``batch_add_gains`` kernel over the counter row (``rows`` candidates per
-    kernel call; one call without it) and take the first maximum."""
+    """Price every usable candidate from the counter row and take the first
+    maximum: through one full ``batch_add_gains`` kernel pass, or with
+    ``rows`` through :func:`gathered_add_gains` calls of ``rows``
+    candidates each."""
     if len(candidate_ids) == 0:
         return None
     instance = allocation.instance
@@ -502,13 +515,15 @@ def eager_best_marginal_billboard(allocation, advertiser_id, candidate_ids, rows
     individual = individual[usable]
     influence = allocation.influence(advertiser_id)
     counts_row = allocation.counts_row(advertiser_id)
-    step = rows or len(candidate_ids)
-    gains = np.concatenate(
-        [
-            coverage.batch_add_gains(counts_row, candidate_ids=candidate_ids[i : i + step])
-            for i in range(0, len(candidate_ids), step)
-        ]
-    )
+    if rows is None:
+        gains = coverage.batch_add_gains(counts_row)[candidate_ids]
+    else:
+        gains = np.concatenate(
+            [
+                gathered_add_gains(coverage, counts_row, candidate_ids[i : i + rows])
+                for i in range(0, len(candidate_ids), rows)
+            ]
+        )
     regret = instance.regret_of(advertiser_id, influence)
     new_regrets = _regret_values_unchecked(
         advertiser.payment, advertiser.demand, instance.gamma, influence + gains
@@ -779,11 +794,6 @@ class SetCoverage:
             covered |= self.sets[int(billboard_id)]
         return len(covered)
 
-    def _candidates(self, candidate_ids):
-        if candidate_ids is None:
-            return range(len(self.sets))
-        return [int(b) for b in candidate_ids]
-
     def add_gain(self, counts_row, billboard_id: int, removed=None) -> int:
         """Trajectories of ``billboard_id`` with no cover left once
         ``removed`` (if any) leaves the set."""
@@ -798,19 +808,16 @@ class SetCoverage:
         """Trajectories ``billboard_id`` alone covers."""
         return sum(1 for t in self.sets[billboard_id] if counts_row[t] == 1)
 
-    def batch_add_gains(self, counts_row, candidate_ids=None) -> list[int]:
-        return [self.add_gain(counts_row, b) for b in self._candidates(candidate_ids)]
+    def batch_add_gains(self, counts_row) -> list[int]:
+        return [self.add_gain(counts_row, b) for b in range(len(self.sets))]
 
-    def batch_add_gains_without(
-        self, counts_row, removed_billboard: int, candidate_ids=None
-    ) -> list[int]:
+    def batch_add_gains_without(self, counts_row, removed_billboard: int) -> list[int]:
         return [
-            self.add_gain(counts_row, b, removed_billboard)
-            for b in self._candidates(candidate_ids)
+            self.add_gain(counts_row, b, removed_billboard) for b in range(len(self.sets))
         ]
 
-    def batch_remove_losses(self, counts_row, candidate_ids=None) -> list[int]:
-        return [self.remove_loss(counts_row, b) for b in self._candidates(candidate_ids)]
+    def batch_remove_losses(self, counts_row) -> list[int]:
+        return [self.remove_loss(counts_row, b) for b in range(len(self.sets))]
 
     def swap_delta(self, removed_billboard: int, added_billboard: int, counts_row) -> int:
         """Change in covered trajectories when the row's counters lose
