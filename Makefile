@@ -92,16 +92,14 @@ obs-demo:
 	$(PYTHON) -m repro.cli obs report --validate $(OBS_DEMO_DIR)/trace.json
 	@echo "trace: $(OBS_DEMO_DIR)/trace.json"
 
-## Tracing + ledger end-to-end: the solver bench in smoke mode with a Chrome
-## trace and a run ledger, the trace schema-validated (clock-aligned,
-## >=2 worker pids), and the bottleneck report rendered from both artifacts.
+## Tracing end-to-end: the solver bench in smoke mode with a Chrome trace,
+## the trace schema-validated (clock-aligned, >=2 worker pids), and the
+## bottleneck report rendered from it.
 TRACE_DIR ?= /tmp/mroam-trace-smoke
 trace-smoke:
 	mkdir -p $(TRACE_DIR)
 	$(PYTHON) scripts/bench_solvers.py --smoke \
 		--output $(TRACE_DIR)/BENCH_solvers_trace.json \
-		--trace-out $(TRACE_DIR)/trace.json \
-		--ledger $(TRACE_DIR)/ledger.jsonl
-	$(PYTHON) scripts/obs_report.py --validate $(TRACE_DIR)/trace.json
-	$(PYTHON) scripts/obs_report.py $(TRACE_DIR)/ledger.jsonl
+		--trace-out $(TRACE_DIR)/trace.json
+	$(PYTHON) -m repro.cli obs report --validate $(TRACE_DIR)/trace.json
 	@echo "trace: $(TRACE_DIR)/trace.json"

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import ledger
+from repro.obs.trace import git_commit as head_commit
 
 SCHEMA = "bench-history-v1"
 
@@ -66,10 +66,10 @@ def git_commit() -> str:
     """Hash of the commit that produced a report (``unknown`` outside git).
 
     A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
-    head hash itself comes from the shared :mod:`repro.obs.ledger` helper so
-    every artifact (bench history, run ledger, trace) stamps the same id.
+    head hash itself comes from the shared :mod:`repro.obs.trace` helper so
+    the bench history and the run's trace stamp the same id.
     """
-    head = ledger.git_commit()
+    head = head_commit()
     if head == "unknown":
         return head
     try:

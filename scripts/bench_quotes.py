@@ -29,9 +29,10 @@ run of the same scenario.
 Usage::
 
     PYTHONPATH=src python scripts/bench_quotes.py            # full bench
-    PYTHONPATH=src python scripts/bench_quotes.py --smoke    # seconds-fast
-    PYTHONPATH=src python scripts/bench_quotes.py --smoke \
-        --assert-speedup 2.0                                 # CI gate
+    PYTHONPATH=src python scripts/bench_quotes.py \
+        --assert-speedup 10 --gate-regression                # make bench-quotes
+    PYTHONPATH=src python scripts/bench_quotes.py --smoke    # CI: no speedup
+                                                             # floor (shallow book)
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import _bench_history
 from repro import obs
 from repro.market.online import OnlineHost
 from repro.market.scenario import Scenario
-from repro.obs import ledger
 
 
 def quote_key(quote) -> tuple:
@@ -282,29 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(json.dumps(report, indent=2))
     print(f"\nappended run {len(history['runs'])} to {path}")
-
-    if ledger.enabled():
-        ledger.record_run(
-            "bench.quotes",
-            instance=incremental.instance(),
-            pricing="incremental",
-            book_size=book_size,
-            quotes_per_s=float(quote_paths["quotes_per_s"]),
-            wall_s=float(quote_paths["incremental_quote_s"]),
-            speedup=float(quote_paths["speedup"]),
-            p99_s=latency["p99_s"],
-            smoke=bool(args.smoke),
-        )
-        ledger.record_run(
-            "bench.quotes",
-            instance=incremental.instance(),
-            pricing="full",
-            book_size=book_size,
-            quotes_per_s=float(quote_paths["full_quotes_per_s"]),
-            wall_s=float(quote_paths["full_quote_s"]),
-            smoke=bool(args.smoke),
-        )
-        print(f"appended ledger records to {ledger.ledger_path()}")
 
     if args.gate_regression is not None:
         if failures:

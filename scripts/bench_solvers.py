@@ -53,7 +53,6 @@ from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
 from repro.market.scenario import Scenario
-from repro.obs import ledger
 from repro.parallel.pool import OVERSUBSCRIBE_ENV, close_all_pools
 
 
@@ -331,13 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         "is the default",
     )
     parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="append per-section outcome records to this JSONL ledger; "
-        f"${obs.LEDGER_ENV} is the default",
-    )
-    parser.add_argument(
         "--assert-parallel-speedup",
         type=float,
         default=None,
@@ -357,8 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.ledger is not None:
-        os.environ[obs.LEDGER_ENV] = args.ledger
     trace_out = args.trace_out or env.OBS_TRACE.raw()
     if trace_out is not None:
         # Attribution needs real worker processes even on 1-CPU runners; the
@@ -421,30 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(json.dumps(report, indent=2))
     print(f"\nappended run {len(history['runs'])} to {path}")
-
-    if ledger.enabled():
-        ledger.record_run(
-            "bench.sweep",
-            instance=instance,
-            method="bls",
-            wall_s=float(sweep_engines["dirty_engine_s"]),
-            regret=float(sweep_engines["total_regret"]),
-            smoke=bool(args.smoke),
-        )
-        ledger.record_run(
-            "bench.restarts",
-            instance=instance,
-            method="bls",
-            workers=int(parallel["workers"]),
-            restarts=int(parallel["restarts"]),
-            serial_s=float(parallel["serial_s"]),
-            wall_s=float(parallel["parallel_s"]),
-            speedup=float(parallel["speedup"]),
-            regret=float(parallel["total_regret"]),
-            grain=parallel["grain"],
-            smoke=bool(args.smoke),
-        )
-        print(f"appended ledger records to {ledger.ledger_path()}")
 
     if obs.configured_out() is not None:
         # One instrumented BLS pass for the trace artifact, then retire

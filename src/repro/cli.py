@@ -11,7 +11,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import env, obs
@@ -89,13 +88,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "across worker pools, solver telemetry, final counters, gauges and "
         f"histograms) to this JSON file; ${obs.TRACE_ENV} is the default",
     )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="append one per-run record (commit, instance features, outcome) "
-        f"to this JSONL ledger; ${obs.LEDGER_ENV} is the default",
-    )
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
@@ -113,14 +105,7 @@ def _scenario_from(args: argparse.Namespace) -> Scenario:
 
 
 def _obs_begin(args: argparse.Namespace) -> bool:
-    """Enable observability when the flags or the environment ask for it.
-
-    ``--ledger`` exports ``REPRO_OBS_LEDGER`` so every producer (harness
-    cells, bench sections, worker processes) sees the same ledger path.
-    """
-    ledger = getattr(args, "ledger", None)
-    if ledger is not None:
-        os.environ[obs.LEDGER_ENV] = ledger
+    """Enable observability when the flags or the environment ask for it."""
     trace_out = getattr(args, "trace_out", None) or env.OBS_TRACE.raw()
     if trace_out is None and not args.obs_summary:
         return False
@@ -304,12 +289,18 @@ def _cmd_quotes(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
+    from repro.obs.report import load_trace, trace_report
+
+    try:
+        data = load_trace(args.path)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 1
     if args.validate:
         import json
 
         from repro.lint.findings import findings_payload, problems_to_findings
 
-        data = json.loads(open(args.path).read())
         problems = obs.validate_chrome_trace(data)
         findings = problems_to_findings("trace-schema", args.path, problems)
         if getattr(args, "as_json", False):
@@ -322,12 +313,8 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
                 print(f"invalid: {finding.message}", file=sys.stderr)
             return 1
         print(f"{args.path}: valid Chrome trace "
-              f"({len(data.get('traceEvents', []))} events)")
-    try:
-        print(obs.render_report(args.path))
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 1
+              f"({len(data['traceEvents'])} events)")
+    print(trace_report(data))
     return 0
 
 
@@ -417,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
     report = obs_sub.add_parser(
         "report",
-        help="bottleneck report over a run's trace JSON or a ledger",
+        help="bottleneck report over a run's Chrome trace JSON",
     )
-    report.add_argument("path", help="trace or ledger file to analyze")
+    report.add_argument("path", help="trace file to analyze")
     report.add_argument(
         "--validate",
         action="store_true",

@@ -158,14 +158,3 @@ OBS_TRACE = _declare(
         cli="--trace-out PATH",
     )
 )
-
-OBS_LEDGER = _declare(
-    EnvKnob(
-        name="REPRO_OBS_LEDGER",
-        default=None,
-        parser=parse_nonempty,
-        doc="Append one JSONL record per harness cell / bench section "
-        "(commit, instance features, outcome) to this ledger path.",
-        cli="--ledger PATH",
-    )
-)

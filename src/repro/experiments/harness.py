@@ -16,11 +16,12 @@ solver_seed)`` and results come back in task order, so every regret metric
 is independent of ``workers``; only measured wall-clock times differ.
 
 When observability is enabled (see :mod:`repro.obs`), every
-``(cell, method)`` execution runs inside a ``harness.cell`` span and each
-worker ships a snapshot of its metrics registry back with the task result;
-the parent merges snapshots in task order, so counter totals for
-deterministic per-task work (solver counters, influence dispatch) are equal
-for every ``workers`` count.
+``(cell, method)`` execution runs inside a ``harness.cell`` span that
+carries the cell's outcome (``regret`` and the mean solver ``runtime_s``),
+and each worker ships a snapshot of its metrics registry back with the
+task result; the parent merges snapshots in task order, so counter totals
+for deterministic per-task work (solver counters, influence dispatch) are
+equal for every ``workers`` count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Sequence
 
 from repro import obs
 from repro.algorithms.registry import PAPER_METHODS, make_solver
-from repro.obs import ledger
 from repro.datasets.synthetic import CityDataset
 from repro.experiments.configs import BENCH_RESTARTS
 from repro.experiments.metrics import CellMetrics
@@ -72,7 +72,7 @@ def _run_task(city: CityDataset, task: tuple) -> CellMetrics:
         restart_workers,
     ) = task
     instance = scenario.build_instance(city)
-    with obs.span("harness.cell", method=method, **span_attrs):
+    with obs.span("harness.cell", method=method, **span_attrs) as cell_span:
         if obs.enabled():
             # One union query per cell: reports the reachable-audience
             # ceiling in the run's metrics.
@@ -97,16 +97,9 @@ def _run_task(city: CityDataset, task: tuple) -> CellMetrics:
                 )
                 runtimes.append(repeat_solver.solve(instance).runtime_s)
             metrics = replace(metrics, runtime_s=sum(runtimes) / len(runtimes))
-    if ledger.enabled():
-        ledger.record_run(
-            "harness.cell",
-            instance=instance,
-            method=method,
-            restarts=int(restarts),
-            restart_workers=restart_workers,
-            regret=float(metrics.total_regret),
-            wall_s=float(metrics.runtime_s),
-            **span_attrs,
+        # The span's own duration also covers the runtime repeats.
+        cell_span.set(
+            regret=float(metrics.total_regret), runtime_s=float(metrics.runtime_s)
         )
     return metrics
 

@@ -19,14 +19,6 @@ final counters, gauges and histogram summaries.
 See ``DESIGN.md`` §8 for the metric naming scheme and merge semantics.
 """
 
-from repro.obs.ledger import (
-    LEDGER_ENV,
-    git_commit,
-    instance_features,
-    ledger_path,
-    read_ledger,
-    record_run,
-)
 from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
@@ -56,6 +48,7 @@ from repro.obs.trace import (
     emit_counter,
     emit_instant,
     flush_worker_spill,
+    git_commit,
     register_worker_flush,
     take_trace,
     validate_chrome_trace,
@@ -63,7 +56,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "LEDGER_ENV",
     "TRACE_ENV",
     "Histogram",
     "MetricsRegistry",
@@ -84,12 +76,8 @@ __all__ = [
     "get_registry",
     "git_commit",
     "histogram_observe",
-    "instance_features",
-    "ledger_path",
     "merge_snapshot",
     "metrics",
-    "read_ledger",
-    "record_run",
     "register_worker_flush",
     "render_report",
     "reset",

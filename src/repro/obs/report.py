@@ -1,20 +1,18 @@
-"""Bottleneck reports over traces and ledgers, and the live run summary.
+"""Bottleneck reports over a run's trace, and the live run summary.
 
-:func:`render_report` sniffs the file format — Chrome trace JSON
-(``traceEvents``) or ledger JSONL — and renders the matching fixed-width
-report:
-
-* **trace** — restart-bench time attribution (spawn / export / attach /
-  warm-up / compute / reduce, against the pool-map wall time), the BLS
-  sweep-phase breakdown, the exchange screen's rows / survivors next to
-  the sweep's scans and skips, the kernel dispatch table, per-pid RSS ranges,
-  and the run's metrics from ``otherData``: span timings with p50/p95/p99,
-  counters, gauges and the other histograms.
-* **ledger** — per-(kind, engine) outcome summary across recorded runs.
+:func:`render_report` reads a Chrome trace (a JSON object with
+``traceEvents``) and renders its fixed-width report: restart-bench time
+attribution (spawn / export / attach / warm-up / compute / reduce, against
+the pool-map wall time), the BLS sweep-phase breakdown, the exchange
+screen's rows / survivors next to the sweep's scans and skips, the kernel
+dispatch table, per-pid RSS ranges, and the run's metrics from
+``otherData``: span timings with p50/p95/p99, counters, gauges and the
+other histograms.  Any other file is refused with one "not a Chrome trace"
+error.
 
 :func:`summary_table` renders the same metric tables from the live
 registry (the CLI's ``--obs-summary``).  Exposed on the CLI as
-``repro obs report`` and as ``scripts/obs_report.py``.
+``repro obs report``.
 """
 
 from __future__ import annotations
@@ -36,24 +34,19 @@ _ATTRIBUTION_SPANS = (
 )
 
 
-def detect_format(path: str | os.PathLike) -> str:
-    """``"trace"`` or ``"ledger"`` for the file at ``path``; raises
-    :class:`ValueError` for anything else."""
-    text = Path(path).read_text()
+def load_trace(path: str | os.PathLike) -> dict:
+    """The Chrome trace dict in the file at ``path``; raises
+    :class:`ValueError` for anything that is not a JSON object with
+    ``traceEvents`` (JSONL logs, malformed JSON, other documents)."""
     try:
-        whole = json.loads(text)
-    except json.JSONDecodeError:
-        whole = None
-    if isinstance(whole, dict) and "traceEvents" in whole:
-        return "trace"
-    first_line = text.lstrip().split("\n", 1)[0]
-    try:
-        first = json.loads(first_line)
-    except json.JSONDecodeError:
-        first = None
-    if isinstance(first, dict) and str(first.get("schema", "")).startswith("obs-ledger"):
-        return "ledger"
-    raise ValueError(f"{path}: neither a Chrome trace nor an obs ledger")
+        data = json.loads(Path(path).read_text())
+    except ValueError:
+        data = None
+    if not isinstance(data, dict) or "traceEvents" not in data:
+        raise ValueError(
+            f"{path}: not a Chrome trace (expected a JSON object with traceEvents)"
+        )
+    return data
 
 
 def _table(rows: list[tuple], headers: tuple) -> list[str]:
@@ -260,6 +253,11 @@ def trace_report(data: dict) -> str:
     return "\n".join(lines)
 
 
+def render_report(path: str | os.PathLike) -> str:
+    """The trace report of the Chrome trace at ``path`` (parsed once)."""
+    return trace_report(load_trace(path))
+
+
 # -------------------------------------------------------------- metrics
 
 
@@ -315,45 +313,3 @@ def summary_table() -> str:
     """The CLI's end-of-run summary: :func:`metrics_tables` of the registry."""
     lines = metrics_tables(_registry.metrics()) or ["(nothing recorded)"]
     return "\n".join(["== observability summary ==", *lines])
-
-
-# --------------------------------------------------------------- ledger
-
-
-def ledger_report(records: list[dict]) -> str:
-    lines = ["== ledger report =="]
-    groups: dict[tuple, list[dict]] = defaultdict(list)
-    for record in records:
-        key = (record.get("kind", "?"), str(record.get("engine", record.get("method", "-"))))
-        groups[key].append(record)
-    rows = []
-    for (kind, engine), members in sorted(groups.items()):
-        regrets = [m["regret"] for m in members if isinstance(m.get("regret"), (int, float))]
-        times = [m["wall_s"] for m in members if isinstance(m.get("wall_s"), (int, float))]
-        commits = {m.get("commit", "?")[:9] for m in members}
-        rows.append(
-            (
-                f"{kind}/{engine}",
-                len(members),
-                f"{sum(regrets) / len(regrets):.4f}" if regrets else "-",
-                f"{sum(times) / len(times):.4f}" if times else "-",
-                len(commits),
-            )
-        )
-    if rows:
-        lines.extend(_table(rows, ("kind/engine", "runs", "mean_regret", "mean_wall_s", "commits")))
-    else:
-        lines.append("(empty ledger)")
-    return "\n".join(lines)
-
-
-# ------------------------------------------------------------ dispatch
-
-
-def render_report(path: str | os.PathLike) -> str:
-    """Sniff the file format and render the matching report."""
-    if detect_format(path) == "trace":
-        return trace_report(json.loads(Path(path).read_text()))
-    from repro.obs.ledger import read_ledger
-
-    return ledger_report(read_ledger(path))

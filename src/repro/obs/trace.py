@@ -44,6 +44,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import subprocess
 import threading
 import time
 import uuid
@@ -64,6 +65,29 @@ _SAMPLE_INTERVAL_S = 0.05
 _SAMPLED_COUNTER_PREFIXES = ("influence.dispatch.",)
 
 _EPOCH_OFFSET: float | None = None
+
+_COMMIT: str | None = None
+
+
+def git_commit() -> str:
+    """The current git commit hash (cached; ``"unknown"`` outside a repo)."""
+    global _COMMIT
+    if _COMMIT is None:
+        try:
+            _COMMIT = (
+                subprocess.run(
+                    ["git", "rev-parse", "HEAD"],
+                    capture_output=True,
+                    text=True,
+                    timeout=10,
+                    cwd=Path(__file__).resolve().parent,
+                )
+                .stdout.strip()
+                or "unknown"
+            )
+        except (OSError, subprocess.SubprocessError):
+            _COMMIT = "unknown"
+    return _COMMIT
 
 
 def _epoch_offset() -> float:
@@ -319,12 +343,7 @@ def write_trace(path: str | os.PathLike | None = None) -> Path:
     other = {
         name: values for name, values in _registry.metrics().items() if values
     }
-    try:
-        from repro.obs.ledger import git_commit
-
-        other["commit"] = git_commit()
-    except Exception:  # pragma: no cover - git metadata is best-effort
-        pass
+    other["commit"] = git_commit()
     data = to_chrome(take_trace(reset_after=True), other)
     _STATE.out_path = None
     path = Path(path)

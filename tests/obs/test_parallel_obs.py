@@ -5,6 +5,7 @@ snapshots back to the parent.  For work that is deterministic per task —
 the solver counters and the influence-kernel dispatches — merged totals
 must equal a serial run exactly.  (Per-build counters like
 ``coverage.builds`` legitimately differ: each worker rebuilds coverage.)
+Each cell's outcome rides home on its ``harness.cell`` span.
 """
 
 from __future__ import annotations
@@ -83,3 +84,31 @@ class TestParallelMergeEqualsSerial:
         # count; the span name keys the histogram either way.
         parallel = obs.get_registry().histograms["span.harness.cell"].count
         assert parallel == serial == 1
+
+
+class TestHarnessCellOutcome:
+    KWARGS = dict(
+        parameter="gamma",
+        values=(0.25, 0.75),
+        methods=["g-global", "bls"],
+        restarts=1,
+        workers=2,
+    )
+
+    def test_cell_spans_carry_the_returned_metrics(self, scenario):
+        obs.enable()
+        result = sweep(scenario, **self.KWARGS)
+        cells = [e for e in obs.take_trace() if e["name"] == "harness.cell"]
+        assert len(cells) == 4
+        for event in cells:
+            args = event["args"]
+            metrics = result.cells[args["value"]][args["method"]]
+            assert isinstance(args["regret"], float)
+            assert isinstance(args["runtime_s"], float)
+            assert args["regret"] == metrics.total_regret
+            assert args["runtime_s"] == metrics.runtime_s
+
+    def test_untraced_sweep_emits_nothing(self, scenario):
+        sweep(scenario, **self.KWARGS)
+        assert obs.take_trace() == []
+        assert obs.metrics() == {"counters": {}, "gauges": {}, "histograms": {}}

@@ -1,9 +1,9 @@
-"""The bottleneck reports: format sniffing and trace aggregation.
+"""The bottleneck report: trace loading and aggregation.
 
-``repro obs report`` / ``scripts/obs_report.py`` turn the two artifact
-kinds (a run's Chrome trace, the run ledger) into fixed-width reports.
-These tests feed synthetic artifacts with known arithmetic through the
-aggregators so every reported number is pinned, not just smoke-checked.
+``repro obs report`` turns a run's Chrome trace into a fixed-width report
+and refuses every other file.  These tests feed synthetic traces with
+known arithmetic through the aggregators so every reported number is
+pinned, not just smoke-checked.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs import ledger, report
+from repro.cli import main
+from repro.obs import report
 
 
 def complete(name, ts_us, dur_us, pid=100, args=None):
@@ -70,22 +71,34 @@ def trace_data():
     }
 
 
-class TestDetectFormat:
-    def test_trace_ledger_runlog(self, tmp_path):
-        trace_path = tmp_path / "t.json"
-        trace_path.write_text(json.dumps({"traceEvents": []}))
-        assert report.detect_format(trace_path) == "trace"
+class TestLoadTrace:
+    def test_trace_loads(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"traceEvents": []}))
+        assert report.load_trace(path) == {"traceEvents": []}
 
-        ledger_path = tmp_path / "l.jsonl"
-        ledger.record_run("bench.sweep", path=ledger_path, engine="dirty")
-        assert report.detect_format(ledger_path) == "ledger"
-
-        # The JSONL run log is gone (the trace carries its content); an old
-        # one is refused by name rather than misread as a ledger.
-        runlog_path = tmp_path / "r.jsonl"
-        runlog_path.write_text('{"event": "counters", "counters": {"a": 1}}\n')
-        with pytest.raises(ValueError, match="neither a Chrome trace nor an obs ledger"):
-            report.detect_format(runlog_path)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # An old run-ledger file (JSONL, one record per line).
+            '{"schema": "obs-ledger-v1", "kind": "bench.sweep"}\n'
+            '{"schema": "obs-ledger-v1", "kind": "bench.restarts"}\n',
+            # The old JSONL run log (the trace carries its content now).
+            '{"event": "counters", "counters": {"a": 1}}\n',
+            # Malformed JSON.
+            '{"traceEvents": [',
+        ],
+        ids=["ledger", "runlog", "malformed"],
+    )
+    def test_non_traces_are_refused(self, tmp_path, capsys, text):
+        path = tmp_path / "not-a-trace.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a Chrome trace"):
+            report.render_report(path)
+        for flags in ([], ["--validate"]):
+            assert main(["obs", "report", *flags, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("not a Chrome trace") == 1, err
 
 
 class TestRestartAttribution:
@@ -149,17 +162,6 @@ class TestRendering:
         assert "kernel dispatch in instrumented passes" in text
         assert "RSS by pid" in text
         assert "warm-up" in text
-
-    def test_ledger_report(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        ledger.record_run("bench.sweep", path=path, engine="dirty", wall_s=1.0,
-                          regret=4.0)
-        ledger.record_run("bench.sweep", path=path, engine="dirty", wall_s=3.0,
-                          regret=6.0)
-        text = report.render_report(path)
-        assert "bench.sweep/dirty" in text
-        assert "5.0000" in text  # mean regret
-        assert "2.0000" in text  # mean wall
 
     def test_runlog_report(self, tmp_path):
         # The run's one file is its trace: the span quantile table and the

@@ -165,6 +165,13 @@ class TestWriteAndValidate:
         assert data["otherData"]["counters"]["influence.dispatch.batch"] == 3
         names = {event["name"] for event in data["traceEvents"]}
         assert "one" in names and "process_name" in names
+        assert data["otherData"]["commit"] == trace.git_commit()
+
+    def test_git_commit_is_cached_and_real(self):
+        commit = trace.git_commit()
+        assert commit == trace.git_commit()
+        # The test tree is a git checkout, so the hash is a real one.
+        assert commit == "unknown" or len(commit) == 40
 
     def test_write_trace_without_path_raises(self):
         obs.enable()

@@ -108,7 +108,6 @@ class TestRegistryHygiene:
             "REPRO_COVERAGE_CACHE",
             "REPRO_POOL_OVERSUBSCRIBE",
             "REPRO_OBS_TRACE",
-            "REPRO_OBS_LEDGER",
         ]
 
     def test_lookup_by_name(self):
