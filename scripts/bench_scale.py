@@ -13,7 +13,10 @@ NYC dataset is ~1.7 M trips) and, at each size:
 * records the ``influence.dispatch.idarray`` counter of one replay.
 
 The 10^6 size also solves one greedy + BLS cell, demonstrating an
-end-to-end paper-scale solve.
+end-to-end paper-scale solve.  Its BLS is timed as the median CPU and wall
+time of :data:`BLS_REPEATS` in-process runs, each on a clone of the greedy
+plan, and the cell records what tells two plans apart even where the regret
+is 0: the exchanges, the exact scans and a SHA-1 of the final owner vector.
 
 Appends to ``BENCH_scale.json`` (append-only history, see
 ``scripts/_bench_history.py``).
@@ -27,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -53,6 +57,7 @@ FULL_SIZES = (10_000, 100_000, 1_000_000, 2_000_000)
 SMOKE_SIZES = (10_000,)
 CHUNK_SIZE = 100_000
 BLS_SIZE = 1_000_000  # largest available size solves a cell too
+BLS_REPEATS = 5  # in-process BLS runs per cell, each from the greedy plan
 
 #: Advertiser market for the end-to-end solve: alpha/p_avg -> 5 advertisers.
 BLS_ALPHA, BLS_P_AVG, BLS_GAMMA = 0.25, 0.05, 0.5
@@ -176,10 +181,16 @@ def bench_bls(stream, n: int, lambda_m: float, seed: int) -> dict:
     greedy_s = time.perf_counter() - started
     greedy_regret = allocation.total_regret()
 
-    stats: dict = {}
-    started = time.perf_counter()
-    improved = billboard_driven_local_search(allocation, max_sweeps=2, stats=stats)
-    bls_s = time.perf_counter() - started
+    walls, cpus, digests = [], [], set()
+    for _ in range(BLS_REPEATS):
+        improved = allocation.clone()
+        stats: dict = {}
+        wall, cpu = time.perf_counter(), time.process_time()
+        billboard_driven_local_search(improved, max_sweeps=2, stats=stats)
+        cpus.append(time.process_time() - cpu)
+        walls.append(time.perf_counter() - wall)
+        digests.add(hashlib.sha1(improved.owners.tobytes()).hexdigest())
+    assert len(digests) == 1, "BLS repeats from one greedy plan disagree"
 
     return {
         "n_trajectories": n,
@@ -189,10 +200,15 @@ def bench_bls(stream, n: int, lambda_m: float, seed: int) -> dict:
         "gamma": BLS_GAMMA,
         "streaming_build_s": build_s,
         "greedy_s": greedy_s,
-        "bls_s": bls_s,
+        "bls_s": float(np.median(walls)),
+        "bls_cpu_s": float(np.median(cpus)),
+        "bls_repeats": BLS_REPEATS,
         "greedy_regret": greedy_regret,
         "total_regret": improved.total_regret(),
         "bls_sweeps": int(stats.get("bls_sweeps", 0)),
+        "bls_exchanges": int(stats.get("bls_exchanges", 0)),
+        "bls_dirty_scanned": int(stats.get("bls_dirty_scanned", 0)),
+        "owners_sha1": digests.pop(),
     }
 
 

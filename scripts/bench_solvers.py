@@ -101,7 +101,9 @@ def collect_screen_precision(instance: MROAMInstance) -> tuple[dict, dict]:
 
     Runs *outside* the timed sections with collection enabled.  The
     exchange screen counts the rows it screens and the rows it cannot clear
-    (``bls.screen.rows`` / ``bls.screen.survivors``); the sweep counts the
+    (``bls.screen.rows`` / ``bls.screen.survivors``), its exact stage the
+    survivors it prices and clears (``bls.exact.rows`` /
+    ``bls.exact.cleared``); the sweep counts the
     exact scans it runs (``bls.dirty.scanned``) and the run's stats the
     scans that found a move (``bls_exchanges``).  Survivors far above
     scans-with-a-move is the screen's slack.  The same pass's
@@ -119,10 +121,13 @@ def collect_screen_precision(instance: MROAMInstance) -> tuple[dict, dict]:
         precision = {
             "rows_screened": int(obs.counter_value("bls.screen.rows")),
             "survivors": int(obs.counter_value("bls.screen.survivors")),
+            "exact_rows": int(obs.counter_value("bls.exact.rows")),
+            "exact_cleared": int(obs.counter_value("bls.exact.cleared")),
             "scanned": int(obs.counter_value("bls.dirty.scanned")),
             "scans_with_move": int(stats.get("bls_exchanges", 0)),
             "note": (
                 "rows the exchange screen priced, rows it could not clear, "
+                "survivors its exact stage priced and cleared, "
                 "exact scans run and scans that found an exchange; a survivor "
                 "whose round a move invalidated is screened again, not scanned"
             ),

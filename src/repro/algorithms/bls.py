@@ -25,9 +25,12 @@ move since nothing near them changed, and an interval screen
 can beat the acceptance threshold.  The screen reads both sides' intervals
 from the allocation's maintained gain/loss vectors: the exact influence is
 the interval's low end plus an overlap count that neither side's loss can
-exceed (DESIGN.md §13).  Inside a surviving scan, owner↔owner partners are
-ordered by a looser individual-influence bound and confirmed exactly in
-that order while it exceeds the threshold.  Skipped work is
+exceed (DESIGN.md §13).  The screen then prices its surviving rows' hot
+cells (the ones whose bound can still beat the threshold) exactly, in
+batched coverage gathers, and clears each row with no improving hot cell,
+so nearly every scan that runs finds a move.  Inside a surviving scan,
+owner↔owner partners are ordered by a looser individual-influence bound
+and confirmed exactly in that order while it exceeds the threshold.  Skipped work is
 *proof-backed*, so the loop accepts the identical move sequence as the
 literal rescan-everything loop of Algorithm 5 (kept as the test oracle in
 ``tests/oracles.py``) and, like it, stops at the first sweep that accepts

@@ -18,11 +18,21 @@ This module runs the screen at *round* granularity:
   read with row- and column-structured gathers and no coverage gather;
   the bounds lie inside the individual-influence intervals of the scalar
   ``tests/oracles.exchange_screen``, so the block clears every row that
-  screen clears, and more;
+  screen clears, and more.  It also returns the *hot* cells, the only
+  ones whose bound lets them improve;
+* the planner's exact stage prices the surviving rows' hot cells exactly
+  (:func:`exact_improving`, one coverage gather per batch of rows, in visit
+  order up to the first row that holds a move) and clears every row none
+  of whose hot cells improves, so the sweep scans only rows that hold a
+  move.  Cells that are not hot cannot improve, so the stage's
+  verdict is the scan's; two fixed caps
+  (:data:`EXACT_PASS_TRAJECTORIES`, :data:`EXACT_ROW_TRAJECTORIES`) leave
+  rows whose coverage lists would cost more than their scans with their
+  interval verdict;
 * :class:`ScreenRoundPlanner` caches one round's verdicts for the sweep and
   drops them after every accepted move, so each verdict is consumed at
   exactly the allocation state a per-billboard screen would have computed
-  it at — the accepted move sequence cannot drift.  Rows are screened in
+  it at, so the accepted move sequence cannot drift.  Rows are screened in
   geometrically growing chunks (1, 2, 4, …) from the visit frontier, capped
   at :data:`SERIAL_CHUNK_CELLS`: move-heavy stretches, where the next
   accepted move would throw eager work away, cost one row per miss, while
@@ -48,6 +58,23 @@ from repro.core.allocation import UNASSIGNED
 #: cost ~25% more wall than capped ones), while chunks this size still
 #: amortize the numpy call overhead dozens of rows at a time.
 SERIAL_CHUNK_CELLS = 1 << 16
+
+#: The exact stage of one screen pass gathers the ``cov(o_m)`` lists of at
+#: most this many trajectories, summed over the surviving rows it prices in
+#: visit order; later survivors keep their interval verdict and are
+#: scanned.  At ``solve`` scale (lists of about 18 trajectories) the cap
+#: admits hundreds of rows, enough for the quiescent rounds' survivors: a
+#: cap of 2^11 left 145 scans per operation, 2^13 left 35.
+EXACT_PASS_TRAJECTORIES = 1 << 13
+
+#: A survivor whose own ``cov(o_m)`` list is longer than this keeps its
+#: interval verdict.  Pricing a row gathers every (billboard, trajectory)
+#: pair of its list, so its cost grows with the list while the scan it may
+#: save has a fixed part.  At 10⁶ trips (lists of about 3,000 trajectories,
+#: 33 k pairs) pricing one row took 1.5 ms against 1.1 ms for its scan, and
+#: admitting every list took the ``bench_scale`` BLS from 0.36 to 0.43 s of
+#: CPU (DESIGN.md §13).
+EXACT_ROW_TRAJECTORIES = 1 << 9
 
 
 def _optimistic_regret(
@@ -174,12 +201,14 @@ def round_flags(
     pool: np.ndarray,
     changed: np.ndarray,
     min_improvement: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Screen verdicts for one dense block of rows in one pass.
 
     Row ``r`` exchanges ``billboard_ids[r]`` (owned by ``advertiser_ids[r]``)
-    with the candidates ``pool[changed[r]]``.  ``flags[r] is False`` proves
-    that every such exchange improves total regret by at most
+    with the candidates ``pool[changed[r]]``.  Returns ``(flags, hot)``:
+    ``hot[r, k]`` marks the changed cells whose best-case regret drop
+    exceeds ``min_improvement``, and ``flags[r]`` whether row ``r`` has any.
+    A cell that is not hot improves total regret by at most
     ``min_improvement``: both sides' post-swap influences lie in the
     :func:`block_intervals` bounds, so the summed best-case regret drop
     over those intervals upper-bounds the true improvement.  Each interval
@@ -217,7 +246,56 @@ def round_flags(
         np.subtract(regrets[partners], drop, out=drop)
         drop *= assigned  # a free candidate has no partner side
         potential += drop
-    return ((potential > min_improvement) & changed).any(axis=1)
+    hot = (potential > min_improvement) & changed
+    return hot.any(axis=1), hot
+
+
+def exact_improving(
+    allocation,
+    advertiser_ids: np.ndarray,
+    billboard_ids: np.ndarray,
+    cell_rows: np.ndarray,
+    cell_candidates: np.ndarray,
+    min_improvement: float,
+) -> np.ndarray:
+    """Whether each cell's exchange improves total regret by more than
+    ``min_improvement``, priced exactly.
+
+    Cell ``i`` exchanges row ``cell_rows[i]``'s ``billboard_ids`` entry
+    (owned by its ``advertiser_ids`` entry) with ``cell_candidates[i]``.
+    Both sides' influence changes come from one
+    :meth:`~repro.core.allocation.Allocation.exchange_deltas` pass, and the
+    regret arithmetic is the exact scan's (``bls._select_partner``): Eq. 1
+    at the new influence minus Eq. 1 at the old one, own side plus partner
+    side, against ``−min_improvement``.  Influences are integers held
+    exactly in ``float64``, so every cell's total equals the scan's bit for
+    bit.
+    """
+    instance = allocation.instance
+    payments, demands, gamma = instance.payments, instance.demands, instance.gamma
+    own, partner = allocation.exchange_deltas(billboard_ids, cell_rows, cell_candidates)
+    influences = allocation.influences.astype(np.float64)
+    regrets = _regret_values_unchecked(payments, demands, gamma, influences)
+    owners = advertiser_ids[cell_rows]
+    total = (
+        _regret_values_unchecked(
+            payments[owners], demands[owners], gamma, influences[owners] + own
+        )
+        - regrets[owners]
+    )
+    partners = allocation.owners[cell_candidates]
+    assigned = partners != UNASSIGNED
+    partners = partners[assigned]
+    total[assigned] += (
+        _regret_values_unchecked(
+            payments[partners],
+            demands[partners],
+            gamma,
+            influences[partners] + partner[assigned],
+        )
+        - regrets[partners]
+    )
+    return total < -min_improvement
 
 
 class ScreenRoundPlanner:
@@ -415,9 +493,12 @@ class ScreenRoundPlanner:
                 self.screen_seconds += time.perf_counter() - started  # repro-lint: ignore[determinism] telemetry-only clock
             return
         certified = self.state.round_certificates(advertiser_ids, billboard_ids)
-        flags, survivors = self._screen_round(advertiser_ids, billboard_ids, certified)
+        flags, survivors, hot_cells = self._screen_round(
+            advertiser_ids, billboard_ids, certified
+        )
         obs.counter_add("bls.screen.rows", len(billboard_ids))
         obs.counter_add("bls.screen.survivors", len(survivors))
+        self._price_survivors(advertiser_ids, billboard_ids, hot_cells, flags, survivors)
         self._verdicts.update(
             zip((int(b) for b in billboard_ids), flags.tolist())
         )
@@ -430,11 +511,16 @@ class ScreenRoundPlanner:
         advertiser_ids: np.ndarray,
         billboard_ids: np.ndarray,
         certified: np.ndarray,
-    ) -> tuple[np.ndarray, dict]:
+    ) -> tuple[np.ndarray, dict, list]:
+        """Interval verdicts of the chunk's rows: ``(flags, survivors,
+        hot_cells)``, where ``survivors`` maps each surviving billboard to its
+        changed candidates and ``hot_cells`` lists each surviving row's
+        ``(row, hot candidates)``."""
         allocation = self.allocation
         state = self.state
         flags = np.zeros(len(billboard_ids), dtype=bool)
         survivors = {}
+        hot_cells = []
         for rows, pool, changed in round_blocks(
             allocation.owners,
             advertiser_ids,
@@ -443,7 +529,7 @@ class ScreenRoundPlanner:
             state.advertiser_version,
             state.freed_version,
         ):
-            block = round_flags(
+            block, hot = round_flags(
                 allocation,
                 advertiser_ids[rows],
                 billboard_ids[rows],
@@ -454,4 +540,69 @@ class ScreenRoundPlanner:
             flags[rows] = block
             for r in np.flatnonzero(block):
                 survivors[int(billboard_ids[rows[r]])] = pool[changed[r]]
-        return flags, survivors
+                hot_cells.append((int(rows[r]), pool[hot[r]]))
+        return flags, survivors, hot_cells
+
+    def _price_survivors(
+        self,
+        advertiser_ids: np.ndarray,
+        billboard_ids: np.ndarray,
+        hot_cells: list,
+        flags: np.ndarray,
+        survivors: dict,
+    ) -> None:
+        """The exact stage: price the surviving rows' hot cells exactly, in
+        visit order, and clear every row none of whose hot cells improves.
+
+        A cell that is not hot cannot improve (:func:`round_flags`), so a
+        row whose hot cells all fail the exact test is one the exact scan
+        would return ``None`` for: it is cleared (``flags`` and
+        ``survivors`` updated in place) and the sweep certifies it without
+        scanning.  A row that keeps a hot cell is one whose scan finds the
+        move that invalidates the pass, so rows after it are left unpriced.
+        Rows with a ``cov(o_m)`` list longer than
+        :data:`EXACT_ROW_TRAJECTORIES`, and the rows from the one that would
+        take the pass past :data:`EXACT_PASS_TRAJECTORIES` on, keep their
+        screen verdict too.
+        """
+        sizes = self.allocation.instance.coverage.individual_influences
+        hot_cells.sort(key=lambda cell: cell[0])
+        budget = EXACT_PASS_TRAJECTORIES
+        rows, candidates = [], []
+        for row, ids in hot_cells:
+            size = int(sizes[billboard_ids[row]])
+            if size > EXACT_ROW_TRAJECTORIES:
+                continue
+            budget -= size
+            if budget < 0:
+                break
+            rows.append(row)
+            candidates.append(ids)
+        # The first kept row holds a move, and accepting it drops every later
+        # verdict of the pass unread: price in batches that double from one
+        # row and stop at the batch holding a kept row.
+        start, batch, cleared = 0, 1, 0
+        while start < len(rows):
+            stop = min(start + batch, len(rows))
+            cell_rows = np.repeat(
+                np.arange(stop - start), [len(ids) for ids in candidates[start:stop]]
+            )
+            chosen = np.asarray(rows[start:stop], dtype=np.int64)
+            improving = exact_improving(
+                self.allocation,
+                advertiser_ids[chosen],
+                billboard_ids[chosen],
+                cell_rows,
+                np.concatenate(candidates[start:stop]),
+                self.min_improvement,
+            )
+            kept = np.bincount(cell_rows[improving], minlength=stop - start) > 0
+            flags[chosen[~kept]] = False
+            for row in chosen[~kept].tolist():
+                del survivors[int(billboard_ids[row])]
+            cleared += int((~kept).sum())
+            start, batch = stop, batch * 2
+            if kept.any():
+                break
+        obs.counter_add("bls.exact.rows", start)
+        obs.counter_add("bls.exact.cleared", cleared)

@@ -278,11 +278,20 @@ class CoverageIndex:
             keys, minlength=self.num_billboards * num_labels
         ).reshape(self.num_billboards, num_labels)
 
-    def covering_pairs(self, trajectory_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def covering_pairs(
+        self, trajectory_ids: np.ndarray, labels: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Every covered ``(billboard, trajectory)`` pair whose trajectory is
-        in ``trajectory_ids``, as two aligned arrays."""
+        in ``trajectory_ids``, as two aligned arrays.
+
+        With ``labels`` (one entry per trajectory) the second array holds
+        each pair's label instead of its trajectory id; ``trajectory_ids``
+        may then repeat (a label per occurrence tells them apart).
+        """
         billboard_ids, lengths = self._gather_covering(trajectory_ids)
-        return billboard_ids, np.repeat(trajectory_ids, lengths)
+        return billboard_ids, np.repeat(
+            trajectory_ids if labels is None else labels, lengths
+        )
 
     @property
     def bitmap_words(self) -> int:

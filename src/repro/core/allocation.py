@@ -334,36 +334,100 @@ class Allocation:
         sole = covered[self._counts[advertiser_id][covered] == 1]
         return self._gains[advertiser_id] + coverage.covering_counts(sole)
 
+    def exchange_deltas(
+        self,
+        billboard_ids: np.ndarray,
+        cell_rows: np.ndarray,
+        cell_candidates: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact influence change of both sides of a batch of exchanges,
+        without mutating.
+
+        Cell ``i`` swaps ``o_m = billboard_ids[cell_rows[i]]`` (owned by
+        ``a``) with ``o_n = cell_candidates[i]`` (owned by ``j``, or free):
+        ``a`` gives ``o_m`` and takes ``o_n``; ``j`` gives ``o_n`` and takes
+        ``o_m``.  Returns ``(own, partner)``::
+
+            own[i]     = gain[a, o_n] − loss[a, o_m] + |cov(o_n) ∩ sole_a(o_m)|
+            partner[i] = gain[j, o_m] − loss[j, o_n] + |cov(o_m) ∩ cov(o_n) ∩ {c_j = 1}|
+
+        with ``sole_a(o_m) = cov(o_m) ∩ {c_a = 1}``.  Both overlaps pair a
+        trajectory of ``cov(o_m)`` with a billboard covering it, so one
+        :meth:`~repro.billboard.influence.CoverageIndex.covering_pairs`
+        gather over the rows' concatenated ``cov(o_m)`` lists prices every
+        cell, and one ``bincount`` per side over the (row, candidate) keys
+        sums them.  ``own`` is 0 where ``o_m`` is free and ``partner`` is 0
+        where ``o_n`` is free.  The own side is an exchange only when ``o_n``
+        is neither ``o_m`` nor one of ``a``'s billboards.
+        """
+        coverage = self.instance.coverage
+        billboard_ids = np.asarray(billboard_ids, dtype=np.int64)
+        cell_rows = np.asarray(cell_rows, dtype=np.int64)
+        cell_candidates = np.asarray(cell_candidates, dtype=np.int64)
+        lists = [coverage.covered_by(int(b)) for b in billboard_ids]
+        trajectories = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+        rows = np.repeat(np.arange(len(lists)), [len(ids) for ids in lists])
+        # Count per (row, candidate column), the columns being the distinct
+        # candidates: a pair outside every cell lands in no column.
+        wanted = np.zeros(self.instance.num_billboards, dtype=bool)
+        wanted[cell_candidates] = True
+        columns = np.cumsum(wanted) - 1
+        width = int(columns[-1]) + 1 if len(columns) else 0
+        columns[~wanted] = -1
+        billboards, positions = coverage.covering_pairs(
+            trajectories, labels=np.arange(len(trajectories))
+        )
+        pair_columns = columns[billboards]
+        keep = pair_columns >= 0
+        billboards, positions = billboards[keep], positions[keep]
+        pair_rows = rows[positions]
+        keys = pair_rows * width + pair_columns[keep]
+        pair_trajectories = trajectories[positions]
+        row_owners = self._owner[billboard_ids]
+        pair_partners = self._owner[billboards]
+        own_hit = self._counts[row_owners[pair_rows], pair_trajectories] == 1
+        partner_hit = (pair_partners != UNASSIGNED) & (
+            self._counts[pair_partners, pair_trajectories] == 1
+        )
+        size = len(lists) * width
+        cells = cell_rows * width + columns[cell_candidates]
+        outgoing = billboard_ids[cell_rows]
+        owners = row_owners[cell_rows]
+        own = np.where(
+            owners != UNASSIGNED,
+            self._gains[owners, cell_candidates]
+            - self._losses[owners, outgoing]
+            + np.bincount(keys[own_hit], minlength=size)[cells],
+            0,
+        )
+        partners = self._owner[cell_candidates]
+        partner = np.where(
+            partners != UNASSIGNED,
+            self._gains[partners, outgoing]
+            - self._losses[partners, cell_candidates]
+            + np.bincount(keys[partner_hit], minlength=size)[cells],
+            0,
+        )
+        return own, partner
+
     def partner_swap_deltas(
         self, added_billboard: int, removed_billboards: np.ndarray
     ) -> np.ndarray:
         """Exact influence change of each ``removed_billboards[i]``'s owner
-        ``j`` when ``j`` loses that billboard and gains ``added_billboard``.
+        ``j`` when ``j`` loses that billboard and gains ``added_billboard``:
+        the partner side of a one-row :meth:`exchange_deltas`.
 
-        ``gain[j, o_m] − loss[j, o_n] + |cov(o_m) ∩ cov(o_n) ∩ {c_j = 1}|``:
-        the last term, for every ``o_n`` at once, is one ``bincount`` over
-        the covered (billboard, trajectory) pairs of ``cov(o_m)``.  Every
-        ``removed_billboards`` entry must be assigned and must not be
+        Every ``removed_billboards`` entry must be assigned and not
         ``added_billboard``; entry ``i`` equals
         ``CoverageIndex.swap_delta(o_n, o_m, counts_row(j))``.
         """
-        coverage = self.instance.coverage
         removed_billboards = np.asarray(removed_billboards, dtype=np.int64)
-        wanted = np.zeros(self.instance.num_billboards, dtype=bool)
-        wanted[removed_billboards] = True
-        billboards, trajectories = coverage.covering_pairs(
-            coverage.covered_by(added_billboard)
+        _, partner = self.exchange_deltas(
+            np.array([added_billboard]),
+            np.zeros(len(removed_billboards), dtype=np.int64),
+            removed_billboards,
         )
-        keep = wanted[billboards]
-        billboards, trajectories = billboards[keep], trajectories[keep]
-        sole = self._counts[self._owner[billboards], trajectories] == 1
-        overlap = np.bincount(billboards[sole], minlength=self.instance.num_billboards)
-        partners = self._owner[removed_billboards]
-        return (
-            self._gains[partners, added_billboard]
-            - self._losses[partners, removed_billboards]
-            + overlap[removed_billboards]
-        )
+        return partner
 
     def counts_row(self, advertiser_id: int) -> np.ndarray:
         """Read-only view of one advertiser's multiplicity counters."""

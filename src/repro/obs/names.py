@@ -35,6 +35,8 @@ SOLVER_ITERATIONS = "solver.iterations"
 BLS_SCREEN_ROUNDS = "bls.screen.rounds"
 BLS_SCREEN_ROWS = "bls.screen.rows"
 BLS_SCREEN_SURVIVORS = "bls.screen.survivors"
+BLS_EXACT_ROWS = "bls.exact.rows"
+BLS_EXACT_CLEARED = "bls.exact.cleared"
 BLS_DIRTY_SCANNED = "bls.dirty.scanned"
 BLS_DIRTY_SKIPPED = "bls.dirty.skipped"
 SWEEP_MOVES = "sweep.moves"

@@ -141,12 +141,15 @@ def bls_phase_breakdown(data: dict) -> dict:
 
 def bls_screen_precision(data: dict) -> dict:
     """The exchange screen's precision from the run's final counters: rows
-    screened, rows that survived to an exact scan, and the scans and
-    certified skips of the BLS sweep loop (empty when no BLS ran)."""
+    screened, rows that survived the interval screen, survivors the exact
+    stage priced and cleared, and the scans and certified skips of the BLS
+    sweep loop (empty when no BLS ran)."""
     counters = data.get("otherData", {}).get("counters", {})
     names = {
         "rows": "bls.screen.rows",
         "survivors": "bls.screen.survivors",
+        "exact_rows": "bls.exact.rows",
+        "exact_cleared": "bls.exact.cleared",
         "scanned": "bls.dirty.scanned",
         "skipped": "bls.dirty.skipped",
     }
@@ -222,11 +225,12 @@ def trace_report(data: dict) -> str:
     if precision:
         lines.append("")
         lines.append("-- BLS exchange screen --")
-        keys = ("rows", "survivors", "scanned", "skipped")
+        keys = ("rows", "survivors", "exact_rows", "exact_cleared", "scanned", "skipped")
         lines.extend(_table([tuple(precision[key] for key in keys)], keys))
         lines.append(
-            "  (rows = rows screened, survivors = rows the screen could not "
-            "clear; scanned/skipped = bls.dirty.*)"
+            "  (rows = rows screened, survivors = rows the interval screen could "
+            "not clear; exact_rows/exact_cleared = survivors the exact stage "
+            "priced/cleared; scanned/skipped = bls.dirty.*)"
         )
 
     kernels = kernel_dispatch_table(data)

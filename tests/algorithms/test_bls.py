@@ -150,7 +150,7 @@ def _round_verdicts(allocation, advertiser_id, owned, candidate_sets):
     changed = np.zeros((len(owned), len(pool)), dtype=bool)
     for row, ids in enumerate(candidate_sets):
         changed[row, ids] = True
-    return round_flags(
+    flags, _ = round_flags(
         allocation,
         np.full(len(owned), advertiser_id, dtype=np.int64),
         np.asarray(owned, dtype=np.int64),
@@ -158,6 +158,7 @@ def _round_verdicts(allocation, advertiser_id, owned, candidate_sets):
         changed,
         1e-9,
     )
+    return flags
 
 
 class TestExchangeScreenBatch:

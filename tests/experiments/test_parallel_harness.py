@@ -201,4 +201,9 @@ class TestBenchSmoke:
         assert phases["screen_rounds"] > 0
         precision = report["screen_precision"]
         assert 0 < precision["survivors"] <= precision["rows_screened"]
+        assert (
+            0 <= precision["exact_cleared"]
+            <= precision["exact_rows"]
+            <= precision["survivors"]
+        )
         assert 0 < precision["scans_with_move"] <= precision["scanned"]

@@ -139,6 +139,29 @@ class TestBlsPhases:
         assert report.bls_phase_breakdown({"traceEvents": []})["sweeps"] == 0
 
 
+class TestScreenPrecision:
+    def test_counters_and_table(self):
+        counters = {
+            "bls.screen.rows": 40, "bls.screen.survivors": 12,
+            "bls.exact.rows": 9, "bls.exact.cleared": 7,
+            "bls.dirty.scanned": 5, "bls.dirty.skipped": 35,
+        }
+        data = {"traceEvents": [], "otherData": {"counters": counters}}
+        assert report.bls_screen_precision(data) == {
+            "rows": 40, "survivors": 12, "exact_rows": 9, "exact_cleared": 7,
+            "scanned": 5, "skipped": 35,
+        }
+        lines = report.trace_report(data).splitlines()
+        header = lines.index("-- BLS exchange screen --") + 1
+        assert lines[header].split() == [
+            "rows", "survivors", "exact_rows", "exact_cleared", "scanned", "skipped"
+        ]
+        assert lines[header + 2].split() == ["40", "12", "9", "7", "5", "35"]
+
+    def test_no_bls(self):
+        assert report.bls_screen_precision({"traceEvents": []}) == {}
+
+
 class TestKernelsAndRss:
     def test_kernel_dispatch_table(self, trace_data):
         assert report.kernel_dispatch_table(trace_data) == {
